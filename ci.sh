@@ -8,7 +8,7 @@
 #   ./ci.sh <stage>..  run the named stage(s) only, e.g. ./ci.sh memory schema
 #
 # Stages: build test ghost kernel perf trace service decomp memory obs
-#         schema fmt clippy
+#         schema benchmark fmt clippy
 #
 # Everything runs offline: external dependencies resolve to the vendored
 # shims under crates/shims/ (see crates/shims/README.md).
@@ -144,8 +144,10 @@ stage_memory() {
     echo "==> [memory] streaming output + on-disk format + memory accounting gates"
     # (1) the streamed-vs-accumulated acceptance matrix: bit-identical
     # files at 1/2/4/8 ranks under both decomposition schemes and both
-    # kernels, adaptive multi-round streaming, culled streaming, RunReport
-    # memory counters; (2) the on-disk codec fuzz: any single-byte
+    # kernels, culled streaming, RunReport memory counters, and adaptive
+    # multi-round streaming — the same round loop as `tessellate` with the
+    # write sink, so blocks that become final in different rounds (the
+    # default schedule) must stream to the identical file; (2) the on-disk codec fuzz: any single-byte
     # corruption or truncation of a block file is a typed error, never a
     # panic; (3) bench_memory: 8-rank clustered streaming vs accumulate A/B
     # gating on allocator peak (<0.8x), VmHWM growth, the culled
@@ -182,6 +184,15 @@ stage_schema() {
     cargo run --release -q -p bench-harness --bin bench_schema_check
 }
 
+stage_benchmark() {
+    echo "==> [benchmark] benchmark/run.sh --quick: builds against the library API, checks pass"
+    # The repository benchmark (BENCHMARK.json) is a crate of its own that
+    # the workspace build never sees. A short run of every workload fails
+    # here — not in the merge pipeline — when a change breaks the API
+    # surface it calls or one of its bit-identity / oracle checks.
+    bash benchmark/run.sh --quick
+}
+
 stage_fmt() {
     echo "==> [fmt] cargo fmt --check"
     cargo fmt --check
@@ -194,7 +205,7 @@ stage_clippy() {
 
 # ---- drivers ---------------------------------------------------------------
 
-ALL_STAGES="build test ghost kernel perf trace service decomp memory obs schema fmt clippy"
+ALL_STAGES="build test ghost kernel perf trace service decomp memory obs schema benchmark fmt clippy"
 QUICK_STAGES="build test fmt clippy"
 
 case "${1:-full}" in

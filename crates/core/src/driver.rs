@@ -4,14 +4,15 @@ use std::collections::BTreeMap;
 
 use diy::comm::{Runtime, World};
 use diy::decomposition::{Assignment, Decomposition};
+use diy::exchange::NeighborExchange;
 use diy::metrics::MetricsHandle;
 use diy::trace::{trace_mode, TraceMode};
 use geometry::{Aabb, Vec3};
 
 use crate::block::{tessellate_block_session, BlockSession, CellObs};
-use crate::ghost::{exchange_ghosts, sort_ghosts, AdaptiveGhostExchange, GhostParticle};
+use crate::ghost::{exchange_round, sort_ghosts, GhostParticle};
 use crate::model::MeshBlock;
-use crate::params::{GhostSpec, KernelMode, TessParams, AUTO_GHOST_FACTOR};
+use crate::params::{GhostSpec, TessParams, AUTO_GHOST_FACTOR};
 use crate::stats::TessStats;
 
 /// Phase span covering ghost resolution + particle exchange (see
@@ -27,7 +28,8 @@ pub const PHASE_OUTPUT: &str = "output";
 pub const HIST_CANDIDATES: &str = "tess.candidates_per_cell";
 /// Histogram: wall nanoseconds per computed cell (tracing only).
 pub const HIST_CELL_COMPUTE_NS: &str = "tess.cell_compute_ns";
-/// Histogram: ghost radius requested per owned block per adaptive round.
+/// Histogram: ghost radius requested per owned block per ghost round (the
+/// fixed specs' one round included).
 pub const HIST_GHOST_REQUEST_RADIUS: &str = "tess.ghost_request_radius";
 /// Histogram: input particles per owned block (one sample per block, so
 /// the merged histogram's max/mean is the block-level load imbalance).
@@ -80,11 +82,25 @@ pub struct TessResult {
     pub blocks: BTreeMap<u64, MeshBlock>,
     /// This rank's counters (merge across ranks for global stats).
     pub stats: TessStats,
-    /// The ghost size actually used (resolved if `GhostSpec::Auto`).
+    /// The largest ghost radius any block ended up holding (the resolved
+    /// size under `GhostSpec::Explicit` / `Auto`).
     pub ghost_used: f64,
-    /// Per-cell discovery kernel the pass ran with (bench provenance; the
-    /// mesh bits are kernel-independent).
-    pub kernel: KernelMode,
+}
+
+/// Result of one bounded-memory streaming pass on one rank: the mesh went
+/// to disk wave by wave, so only counters come back. Global totals are
+/// identical on every rank.
+pub struct StreamSummary {
+    /// This rank's counters (merge across ranks for global stats).
+    pub stats: TessStats,
+    /// The largest ghost radius any block ended up holding.
+    pub ghost_used: f64,
+    /// Blocks written to the file (global).
+    pub blocks_written: u64,
+    /// Mesh payload bytes in the file, excluding framing (global).
+    pub payload_bytes: u64,
+    /// Total file bytes (global).
+    pub file_bytes: u64,
 }
 
 /// Estimated particle spacing: `max over blocks of (block volume / own
@@ -124,20 +140,150 @@ pub fn resolve_ghost(
     }
 }
 
-/// Distributed (in-situ) tessellation: collective over all ranks of
-/// `world`. `local` maps each owned block gid to its original particles
-/// `(global id, position)`.
-pub fn tessellate(
+/// The per-block ghost radius schedule. Everything in it derives from
+/// collective data (the spec, the spacing estimate, the decomposition), so
+/// every rank computes the same schedule and [`next`](Self::next) decides
+/// locally — with no communication — whether a block is final.
+#[derive(Debug, Clone, Copy)]
+struct RadiusSchedule {
+    /// The radius every block requests in round 0.
+    initial: f64,
+    /// `None` under `GhostSpec::Explicit` / `Auto`: the radius never grows,
+    /// so every block is final after round 0.
+    growth: Option<Growth>,
+}
+
+/// Growth limits of [`GhostSpec::Adaptive`].
+#[derive(Debug, Clone, Copy)]
+struct Growth {
+    /// The neighborhood exchange only reaches linked blocks, so a halo
+    /// wider than the smallest block extent would silently miss particles.
+    /// This is the only place the protocol consults the decomposition
+    /// beyond block bounds and links, so it is the same protocol for any
+    /// scheme whose blocks tile the domain.
+    cap: f64,
+    /// Radius of the one fallback round that follows `max_rounds`.
+    auto_r: f64,
+    max_rounds: usize,
+}
+
+impl RadiusSchedule {
+    /// Resolve `spec` against this run's particles (collective).
+    fn resolve(
+        world: &mut World,
+        dec: &Decomposition,
+        local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
+        spec: GhostSpec,
+    ) -> Self {
+        let GhostSpec::Adaptive {
+            initial_factor,
+            max_rounds,
+        } = spec
+        else {
+            return RadiusSchedule {
+                initial: resolve_ghost(world, dec, local, spec),
+                growth: None,
+            };
+        };
+        let cap = dec.min_block_extent();
+        assert!(
+            cap.is_finite() && cap > 0.0,
+            "degenerate decomposition: min block extent {cap}"
+        );
+        let spacing = estimated_spacing(world, dec, local);
+        RadiusSchedule {
+            initial: (initial_factor * spacing).min(cap),
+            growth: Some(Growth {
+                cap,
+                auto_r: (AUTO_GHOST_FACTOR * spacing).min(cap),
+                max_rounds,
+            }),
+        }
+    }
+
+    /// The radius a block holding `cur` requests after `round` left cells
+    /// uncertified that need `need`, or `None` when the block is final:
+    /// the radius never grows, it is saturated at the cap (the neighborhood
+    /// has no more to give), or the fallback round is spent — what is still
+    /// uncertified then is dropped exactly like the fixed modes drop it.
+    fn next(&self, round: usize, cur: f64, need: f64) -> Option<f64> {
+        let Growth {
+            cap,
+            auto_r,
+            max_rounds,
+        } = self.growth?;
+        if cur >= cap - 1e-12 {
+            return None;
+        }
+        let next = if round < max_rounds {
+            // Grow toward the certification bound, with a geometric floor
+            // so near-converged cells cannot stall the loop and a 2x
+            // ceiling because `need` is an overestimate: an uncertified
+            // cell is still under-clipped, so its security radius shrinks
+            // as candidates arrive. Jumping straight to the early bound
+            // over-fetches ghosts for the whole block; doubling converges
+            // in O(log) rounds while the incremental re-tessellation keeps
+            // the extra rounds cheap (only uncertified cells recompute).
+            need.max(cur * 1.25).min(cur * 2.0).min(cap)
+        } else if round == max_rounds {
+            auto_r.max(need).min(cap)
+        } else {
+            return None;
+        };
+        (next > cur + 1e-12).then_some(next)
+    }
+}
+
+/// What the round loop keeps for an owned block until it is final.
+#[derive(Default)]
+struct Pending {
+    /// Every ghost received so far, in canonical order.
+    halo: Vec<GhostParticle>,
+    /// The latest pass, resumable: the next round recomputes only the
+    /// cells this one could not certify.
+    session: Option<BlockSession>,
+    /// Counters of the latest pass (cumulative over the block's rounds).
+    work: TessStats,
+}
+
+/// Wave slots a round runs: the most requested blocks any one rank owns.
+/// Derived from the collective request map and the assignment, so every
+/// rank arrives at the same count without communicating.
+fn wave_slots(request: &BTreeMap<u64, f64>, asn: &Assignment) -> usize {
+    let mut per_rank = vec![0usize; asn.nranks];
+    for &gid in request.keys() {
+        per_rank[asn.rank_of_block(gid)] += 1;
+    }
+    per_rank.into_iter().max().unwrap_or(0)
+}
+
+/// The one tessellation loop. Per round: exchange the delta shell for every
+/// block in the collective `request` map, (re-)tessellate exactly those
+/// blocks, and hand each one to `sink` the moment it is final — certified,
+/// or [`RadiusSchedule::next`] has nothing more to ask for. The rest gather
+/// their next requests on every rank. All decisions derive from collective
+/// data, so the per-block radius schedule — and therefore every block's
+/// ghost set and mesh — is identical at any rank count. `Explicit` / `Auto`
+/// ghosts are the same loop: their schedule never grows, so round 0 is the
+/// only round and needs no gather.
+///
+/// A round runs [`wave_slots`] slots and tessellates one owned block per
+/// slot; `sink` is called once per slot on every rank — with `None` when
+/// the slot's block is not final or this rank has no block left — so it may
+/// be collective. Returns this rank's stats and the largest radius held.
+fn run_rounds(
     world: &mut World,
     dec: &Decomposition,
     asn: &Assignment,
     local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
     params: &TessParams,
-) -> TessResult {
+    mut sink: impl FnMut(&mut World, Option<(u64, MeshBlock)>) -> std::io::Result<()>,
+) -> std::io::Result<(TessStats, f64)> {
     // Pool task events are only worth their mutex traffic under full
     // tracing; flip the pool's recording flag to match before any work.
     rayon::set_task_trace(trace_mode() == TraceMode::Full);
-    record_balance(&world.metrics(), local);
+    let metrics = world.metrics();
+    record_balance(&metrics, local);
     // Canonical re-clip cube half-extent: a function of the *domain*, so
     // certified cell bits cannot depend on which decomposition scheme cut
     // the domain into blocks (see `cell::CellContext::canon_extent`).
@@ -148,120 +294,34 @@ pub fn tessellate(
         })),
         ..*params
     };
-    if let GhostSpec::Adaptive {
-        initial_factor,
-        max_rounds,
-    } = params.ghost
-    {
-        return tessellate_adaptive(world, dec, asn, local, params, initial_factor, max_rounds);
-    }
-    let metrics = world.metrics();
-    let (ghost, ghosts) = {
+    let (ex, schedule) = {
         let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let ghost = resolve_ghost(world, dec, local, params.ghost);
-        let ghosts = exchange_ghosts(world, dec, asn, local, ghost);
-        (ghost, ghosts)
-    };
-
-    let _span = metrics.phase(PHASE_VORONOI);
-    let mut blocks = BTreeMap::new();
-    let mut stats = TessStats::default();
-    for (&gid, own) in local {
-        let empty = Vec::new();
-        let g = ghosts.get(&gid).unwrap_or(&empty);
-        let (block, s, _cert, mut session) =
-            tessellate_block_session(gid, dec.block_bounds(gid), own, g, ghost, params);
-        record_block_obs(&metrics, gid, session.take_obs());
-        stats = stats.merge(s);
-        blocks.insert(gid, block);
-    }
-    stats.ghost_rounds = 1;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-    // Credit CPU burned by pool workers on our behalf to this rank's
-    // voronoi span (the span only sees the submitting thread's clock).
-    drain_pool(&metrics);
-
-    TessResult {
-        blocks,
-        stats,
-        ghost_used: ghost,
-        kernel: params.kernel,
-    }
-}
-
-/// Multi-round adaptive tessellation (see [`GhostSpec::Adaptive`]).
-///
-/// Round loop: exchange the delta shell for every block whose requested
-/// radius grew, re-tessellate exactly those blocks, let each uncertified
-/// cell bound the radius it needs, and gather the per-block requests on
-/// every rank. All decisions derive from collective data (the gathered
-/// request map, the spacing estimate), so the per-block radius schedule —
-/// and therefore every block's ghost set and mesh — is identical at any
-/// rank count. Requests are capped at one block extent (the farthest the
-/// 26-neighborhood can see); after `max_rounds` adaptive rounds one
-/// fallback round at the auto-heuristic radius runs, then whatever is
-/// still uncertified is dropped exactly like the fixed modes drop it.
-#[allow(clippy::too_many_arguments)]
-fn tessellate_adaptive(
-    world: &mut World,
-    dec: &Decomposition,
-    asn: &Assignment,
-    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
-    params: &TessParams,
-    initial_factor: f64,
-    max_rounds: usize,
-) -> TessResult {
-    let metrics = world.metrics();
-    // The neighborhood exchange only reaches adjacent blocks, so a halo
-    // wider than the smallest block extent would silently miss particles.
-    // This is the only place the adaptive protocol consults the
-    // decomposition beyond block bounds and links: the radius schedule is
-    // derived from collective data, so the protocol itself is identical
-    // for any scheme whose blocks tile the domain.
-    let cap = dec.min_block_extent();
-    assert!(
-        cap.is_finite() && cap > 0.0,
-        "degenerate decomposition: min block extent {cap}"
-    );
-    let (r0, auto_r) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let spacing = estimated_spacing(world, dec, local);
         (
-            (initial_factor * spacing).min(cap),
-            (AUTO_GHOST_FACTOR * spacing).min(cap),
+            NeighborExchange::new(dec, asn),
+            RadiusSchedule::resolve(world, dec, local, params.ghost),
         )
     };
 
-    let mut exchanger = AdaptiveGhostExchange::new(dec, asn);
-    let mut ghosts: BTreeMap<u64, Vec<GhostParticle>> =
-        local.keys().map(|&g| (g, Vec::new())).collect();
-    let mut results: BTreeMap<u64, (MeshBlock, TessStats)> = BTreeMap::new();
-    // Per-block resumable tessellations (incremental mode): round `k+1`
-    // recomputes only the cells round `k` could not certify.
-    let mut sessions: BTreeMap<u64, BlockSession> = BTreeMap::new();
-    // Current halo radius per block — global state, identical on all ranks.
-    let mut radius: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, 0.0)).collect();
+    // Halo radius each block holds — global state, identical on all ranks;
+    // no entry until the block's first request is served.
+    let mut radius: BTreeMap<u64, f64> = BTreeMap::new();
     // Round 0: every block wants the initial radius (no communication
     // needed to agree on that).
-    let mut request: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, r0)).collect();
+    let mut request: BTreeMap<u64, f64> = (0..dec.nblocks() as u64)
+        .map(|g| (g, schedule.initial))
+        .collect();
+    let mut pending: BTreeMap<u64, Pending> =
+        local.keys().map(|&g| (g, Pending::default())).collect();
+    let mut stats = TessStats::default();
     let mut rounds = 0u64;
 
-    loop {
+    while !request.is_empty() {
         let round = rounds as usize;
-        // Ghosts that arrived this round, kept aside so incremental
-        // resumes can verify/recompute against exactly the delta shell.
-        let mut fresh_ghosts: BTreeMap<u64, Vec<GhostParticle>> = BTreeMap::new();
-        {
+        let mut fresh = {
             let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
             let _round_span = metrics.phase(format!("ghost_round:{round}"));
             metrics.mark("ghost_round", rounds);
-            let fresh = exchanger.round(world, local, &request, round);
-            for (gid, items) in fresh {
-                let v = ghosts.get_mut(&gid).expect("owned block");
-                v.extend(items.iter().copied());
-                sort_ghosts(v);
-                fresh_ghosts.insert(gid, items);
-            }
+            let fresh = exchange_round(world, &ex, local, &radius, &request, round);
             for (&g, &r) in &request {
                 // Radius distribution over *owned* blocks only: each block
                 // is then counted exactly once globally, so the merged
@@ -271,135 +331,135 @@ fn tessellate_adaptive(
                 }
                 radius.insert(g, r);
             }
-        }
+            fresh
+        };
         rounds += 1;
 
-        // Re-tessellate the blocks whose halo changed; collect what the
-        // still-uncertified cells need.
-        let mut needed: BTreeMap<u64, f64> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_VORONOI);
-            for (&gid, own) in local {
-                if !request.contains_key(&gid) {
-                    continue;
+        let mine: Vec<u64> = request
+            .keys()
+            .copied()
+            .filter(|g| local.contains_key(g))
+            .collect();
+        let nslots = wave_slots(&request, asn);
+        assert!(
+            mine.len() <= nslots,
+            "rank holds particles for blocks the assignment gives to others"
+        );
+        let mut my_requests: Vec<(u64, f64)> = Vec::new();
+        for slot in 0..nslots {
+            let finished = mine.get(slot).and_then(|&gid| {
+                let (own, r) = (&local[&gid], radius[&gid]);
+                let state = pending.get_mut(&gid).expect("requested block");
+                // This round's ghosts join the halo in the block's own slot,
+                // so the two copies coexist for one block at a time.
+                let new = fresh.remove(&gid).unwrap_or_default();
+                {
+                    let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
+                    state.halo.extend_from_slice(&new);
+                    sort_ghosts(&mut state.halo);
                 }
-                let r = radius[&gid];
-                let g = &ghosts[&gid];
-                let (block, s, cert) = match sessions.get_mut(&gid) {
+                let _span = metrics.phase(PHASE_VORONOI);
+                let (block, s, cert) = match &mut state.session {
                     Some(session) if params.incremental_retess => {
-                        let fresh = fresh_ghosts.get(&gid).map_or(&[][..], Vec::as_slice);
-                        session.retessellate(own, g, fresh, r, params)
+                        session.retessellate(own, &state.halo, &new, r, params)
                     }
-                    _ => {
-                        let (block, mut s, cert, session) =
-                            tessellate_block_session(gid, dec.block_bounds(gid), own, g, r, params);
+                    session => {
+                        let (block, mut s, cert, fresh_session) = tessellate_block_session(
+                            gid,
+                            dec.block_bounds(gid),
+                            own,
+                            &state.halo,
+                            r,
+                            params,
+                        );
                         // keep the work counters cumulative across rounds in
                         // full (non-incremental) mode too, so the two modes'
                         // counters measure the same thing
-                        if let Some((_, prev)) = results.get(&gid) {
-                            s.candidates_tested =
-                                s.candidates_tested.saturating_add(prev.candidates_tested);
-                            s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
-                            s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
-                        }
-                        sessions.insert(gid, session);
+                        let prev = state.work;
+                        s.candidates_tested =
+                            s.candidates_tested.saturating_add(prev.candidates_tested);
+                        s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
+                        s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
+                        *session = Some(fresh_session);
                         (block, s, cert)
                     }
                 };
-                if let Some(session) = sessions.get_mut(&gid) {
+                if let Some(session) = &mut state.session {
                     record_block_obs(&metrics, gid, session.take_obs());
                 }
-                results.insert(gid, (block, s));
-                if cert.uncertified > 0 && cert.needed_ghost > 0.0 {
-                    needed.insert(gid, cert.needed_ghost);
+                // Credit CPU burned by pool workers on our behalf to this
+                // rank's voronoi span (the span only sees the submitting
+                // thread's clock).
+                drain_pool(&metrics);
+                let need =
+                    (cert.uncertified > 0 && cert.needed_ghost > 0.0).then_some(cert.needed_ghost);
+                match need.and_then(|need| schedule.next(round, r, need)) {
+                    Some(next) => {
+                        state.work = s;
+                        my_requests.push((gid, next));
+                        None
+                    }
+                    None => {
+                        // final: free the session and the halo now
+                        pending.remove(&gid);
+                        stats = stats.merge(s);
+                        Some((gid, block))
+                    }
                 }
+            });
+            sink(world, finished)?;
+        }
+
+        // Next round's request map from every rank's needs (collective, so
+        // all ranks agree on who grows and by how much).
+        request = match schedule.growth {
+            Some(_) => {
+                let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
+                let gathered: Vec<Vec<(u64, f64)>> = world.all_gather(&my_requests);
+                gathered.into_iter().flatten().collect()
             }
-            drain_pool(&metrics);
-        }
-
-        // Build next round's request map from every rank's needs
-        // (collective, so all ranks agree on who grows and by how much).
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let my_requests: Vec<(u64, f64)> = needed
-            .iter()
-            .filter_map(|(&gid, &need)| {
-                let cur = radius[&gid];
-                if cur >= cap - 1e-12 {
-                    return None; // saturated: the neighborhood has no more
-                }
-                let next = if round < max_rounds {
-                    // Grow toward the certification bound, with a geometric
-                    // floor so near-converged cells cannot stall the loop
-                    // and a 2x ceiling because `need` is an overestimate:
-                    // an uncertified cell is still under-clipped, so its
-                    // security radius shrinks as candidates arrive. Jumping
-                    // straight to the early bound over-fetches ghosts for
-                    // the whole block; doubling converges in O(log) rounds
-                    // while the incremental re-tessellation keeps the extra
-                    // rounds cheap (only uncertified cells recompute).
-                    need.max(cur * 1.25).min(cur * 2.0).min(cap)
-                } else if round == max_rounds {
-                    auto_r.max(need).min(cap) // fallback: the auto radius
-                } else {
-                    return None; // fallback spent: leave incomplete
-                };
-                (next > cur + 1e-12).then_some((gid, next))
-            })
-            .collect();
-        let gathered: Vec<Vec<(u64, f64)>> = world.all_gather(&my_requests);
-        request = gathered.into_iter().flatten().collect();
-        if request.is_empty() {
-            break;
-        }
+            None => BTreeMap::new(),
+        };
     }
 
-    let mut blocks = BTreeMap::new();
-    let mut stats = TessStats::default();
-    for (gid, (block, s)) in results {
-        stats = stats.merge(s);
-        blocks.insert(gid, block);
-    }
     stats.ghost_rounds = rounds;
     metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
+    let ghost_used = radius.values().fold(0.0f64, |a, &b| a.max(b));
+    Ok((stats, ghost_used))
+}
+
+/// Distributed (in-situ) tessellation: collective over all ranks of
+/// `world`. `local` maps each owned block gid to its original particles
+/// `(global id, position)`. Under [`GhostSpec::Adaptive`] the ghost
+/// exchange repeats, growing each block's halo until its cells certify.
+pub fn tessellate(
+    world: &mut World,
+    dec: &Decomposition,
+    asn: &Assignment,
+    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
+    params: &TessParams,
+) -> TessResult {
+    let mut blocks = BTreeMap::new();
+    let (stats, ghost_used) = run_rounds(world, dec, asn, local, params, |_, finished| {
+        blocks.extend(finished);
+        Ok(())
+    })
+    .expect("accumulating blocks cannot fail");
     TessResult {
         blocks,
         stats,
-        ghost_used: radius.values().fold(0.0f64, |a, &b| a.max(b)),
-        kernel: params.kernel,
+        ghost_used,
     }
 }
 
-/// Result of one bounded-memory streaming pass on one rank: the mesh went
-/// to disk wave by wave, so only counters come back. Global totals are
-/// identical on every rank.
-pub struct StreamSummary {
-    /// This rank's counters (merge across ranks for global stats).
-    pub stats: TessStats,
-    /// The ghost size actually used (resolved if `GhostSpec::Auto`).
-    pub ghost_used: f64,
-    /// Per-cell discovery kernel the pass ran with.
-    pub kernel: KernelMode,
-    /// Blocks written to the file (global).
-    pub blocks_written: u64,
-    /// Mesh payload bytes in the file, excluding framing (global).
-    pub payload_bytes: u64,
-    /// Total file bytes (global).
-    pub file_bytes: u64,
-}
-
-/// Bounded-memory variant of [`tessellate`]: tessellate, serialize, write,
-/// and *drop* blocks instead of accumulating the merged mesh, so peak
-/// memory is one block's mesh (plus ghosts) rather than the whole rank's.
-/// The ghost/certification machinery is byte-for-byte the one
-/// [`tessellate`] uses, and the file read back with
+/// Bounded-memory variant of [`tessellate`]: the same loop, but every
+/// block is serialized, written through [`crate::io::TessStreamWriter`]
+/// and *dropped* the moment it is final instead of accumulating into the
+/// merged mesh — one collective write wave per slot of the loop, so peak
+/// memory is one block's mesh plus the halos and sessions of blocks still
+/// growing, rather than the whole rank's mesh. The file read back with
 /// [`crate::io::read_tessellation`] is bit-identical to the accumulated
 /// merge — only the residency changes.
-///
-/// Writes go through [`crate::io::TessStreamWriter`] in collective waves:
-/// under fixed/auto ghosts one wave per owned block (ranks past their
-/// block count contribute empty waves), under adaptive ghosts one wave
-/// per round carrying every block that just left the collective request
-/// map (its mesh is final the moment no round re-requests it).
 pub fn tessellate_streaming(
     world: &mut World,
     dec: &Decomposition,
@@ -408,244 +468,17 @@ pub fn tessellate_streaming(
     params: &TessParams,
     path: &std::path::Path,
 ) -> std::io::Result<StreamSummary> {
-    rayon::set_task_trace(trace_mode() == TraceMode::Full);
-    record_balance(&world.metrics(), local);
-    let params = &TessParams {
-        canon_extent: Some(params.canon_extent.unwrap_or_else(|| {
-            let e = dec.domain.extent();
-            e.x.min(e.y).min(e.z)
-        })),
-        ..*params
-    };
-    if let GhostSpec::Adaptive {
-        initial_factor,
-        max_rounds,
-    } = params.ghost
-    {
-        return tessellate_streaming_adaptive(
-            world,
-            dec,
-            asn,
-            local,
-            params,
-            path,
-            initial_factor,
-            max_rounds,
-        );
-    }
-    let metrics = world.metrics();
-    let (ghost, mut ghosts) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let ghost = resolve_ghost(world, dec, local, params.ghost);
-        let ghosts = exchange_ghosts(world, dec, asn, local, ghost);
-        (ghost, ghosts)
-    };
-
     let mut writer = crate::io::TessStreamWriter::create(world, path)?;
-    // every rank runs the same number of collective waves
-    let nwaves = world.all_reduce(local.len() as u64, u64::max);
-    let mut stats = TessStats::default();
-    let gids: Vec<u64> = local.keys().copied().collect();
-    for wave in 0..nwaves as usize {
-        let block = if let Some(&gid) = gids.get(wave) {
-            let own = &local[&gid];
-            let _span = metrics.phase(PHASE_VORONOI);
-            let empty = Vec::new();
-            let g = ghosts.get(&gid).unwrap_or(&empty);
-            let (block, s, _cert, mut session) =
-                tessellate_block_session(gid, dec.block_bounds(gid), own, g, ghost, params);
-            record_block_obs(&metrics, gid, session.take_obs());
-            drain_pool(&metrics);
-            stats = stats.merge(s);
-            Some((gid, block))
-        } else {
-            None
-        };
-        let wave_blocks: Vec<(u64, &MeshBlock)> = block.iter().map(|(gid, b)| (*gid, b)).collect();
-        writer.write_wave(world, &wave_blocks)?;
-        metrics.sample_mem_counters();
-        // drop the block and its ghosts before the next wave
-        if let Some((gid, _)) = block {
-            ghosts.remove(&gid);
-        }
-    }
+    let (stats, ghost_used) = run_rounds(world, dec, asn, local, params, |world, finished| {
+        let wave: Vec<(u64, &MeshBlock)> = finished.iter().map(|(gid, b)| (*gid, b)).collect();
+        writer.write_wave(world, &wave)?;
+        world.metrics().sample_mem_counters();
+        Ok(())
+    })?;
     let summary = writer.finish(world)?;
-    stats.ghost_rounds = 1;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-
     Ok(StreamSummary {
         stats,
-        ghost_used: ghost,
-        kernel: params.kernel,
-        blocks_written: summary.blocks,
-        payload_bytes: summary.payload_bytes,
-        file_bytes: summary.file_bytes,
-    })
-}
-
-/// Adaptive streaming: the round loop is [`tessellate_adaptive`]'s —
-/// identical exchanges, identical radius schedule, identical mesh bits —
-/// but after each round's collective request map is built, every owned
-/// block that is *not* re-requested has its final mesh, so it is written
-/// in that round's wave and dropped. Only still-uncertified stragglers
-/// stay resident.
-#[allow(clippy::too_many_arguments)]
-fn tessellate_streaming_adaptive(
-    world: &mut World,
-    dec: &Decomposition,
-    asn: &Assignment,
-    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
-    params: &TessParams,
-    path: &std::path::Path,
-    initial_factor: f64,
-    max_rounds: usize,
-) -> std::io::Result<StreamSummary> {
-    let metrics = world.metrics();
-    let cap = dec.min_block_extent();
-    assert!(
-        cap.is_finite() && cap > 0.0,
-        "degenerate decomposition: min block extent {cap}"
-    );
-    let (r0, auto_r) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let spacing = estimated_spacing(world, dec, local);
-        (
-            (initial_factor * spacing).min(cap),
-            (AUTO_GHOST_FACTOR * spacing).min(cap),
-        )
-    };
-
-    let mut writer = crate::io::TessStreamWriter::create(world, path)?;
-    let mut exchanger = AdaptiveGhostExchange::new(dec, asn);
-    let mut ghosts: BTreeMap<u64, Vec<GhostParticle>> =
-        local.keys().map(|&g| (g, Vec::new())).collect();
-    let mut results: BTreeMap<u64, (MeshBlock, TessStats)> = BTreeMap::new();
-    let mut sessions: BTreeMap<u64, BlockSession> = BTreeMap::new();
-    let mut radius: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, 0.0)).collect();
-    let mut request: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, r0)).collect();
-    let mut rounds = 0u64;
-    let mut stats = TessStats::default();
-
-    loop {
-        let round = rounds as usize;
-        let mut fresh_ghosts: BTreeMap<u64, Vec<GhostParticle>> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-            let _round_span = metrics.phase(format!("ghost_round:{round}"));
-            metrics.mark("ghost_round", rounds);
-            let fresh = exchanger.round(world, local, &request, round);
-            for (gid, items) in fresh {
-                let v = ghosts.get_mut(&gid).expect("owned block");
-                v.extend(items.iter().copied());
-                sort_ghosts(v);
-                fresh_ghosts.insert(gid, items);
-            }
-            for (&g, &r) in &request {
-                if local.contains_key(&g) {
-                    metrics.observe(HIST_GHOST_REQUEST_RADIUS, r);
-                }
-                radius.insert(g, r);
-            }
-        }
-        rounds += 1;
-
-        let mut needed: BTreeMap<u64, f64> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_VORONOI);
-            for (&gid, own) in local {
-                if !request.contains_key(&gid) {
-                    continue;
-                }
-                let r = radius[&gid];
-                let g = &ghosts[&gid];
-                let (block, s, cert) = match sessions.get_mut(&gid) {
-                    Some(session) if params.incremental_retess => {
-                        let fresh = fresh_ghosts.get(&gid).map_or(&[][..], Vec::as_slice);
-                        session.retessellate(own, g, fresh, r, params)
-                    }
-                    _ => {
-                        let (block, mut s, cert, session) =
-                            tessellate_block_session(gid, dec.block_bounds(gid), own, g, r, params);
-                        if let Some((_, prev)) = results.get(&gid) {
-                            s.candidates_tested =
-                                s.candidates_tested.saturating_add(prev.candidates_tested);
-                            s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
-                            s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
-                        }
-                        sessions.insert(gid, session);
-                        (block, s, cert)
-                    }
-                };
-                if let Some(session) = sessions.get_mut(&gid) {
-                    record_block_obs(&metrics, gid, session.take_obs());
-                }
-                results.insert(gid, (block, s));
-                if cert.uncertified > 0 && cert.needed_ghost > 0.0 {
-                    needed.insert(gid, cert.needed_ghost);
-                }
-            }
-            drain_pool(&metrics);
-        }
-
-        let my_requests: Vec<(u64, f64)> = {
-            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-            let reqs: Vec<(u64, f64)> = needed
-                .iter()
-                .filter_map(|(&gid, &need)| {
-                    let cur = radius[&gid];
-                    if cur >= cap - 1e-12 {
-                        return None;
-                    }
-                    let next = if round < max_rounds {
-                        need.max(cur * 1.25).min(cur * 2.0).min(cap)
-                    } else if round == max_rounds {
-                        auto_r.max(need).min(cap)
-                    } else {
-                        return None;
-                    };
-                    (next > cur + 1e-12).then_some((gid, next))
-                })
-                .collect();
-            let gathered: Vec<Vec<(u64, f64)>> = world.all_gather(&reqs);
-            request = gathered.into_iter().flatten().collect();
-            reqs
-        };
-        let _ = my_requests;
-
-        // Every owned block the next round does not re-request is final:
-        // stream it out in this round's wave and release its memory. The
-        // wave runs even when the loop is about to break so each rank
-        // issues identical collective calls.
-        let finished: Vec<u64> = results
-            .keys()
-            .copied()
-            .filter(|g| !request.contains_key(g))
-            .collect();
-        let mut wave: Vec<(u64, MeshBlock)> = Vec::with_capacity(finished.len());
-        for gid in &finished {
-            let (block, s) = results.remove(gid).expect("finished block");
-            stats = stats.merge(s);
-            wave.push((*gid, block));
-            sessions.remove(gid);
-            ghosts.remove(gid);
-        }
-        let wave_refs: Vec<(u64, &MeshBlock)> = wave.iter().map(|(g, b)| (*g, b)).collect();
-        writer.write_wave(world, &wave_refs)?;
-        metrics.sample_mem_counters();
-        drop(wave);
-
-        if request.is_empty() {
-            break;
-        }
-    }
-
-    let summary = writer.finish(world)?;
-    stats.ghost_rounds = rounds;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-    Ok(StreamSummary {
-        stats,
-        ghost_used: radius.values().fold(0.0f64, |a, &b| a.max(b)),
-        kernel: params.kernel,
+        ghost_used,
         blocks_written: summary.blocks,
         payload_bytes: summary.payload_bytes,
         file_bytes: summary.file_bytes,
@@ -737,6 +570,44 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn radius_schedule_decides_growth_and_finality() {
+        let adaptive = RadiusSchedule {
+            initial: 1.0,
+            growth: Some(Growth {
+                cap: 8.0,
+                auto_r: 5.0,
+                max_rounds: 3,
+            }),
+        };
+        let fixed = RadiusSchedule {
+            initial: 1.0,
+            growth: None,
+        };
+        // (schedule, round, radius held, radius needed) → next request
+        let table = [
+            (adaptive, 0, 2.0, 2.01, Some(2.5)), // ×1.25 floor
+            (adaptive, 0, 2.0, 3.0, Some(3.0)),  // the bound itself
+            (adaptive, 1, 2.0, 7.0, Some(4.0)),  // ×2 ceiling
+            (adaptive, 2, 5.0, 20.0, Some(8.0)), // clamped to the cap
+            (adaptive, 2, 8.0, 20.0, None),      // saturated at the cap
+            (adaptive, 3, 2.0, 3.0, Some(5.0)),  // fallback: the auto radius
+            (adaptive, 3, 2.0, 6.0, Some(6.0)),  // … or the bound, if larger
+            (adaptive, 3, 2.0, 30.0, Some(8.0)), // … clamped to the cap
+            (adaptive, 3, 6.0, 5.5, None),       // fallback would not grow
+            (adaptive, 4, 2.0, 3.0, None),       // fallback spent
+            (fixed, 0, 1.0, 3.0, None),          // fixed specs never grow
+            (fixed, 5, 1.0, 0.5, None),
+        ];
+        for (schedule, round, cur, need, expect) in table {
+            assert_eq!(
+                schedule.next(round, cur, need),
+                expect,
+                "round {round}, holding {cur}, needing {need}"
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! far side of the domain (Figure 6's particles A and B). The exchange is
 //! bidirectional by construction: each block both sends and receives.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use diy::comm::World;
 use diy::decomposition::{Assignment, Decomposition};
-use diy::exchange::{DeltaExchange, NeighborExchange};
+use diy::exchange::NeighborExchange;
 use geometry::Vec3;
 
 /// A particle headed to (or received by) a block: global id + position in
@@ -51,30 +51,55 @@ pub fn sort_ghosts(v: &mut [GhostParticle]) {
     });
 }
 
-/// Fold raw exchange output into a per-owned-block map, dropping (with a
-/// logged error) entries for blocks this rank does not own — a misrouted
-/// message must not silently materialize a foreign block.
-fn received_per_owned_block(
-    world: &World,
+/// One collective round of the ghost exchange. `request` maps block gid →
+/// halo radius that block now wants and `held` maps block gid → radius it
+/// already holds (no entry: nothing yet); every rank must pass the same
+/// maps (they are built from collective data). Each owned particle goes to
+/// every neighbor link whose requesting block sees it in the shell
+/// `held < d ≤ request` ([`NeighborExchange::destinations_in_shell`]), so
+/// over any sequence of growing requests a block receives each ghost once.
+/// Returns the *new* ghosts per owned block, in arrival order; ghosts for a
+/// block this rank does not own are dropped with a logged error — a
+/// misrouted message must not silently materialize a foreign block.
+pub(crate) fn exchange_round(
+    world: &mut World,
+    ex: &NeighborExchange,
     local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
-    received: HashMap<u64, Vec<GhostParticle>>,
+    held: &BTreeMap<u64, f64>,
+    request: &BTreeMap<u64, f64>,
+    round: usize,
 ) -> BTreeMap<u64, Vec<GhostParticle>> {
-    let mut out: BTreeMap<u64, Vec<GhostParticle>> =
-        local.keys().map(|&gid| (gid, Vec::new())).collect();
-    for (gid, items) in received {
-        match out.get_mut(&gid) {
-            Some(slot) => *slot = items,
-            None => diy::log_error!(
+    let shells: Vec<Option<(f64, f64)>> = (0..ex.dec.nblocks() as u64)
+        .map(|g| {
+            let want = *request.get(&g)?;
+            Some((held.get(&g).copied().unwrap_or(f64::NEG_INFINITY), want))
+        })
+        .collect();
+    let mut outgoing: Vec<(u64, GhostParticle)> = Vec::new();
+    for (&gid, particles) in local {
+        for &(pid, pos) in particles {
+            for n in ex.destinations_in_shell(gid, pos, |g| shells[g as usize]) {
+                outgoing.push((n.gid, (pid, pos + n.xform)));
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    for (gid, items) in ex.exchange_tagged(world, outgoing, ghost_round_tag(round)) {
+        if local.contains_key(&gid) {
+            out.insert(gid, items);
+        } else {
+            diy::log_error!(
                 "dropping {} ghosts for block {gid} not owned by rank {}",
                 items.len(),
                 world.rank()
-            ),
+            );
         }
     }
     out
 }
 
-/// Exchange ghost particles for all blocks owned by this rank.
+/// Exchange ghost particles for all blocks owned by this rank: one
+/// [`exchange_round`] in which every block requests `ghost`.
 ///
 /// `local` maps owned block gid → original particles `(id, position)`.
 /// Returns received ghosts per owned block, in canonical order
@@ -87,65 +112,16 @@ pub fn exchange_ghosts(
     ghost: f64,
 ) -> BTreeMap<u64, Vec<GhostParticle>> {
     let ex = NeighborExchange::new(dec, asn);
-    let mut outgoing: Vec<(u64, GhostParticle)> = Vec::new();
-    for (&gid, particles) in local {
-        for &(pid, pos) in particles {
-            for n in ex.destinations_near(gid, pos, ghost) {
-                outgoing.push((n.gid, (pid, pos + n.xform)));
-            }
-        }
-    }
-    let received = ex.exchange_tagged(world, outgoing, ghost_round_tag(0));
-    let mut out = received_per_owned_block(world, local, received);
-    for v in out.values_mut() {
-        sort_ghosts(v);
-    }
-    out
-}
-
-/// The transport side of adaptive ghost sizing: repeated collective rounds,
-/// each shipping only the delta shell no destination has seen before
-/// (see [`DeltaExchange`]).
-pub struct AdaptiveGhostExchange<'a> {
-    delta: DeltaExchange<'a>,
-}
-
-impl<'a> AdaptiveGhostExchange<'a> {
-    pub fn new(dec: &'a Decomposition, asn: &'a Assignment) -> Self {
-        AdaptiveGhostExchange {
-            delta: DeltaExchange::new(dec, asn),
-        }
-    }
-
-    /// One collective exchange round. `request` maps block gid → ghost
-    /// radius that block now wants; every rank must pass the same map
-    /// (it is built from collective data). Returns the *new* ghosts per
-    /// owned block — particles already delivered in earlier rounds are
-    /// not resent.
-    pub fn round(
-        &mut self,
-        world: &mut World,
-        local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
-        request: &BTreeMap<u64, f64>,
-        round: usize,
-    ) -> BTreeMap<u64, Vec<GhostParticle>> {
-        let mut outgoing: Vec<(u64, u64, [i8; 3], GhostParticle)> = Vec::new();
-        for (&gid, particles) in local {
-            for &(pid, pos) in particles {
-                for n in self
-                    .delta
-                    .ex
-                    .destinations_near_by(gid, pos, |g| request.get(&g).copied())
-                {
-                    outgoing.push((n.gid, pid, n.image(), (pid, pos + n.xform)));
-                }
-            }
-        }
-        let received = self
-            .delta
-            .exchange_new(world, outgoing, ghost_round_tag(round));
-        received_per_owned_block(world, local, received)
-    }
+    let request = (0..dec.nblocks() as u64).map(|g| (g, ghost)).collect();
+    let mut got = exchange_round(world, &ex, local, &BTreeMap::new(), &request, 0);
+    local
+        .keys()
+        .map(|&gid| {
+            let mut v = got.remove(&gid).unwrap_or_default();
+            sort_ghosts(&mut v);
+            (gid, v)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -254,19 +230,18 @@ mod tests {
         ];
         Runtime::run(1, |w| {
             let local = block_particles(&dec, &asn, w.rank(), &all);
-            let mut ex = AdaptiveGhostExchange::new(&dec, &asn);
+            let ex = NeighborExchange::new(&dec, &asn);
+            let map = |r: f64| -> BTreeMap<u64, f64> { [(1u64, r)].into_iter().collect() };
             // round 0: only block 1 wants a 1.0 halo → particle 1 crosses
-            let req0: BTreeMap<u64, f64> = [(1u64, 1.0)].into_iter().collect();
-            let got0 = ex.round(w, &local, &req0, 0);
+            let got0 = exchange_round(w, &ex, &local, &BTreeMap::new(), &map(1.0), 0);
             assert_eq!(got0[&1], vec![(1, Vec3::new(3.5, 4.0, 4.0))]);
-            assert!(got0[&0].is_empty());
-            // round 1: block 1 grows to 2.0 → only particle 2 is new
-            let req1: BTreeMap<u64, f64> = [(1u64, 2.0)].into_iter().collect();
-            let got1 = ex.round(w, &local, &req1, 1);
+            assert!(!got0.contains_key(&0));
+            // round 1: block 1 holds 1.0 and grows to 2.0 → only particle 2 is new
+            let got1 = exchange_round(w, &ex, &local, &map(1.0), &map(2.0), 1);
             assert_eq!(got1[&1], vec![(2, Vec3::new(2.5, 4.0, 4.0))]);
             // round 2: nothing grew → nothing moves
-            let got2 = ex.round(w, &local, &req1, 2);
-            assert!(got2[&1].is_empty());
+            let got2 = exchange_round(w, &ex, &local, &map(2.0), &map(2.0), 2);
+            assert!(got2.is_empty());
         });
     }
 

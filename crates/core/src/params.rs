@@ -136,13 +136,6 @@ pub struct TessParams {
     /// bits independent of the block decomposition scheme. `None` —
     /// direct single-block calls — falls back to a block-derived box.
     pub canon_extent: Option<f64>,
-    /// Bounded-memory output mode: tessellate, write, and drop each block
-    /// through [`crate::tessellate_streaming`] instead of accumulating the
-    /// merged mesh. Consumers that route through [`crate::tessellate`]
-    /// (which always accumulates) ignore the flag; the framework's
-    /// `output=stream` directive sets it and dispatches accordingly. The
-    /// on-disk mesh is bit-identical to the accumulated one either way.
-    pub streaming: bool,
 }
 
 impl Default for TessParams {
@@ -156,7 +149,6 @@ impl Default for TessParams {
             incremental_retess: true,
             kernel: KernelMode::from_env(),
             canon_extent: None,
-            streaming: false,
         }
     }
 }
@@ -182,12 +174,6 @@ impl TessParams {
     /// `TESS_KERNEL`-derived default).
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Request bounded-memory streaming output (see [`TessParams::streaming`]).
-    pub fn with_streaming(mut self) -> Self {
-        self.streaming = true;
         self
     }
 

@@ -36,25 +36,6 @@ pub struct Neighbor {
     pub periodic: bool,
 }
 
-impl Neighbor {
-    /// Compact key for the periodic image this link applies: the sign of
-    /// the translation per dimension (all zero for non-wrapping links).
-    /// Two links to the same block with the same image deliver data at the
-    /// same coordinates, so (gid, image, item id) identifies a shipment.
-    pub fn image(&self) -> [i8; 3] {
-        let sign = |v: f64| {
-            if v > 0.0 {
-                1i8
-            } else if v < 0.0 {
-                -1
-            } else {
-                0
-            }
-        };
-        [sign(self.xform.x), sign(self.xform.y), sign(self.xform.z)]
-    }
-}
-
 /// One node of the k-d cut tree. Leaves are numbered left-to-right, so
 /// gid order is a spatial order and contiguous rank ranges stay coherent.
 #[derive(Debug, Clone, Copy)]

@@ -10,7 +10,7 @@
 //!   block is within the ghost distance of the item's location ("destination
 //!   neighbor identification based on proximity to a target point").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use geometry::Vec3;
 
@@ -48,20 +48,39 @@ impl<'a> NeighborExchange<'a> {
     /// Like [`destinations_near`](Self::destinations_near), but with a
     /// per-destination ghost distance: `ghost_of(dest gid)` returns the
     /// distance that destination currently wants, or `None` to skip it
-    /// entirely. This is how adaptive exchange rounds target only the
-    /// blocks that requested a larger halo.
+    /// entirely.
     pub fn destinations_near_by(
         &self,
         gid: u64,
         p: Vec3,
         ghost_of: impl Fn(u64) -> Option<f64>,
     ) -> Vec<Neighbor> {
+        self.destinations_in_shell(gid, p, |g| {
+            ghost_of(g).map(|want| (f64::NEG_INFINITY, want))
+        })
+    }
+
+    /// The neighbor links of `gid` whose block sees `p` in the distance
+    /// shell `held < d ≤ want`, where `shell_of(dest gid)` returns that
+    /// destination's `(held, want)` or `None` to skip it. A halo only
+    /// grows, so a destination that already holds radius `held` has
+    /// received exactly the particles with `d ≤ held`: shipping the shell
+    /// sends each particle once per link over any sequence of growing
+    /// requests, with no record of what was sent. `held = −∞` means "holds
+    /// nothing yet" — distinct from `0.0`, which has already received the
+    /// particles touching the destination's bounds.
+    pub fn destinations_in_shell(
+        &self,
+        gid: u64,
+        p: Vec3,
+        shell_of: impl Fn(u64) -> Option<(f64, f64)>,
+    ) -> Vec<Neighbor> {
         self.links[gid as usize]
             .iter()
             .filter(|n| {
-                ghost_of(n.gid).is_some_and(|ghost| {
-                    let q = p + n.xform;
-                    self.dec.block_bounds(n.gid).distance(q) <= ghost
+                shell_of(n.gid).is_some_and(|(held, want)| {
+                    let d = self.dec.block_bounds(n.gid).distance(p + n.xform);
+                    held < d && d <= want
                 })
             })
             .copied()
@@ -146,48 +165,6 @@ impl<'a> NeighborExchange<'a> {
     }
 }
 
-/// Multi-round incremental exchange: remembers every (destination block,
-/// item id, periodic image) shipped so far, so follow-up rounds send only
-/// the *delta shell* — items a destination has not already received. This
-/// is the transport half of adaptive ghost sizing: each round grows some
-/// blocks' halo radius and ships just the newly covered particles.
-pub struct DeltaExchange<'a> {
-    pub ex: NeighborExchange<'a>,
-    sent: HashSet<(u64, u64, [i8; 3])>,
-}
-
-impl<'a> DeltaExchange<'a> {
-    pub fn new(dec: &'a Decomposition, asn: &'a Assignment) -> Self {
-        DeltaExchange {
-            ex: NeighborExchange::new(dec, asn),
-            sent: HashSet::new(),
-        }
-    }
-
-    /// Queue `(dest gid, item id, periodic image, item)` entries, drop the
-    /// ones already shipped in earlier rounds, and exchange the rest under
-    /// `tag`. Collective: every rank must call it once per round.
-    pub fn exchange_new<T: Encode + Decode>(
-        &mut self,
-        world: &mut World,
-        outgoing: Vec<(u64, u64, [i8; 3], T)>,
-        tag: u64,
-    ) -> HashMap<u64, Vec<T>> {
-        let fresh: Vec<(u64, T)> = outgoing
-            .into_iter()
-            .filter_map(|(gid, id, image, item)| {
-                self.sent.insert((gid, id, image)).then_some((gid, item))
-            })
-            .collect();
-        self.ex.exchange_tagged(world, fresh, tag)
-    }
-
-    /// Total distinct shipments recorded so far on this rank.
-    pub fn sent_count(&self) -> usize {
-        self.sent.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,58 +226,6 @@ mod tests {
             got.len()
         });
         assert_eq!(results, vec![2, 2]);
-    }
-
-    #[test]
-    fn delta_exchange_ships_each_item_once_per_destination() {
-        let dec = Decomposition::with_dims(Aabb::cube(2.0), [2, 1, 1], [false; 3]);
-        let asn = Assignment::new(2, 2);
-        Runtime::run(2, |w| {
-            let mut dx = DeltaExchange::new(&dec, &asn);
-            let dest = 1 - w.rank() as u64;
-            let none = [0i8; 3];
-            // round 0: rank 0 ships items 1 and 2 to block `dest`
-            let out0: Vec<(u64, u64, [i8; 3], u32)> = if w.rank() == 0 {
-                vec![(dest, 1, none, 100), (dest, 2, none, 200)]
-            } else {
-                vec![]
-            };
-            let got0 = dx.exchange_new(w, out0, 7);
-            if w.rank() == 1 {
-                assert_eq!(got0[&1], vec![100, 200]);
-            }
-            // round 1: item 2 re-queued (dedup drops it), item 3 is new
-            let out1: Vec<(u64, u64, [i8; 3], u32)> = if w.rank() == 0 {
-                vec![(dest, 2, none, 200), (dest, 3, none, 300)]
-            } else {
-                vec![]
-            };
-            let got1 = dx.exchange_new(w, out1, 7);
-            if w.rank() == 1 {
-                assert_eq!(got1[&1], vec![300], "only the delta arrives");
-            }
-            if w.rank() == 0 {
-                assert_eq!(dx.sent_count(), 3);
-            }
-        });
-    }
-
-    #[test]
-    fn delta_exchange_distinguishes_periodic_images() {
-        // the same particle crossing two different periodic seams is two
-        // distinct shipments; a repeat of either is deduplicated
-        let dec = Decomposition::with_dims(Aabb::cube(2.0), [1, 1, 1], [true; 3]);
-        let asn = Assignment::new(1, 1);
-        Runtime::run(1, |w| {
-            let mut dx = DeltaExchange::new(&dec, &asn);
-            let out: Vec<(u64, u64, [i8; 3], u32)> = vec![
-                (0, 9, [1, 0, 0], 1),
-                (0, 9, [0, 1, 0], 2),
-                (0, 9, [1, 0, 0], 3), // duplicate image of the first
-            ];
-            let got = dx.exchange_new(w, out, 8);
-            assert_eq!(got[&0], vec![1, 2]);
-        });
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for targeted destination identification
 //! ([`NeighborExchange::destinations_near`]): the returned links are
 //! *exactly* the neighbor blocks whose ghost-extended bounds reach the
-//! (periodically transformed) particle. Point generation is biased onto
-//! block faces, edges, and corners — the cases where a particle must fan
-//! out to 1, 3, or 7 neighbors and where an off-by-one in the periodic
-//! transform flips the answer.
+//! (periodically transformed) particle — and the shells of a growing
+//! radius ([`NeighborExchange::destinations_in_shell`]) partition them.
+//! Point generation is biased onto block faces, edges, and corners — the
+//! cases where a particle must fan out to 1, 3, or 7 neighbors and where
+//! an off-by-one in the periodic transform flips the answer.
 
 use diy::decomposition::{Assignment, Decomposition};
 use diy::exchange::NeighborExchange;
@@ -188,5 +189,73 @@ proptest! {
         // receiver sees it adjacent to its own bounds
         prop_assert!((n.xform.x - size).abs() < 1e-12);
         prop_assert!(dist_to_box(&dec.block_bounds(far), p + n.xform) <= ghost);
+    }
+
+    /// A halo that grows through any monotone radius sequence receives
+    /// each particle exactly once per link: the shells `(r[k-1], r[k]]`
+    /// (the first one open below, so distance 0 ships in round 0 even at
+    /// radius 0) are pairwise disjoint and their union is
+    /// `destinations_near(final radius)` — link by link, so the several
+    /// links a small periodic grid has to one gid (itself included) count
+    /// separately.
+    #[test]
+    fn shells_of_a_growing_radius_partition_the_final_ball(
+        dims in (1usize..=3, 1usize..=3, 1usize..=3),
+        periodic in (any::<bool>(), any::<bool>(), any::<bool>()),
+        gid_frac in 0.0f64..1.0,
+        modes in (0usize..6, 0usize..6, 0usize..6),
+        ts in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        start_at_zero in any::<bool>(),
+        steps in proptest::collection::vec(0.0f64..0.3, 1..6),
+    ) {
+        let size = 9.0;
+        let dims = [dims.0, dims.1, dims.2];
+        let periodic = [periodic.0, periodic.1, periodic.2];
+        let dec = Decomposition::with_dims(Aabb::cube(size), dims, periodic);
+        let nblocks = dec.nblocks();
+        let asn = Assignment::new(nblocks, 1);
+        let ex = NeighborExchange::new(&dec, &asn);
+        let gid = ((gid_frac * nblocks as f64) as u64).min(nblocks as u64 - 1);
+        let b = dec.block_bounds(gid);
+        let p = Vec3::new(
+            place(b.min.x, b.max.x, modes.0, ts.0),
+            place(b.min.y, b.max.y, modes.1, ts.1),
+            place(b.min.z, b.max.z, modes.2, ts.2),
+        );
+
+        // monotone radii; a zero step repeats a radius (an empty shell)
+        let mut radii = Vec::new();
+        let mut r = 0.0;
+        for (k, step) in steps.iter().enumerate() {
+            if k > 0 || !start_at_zero {
+                r += step * dec.min_block_extent();
+            }
+            radii.push(r);
+        }
+
+        let mut shipped = Vec::new();
+        let mut held = f64::NEG_INFINITY;
+        for &want in &radii {
+            for n in ex.destinations_in_shell(gid, p, |_| Some((held, want))) {
+                prop_assert!(
+                    !shipped.contains(&n),
+                    "link {:?} shipped twice (radii {:?})",
+                    n,
+                    radii
+                );
+                shipped.push(n);
+            }
+            held = want;
+        }
+        let ball = ex.destinations_near(gid, p, held);
+        prop_assert_eq!(shipped.len(), ball.len(), "radii {:?}", radii);
+        for n in &ball {
+            prop_assert!(
+                shipped.contains(n),
+                "link {:?} within the final radius never shipped (radii {:?})",
+                n,
+                radii
+            );
+        }
     }
 }

@@ -14,6 +14,9 @@ use crate::tool::{AnalysisTool, ToolContext, ToolReport};
 /// or `tess_step{N}.stream.bin` (bounded-memory streaming).
 pub struct TessTool {
     pub params: TessParams,
+    /// Write through [`tess::tessellate_streaming`] (the deck's
+    /// `output=stream` directive) instead of merging in memory first.
+    pub streaming: bool,
     /// `output=stream:<path>` file-name override (inside `output_dir`; a
     /// `{step}` placeholder is replaced with the step number).
     pub stream_path: Option<String>,
@@ -25,32 +28,24 @@ impl TessTool {
     pub fn new(params: TessParams) -> Self {
         TessTool {
             params,
+            streaming: false,
             stream_path: None,
             history: Vec::new(),
         }
     }
 
-    /// `new`, with the schedule's `ghost=` and `output=` directives (if
-    /// any) overriding `params.ghost` / `params.streaming`.
+    /// `new`, with the schedule's `ghost=` directive (if any) overriding
+    /// `params.ghost` and its `output=` directive selecting the write mode.
     pub fn from_schedule(params: TessParams, sched: &ToolSchedule) -> Self {
-        let mut params = params;
+        let mut tool = TessTool::new(params);
         if let Some(d) = sched.ghost {
-            params.ghost = ghost_spec_from_directive(d);
+            tool.params.ghost = ghost_spec_from_directive(d);
         }
-        let mut stream_path = None;
-        match &sched.output {
-            Some(OutputDirective::Merged) => params.streaming = false,
-            Some(OutputDirective::Stream { path }) => {
-                params.streaming = true;
-                stream_path = path.clone();
-            }
-            None => {}
+        if let Some(OutputDirective::Stream { path }) = &sched.output {
+            tool.streaming = true;
+            tool.stream_path = path.clone();
         }
-        TessTool {
-            params,
-            stream_path,
-            history: Vec::new(),
-        }
+        tool
     }
 }
 
@@ -93,7 +88,7 @@ impl AnalysisTool for TessTool {
             .iter()
             .map(|(&gid, ps)| (gid, ps.iter().map(|p| (p.id, p.pos)).collect()))
             .collect();
-        if self.params.streaming {
+        if self.streaming {
             return self.run_streaming(world, ctx, &local);
         }
         let result = tessellate(world, &sim.dec, &sim.asn, &local, &self.params);
@@ -232,17 +227,16 @@ mod tests {
         .unwrap();
         let base = TessParams::default();
         let a = TessTool::from_schedule(base, cfg.schedule_for("a").unwrap());
-        assert!(a.params.streaming);
+        assert!(a.streaming);
         assert_eq!(a.stream_path, None);
         let b = TessTool::from_schedule(base, cfg.schedule_for("b").unwrap());
-        assert!(b.params.streaming);
+        assert!(b.streaming);
         assert_eq!(b.stream_path.as_deref(), Some("mesh_{step}.bin"));
-        // explicit merged overrides even streaming-enabled params
-        let c = TessTool::from_schedule(base.with_streaming(), cfg.schedule_for("c").unwrap());
-        assert!(!c.params.streaming);
-        // no directive → the tool's own params win
-        let d = TessTool::from_schedule(base.with_streaming(), cfg.schedule_for("d").unwrap());
-        assert!(d.params.streaming);
+        // merged, stated or by default
+        let c = TessTool::from_schedule(base, cfg.schedule_for("c").unwrap());
+        assert!(!c.streaming);
+        let d = TessTool::from_schedule(base, cfg.schedule_for("d").unwrap());
+        assert!(!d.streaming);
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn streamed_file_matches_in_memory_merge_across_the_matrix() {
     let (particles, side) = corpus();
     for (scheme, sname) in [(DecompScheme::Regular, "reg"), (KD, "kd")] {
         for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let params = TessParams::default().with_kernel(kernel).with_streaming();
+            let params = TessParams::default().with_kernel(kernel);
             let (reference, ref_stats) = accumulated(&particles, side, scheme, 1, &params);
             for nranks in [1usize, 2, 4, 8] {
                 let label = format!("{sname}@{nranks} {kernel:?}");
@@ -173,41 +173,45 @@ fn streamed_file_matches_in_memory_merge_across_the_matrix() {
     }
 }
 
-/// Adaptive ghosts drive the round-loop streaming path: blocks leave
-/// memory as soon as a round stops re-requesting them, over multiple
-/// rounds, and the file still matches the accumulated merge.
+/// Adaptive ghosts run the loop for several rounds: blocks leave memory
+/// the moment they are final — in different rounds under the default
+/// schedule, which is what used to panic — and the file still matches the
+/// accumulated merge, with equal stats.
 #[test]
 fn adaptive_streaming_matches_across_rounds() {
     let (particles, side) = corpus();
-    let params = TessParams {
-        ghost: GhostSpec::Adaptive {
-            initial_factor: 0.5,
-            max_rounds: 8,
-        },
-        streaming: true,
-        ..TessParams::default()
+    let slow_start = GhostSpec::Adaptive {
+        initial_factor: 0.5,
+        max_rounds: 8,
     };
-    for nranks in [1usize, 4] {
-        let (reference, ref_stats) =
-            accumulated(&particles, side, DecompScheme::Regular, nranks, &params);
-        let name = format!("adaptive-{nranks}.tess");
-        let (blocks, stats, _) = streamed(
-            &particles,
-            side,
-            DecompScheme::Regular,
-            nranks,
-            &params,
-            &name,
-        );
-        assert_same_blocks(&reference, &blocks, &format!("adaptive@{nranks}"));
-        assert!(
-            stats.ghost_rounds > 1,
-            "corpus must exercise the multi-round path (got {} rounds)",
-            stats.ghost_rounds
-        );
-        assert_eq!(stats.ghost_rounds, ref_stats.ghost_rounds);
-        assert_eq!(stats.cells, ref_stats.cells);
-        assert_eq!(stats.candidates_tested, ref_stats.candidates_tested);
+    for (ghost, gname, ranks) in [
+        (slow_start, "slow", &[1usize, 4][..]),
+        (GhostSpec::adaptive(), "default", &[1, 2, 4][..]),
+    ] {
+        let params = TessParams {
+            ghost,
+            ..TessParams::default()
+        };
+        for &nranks in ranks {
+            let (reference, ref_stats) =
+                accumulated(&particles, side, DecompScheme::Regular, nranks, &params);
+            let name = format!("adaptive-{gname}-{nranks}.tess");
+            let (blocks, stats, _) = streamed(
+                &particles,
+                side,
+                DecompScheme::Regular,
+                nranks,
+                &params,
+                &name,
+            );
+            assert_same_blocks(&reference, &blocks, &format!("adaptive {gname}@{nranks}"));
+            assert!(
+                stats.ghost_rounds > 1,
+                "corpus must exercise the multi-round path (got {} rounds)",
+                stats.ghost_rounds
+            );
+            assert_eq!(stats, ref_stats, "adaptive {gname}@{nranks}");
+        }
     }
 }
 
@@ -216,8 +220,8 @@ fn adaptive_streaming_matches_across_rounds() {
 #[test]
 fn culled_streaming_matches_and_shrinks_the_file() {
     let (particles, side) = corpus();
-    let full = TessParams::default().with_streaming();
-    let culled = TessParams::default().with_min_volume(0.05).with_streaming();
+    let full = TessParams::default();
+    let culled = TessParams::default().with_min_volume(0.05);
     let (_, _, (_, full_payload, _)) = streamed(
         &particles,
         side,
@@ -248,7 +252,7 @@ fn culled_streaming_matches_and_shrinks_the_file() {
 #[test]
 fn streaming_run_report_carries_memory_counters() {
     let (particles, side) = corpus();
-    let params = TessParams::default().with_streaming();
+    let params = TessParams::default();
     let (dec, asn) = build(&particles, side, DecompScheme::Regular, 4);
     let path = tmpfile("report-mem.tess");
     let path_ref = &path;
