@@ -70,23 +70,23 @@ stage_ghost() {
 }
 
 stage_kernel() {
-    echo "==> [kernel] ring vs stream differential oracle (release)"
-    # The two cell kernels (TESS_KERNEL=ring|stream) must produce bit-identical
-    # merged meshes across 1/2/4/8 ranks, pool widths, incremental-vs-full
-    # re-tessellation, explicit+adaptive ghost modes, and kept-incomplete
-    # configurations — and the streamed kernel must clip measurably fewer
-    # candidates for the identical mesh.
+    echo "==> [kernel] kernel vs brute-force oracle (release)"
+    # The cell kernel must produce the bits of clipping every cell by every
+    # particle in canonical order — across 1/2/4/8 ranks, pool widths,
+    # incremental-vs-full re-tessellation and explicit+adaptive ghost modes,
+    # on jittered points and the exact lattice — keep kept-incomplete cells
+    # bit-stable across rank counts, and stay inside the pinned
+    # candidates/cell budgets; the adversarial corpus must agree between
+    # 1 and 4 ranks.
     cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         cargo test --release -q -p meshing-universe --test adversarial_corpus
 }
 
 stage_perf() {
-    echo "==> [perf] ring/stream kernels, threaded+incremental vs sequential baseline"
-    # Bit-identical meshes across all three configs, conservation, >=2x fewer
-    # candidates/cell for the streamed kernel (deterministic), >=2x cells/sec
-    # over the sequential full-recompute baseline, and <30% regression against
-    # the committed crates/bench/perf_baseline.json (PERF_BASELINE_WRITE=1
-    # regenerates it after an intentional perf change).
+    echo "==> [perf] threaded+incremental vs sequential full-recompute baseline"
+    # Bit-identical meshes across both configs, conservation, candidates/cell
+    # under the pinned budget (deterministic), and >=2x cells/sec over the
+    # sequential full-recompute baseline measured in the same run.
     TESS_THREADS=4 cargo run --release -q -p bench-harness --bin perf_smoke
 }
 
@@ -126,8 +126,8 @@ stage_decomp() {
     echo "==> [decomp] kd equivalence + suites under TESS_DECOMP=kd"
     # The scheme-polymorphic decomposition: (1) the dedicated equivalence
     # matrix proves the merged mesh is bit-identical between the regular grid
-    # and the particle-balanced k-d tree across 1/2/4/8 ranks, both kernels,
-    # and explicit+adaptive ghosts; (2) the rank-determinism, kernel-oracle,
+    # and the particle-balanced k-d tree across 1/2/4/8 ranks and
+    # explicit+adaptive ghosts; (2) the rank-determinism, kernel-oracle,
     # and service-oracle suites rerun with every decomposition built as a k-d
     # tree, so all of their invariants hold on irregular block geometry too.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
@@ -143,8 +143,7 @@ stage_decomp() {
 stage_memory() {
     echo "==> [memory] streaming output + on-disk format + memory accounting gates"
     # (1) the streamed-vs-accumulated acceptance matrix: bit-identical
-    # files at 1/2/4/8 ranks under both decomposition schemes and both
-    # kernels, culled streaming, RunReport memory counters, and adaptive
+    # files at 1/2/4/8 ranks under both decomposition schemes, culled streaming, RunReport memory counters, and adaptive
     # multi-round streaming — the same round loop as `tessellate` with the
     # write sink, so blocks that become final in different rounds (the
     # default schedule) must stream to the identical file; (2) the on-disk codec fuzz: any single-byte

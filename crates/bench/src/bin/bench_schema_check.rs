@@ -7,7 +7,7 @@
 //!   `service` (object) / `memory` (array) / `telemetry` (object)
 //!   sections, nothing else;
 //! * every `entries` element carries the full measurement key set
-//!   (label/kernel/decomp/imbalance through the per-phase seconds);
+//!   (label/decomp/imbalance through the per-phase seconds);
 //! * `service` carries the resident-service counters and latencies;
 //! * every `memory` element carries the streaming-vs-accumulate memory
 //!   counters with `mode` in {stream, accumulate};
@@ -160,12 +160,11 @@ fn check(doc: &Value) -> Vec<String> {
                     .unwrap_or("<unlabeled>");
                 let at = format!("entries[{i}] ({label})");
                 c.want_str(&at, e, "label", None);
-                c.want_str(&at, e, "kernel", Some(&["ring", "stream"]));
                 c.want_str(&at, e, "decomp", Some(&["regular", "kd"]));
                 for k in ENTRY_NUMS {
                     c.want_num(&at, e, k);
                 }
-                let allowed: Vec<&str> = ["label", "kernel", "decomp"]
+                let allowed: Vec<&str> = ["label", "decomp"]
                     .into_iter()
                     .chain(ENTRY_NUMS.iter().copied())
                     .collect();
@@ -317,7 +316,6 @@ mod tests {
         }]);
         let entries = bench_harness::tess_bench_entries_json(&[bench_harness::TessBenchEntry {
             label: "e".into(),
-            kernel: "stream".into(),
             stats: Default::default(),
             wall_s: 1.0,
             ghost_bytes: 0,
@@ -343,7 +341,7 @@ mod tests {
         let errs = doc(r#"{"entries": [{"label": "x"}]}"#);
         assert!(
             errs.iter()
-                .any(|e| e.contains("missing required key \"kernel\"")),
+                .any(|e| e.contains("missing required key \"decomp\"")),
             "{errs:?}"
         );
         // bad enum

@@ -1,26 +1,21 @@
-//! CI perf smoke: the small Table II workload in three configurations —
+//! CI perf smoke: the small Table II workload in two configurations —
 //!
-//!   A. `ring` kernel, sequential, full per-round recompute (seed-equivalent)
-//!   B. `ring` kernel, threaded + incremental
-//!   C. `stream` kernel, threaded + incremental (the default production path)
+//!   A. sequential (1-wide pool), full per-round recompute (seed-equivalent)
+//!   B. threaded + incremental (the default production path)
 //!
 //! Gates, any failure exits non-zero:
 //!
-//! 1. **Correctness** — all three configurations produce a bit-identical
-//!    merged mesh and the transport conservation invariant holds.
-//! 2. **Kernel work** — the streamed kernel (C) must clip at most half the
-//!    candidates per computed cell of the ring scan (B) on the identical
-//!    workload, and its support-function prefilter must actually fire.
-//!    Candidate counts are deterministic, so this gate is noise-free.
-//! 3. **Relative throughput** — C must clear 2× the sequential baseline's
-//!    cells/sec and must not fall behind the ring scan (>10% tolerance for
-//!    scheduler noise; the candidate gate is the load-bearing one).
-//! 4. **Absolute regression** — C's cells/sec must stay within 30% of the
-//!    committed `crates/bench/perf_baseline.json`. Regenerate that file
-//!    with `PERF_BASELINE_WRITE=1` after an intentional perf change.
+//! 1. **Correctness** — both configurations produce a bit-identical merged
+//!    mesh and the transport conservation invariant holds.
+//! 2. **Kernel work** — B clips at most [`CANDIDATES_PER_CELL_BUDGET`]
+//!    bisectors per computed cell, and the support-function / `f32`
+//!    rejects actually fire. Candidate counts are deterministic, so this
+//!    gate is noise-free.
+//! 3. **Relative throughput** — B must clear 2× the sequential baseline's
+//!    cells/sec (same process, same run).
 //!
-//! All three measurements land in `BENCH_TESS.json` under the bench output
-//! dir and the repo root.
+//! Both measurements land in `BENCH_TESS.json` under the bench output dir
+//! and the repo root.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -35,7 +30,7 @@ use diy::metrics::collect_report;
 use geometry::Aabb;
 use rayon::set_max_parallelism;
 use tess::ghost::is_ghost_tag;
-use tess::{tessellate, GhostSpec, KernelMode, TessParams};
+use tess::{tessellate, GhostSpec, TessParams};
 
 const NP: usize = 16;
 const NSTEPS: usize = 100;
@@ -49,6 +44,11 @@ const GHOST: GhostSpec = GhostSpec::Adaptive {
 };
 /// Best-of-N wall-clock to damp scheduler noise on a busy CI box.
 const REPS: usize = 3;
+/// Gate 2: bisector clips per computed cell on this workload, ~5 % above
+/// the measured 119.7. The small initial radius means most computations
+/// are of cells that cannot certify yet, so the count sits well above a
+/// single-round run's.
+const CANDIDATES_PER_CELL_BUDGET: f64 = 126.0;
 
 /// Cell fingerprint: (volume bits, area bits, face neighbors).
 type CellBits = (u64, u64, Vec<u64>);
@@ -61,12 +61,7 @@ struct ModeRun {
     report: diy::metrics::RunReport,
 }
 
-fn run_mode(
-    particles: &[(u64, geometry::Vec3)],
-    dec: &Decomp,
-    kernel: KernelMode,
-    incremental: bool,
-) -> ModeRun {
+fn run_mode(particles: &[(u64, geometry::Vec3)], dec: &Decomp, incremental: bool) -> ModeRun {
     let mut best: Option<ModeRun> = None;
     for _ in 0..REPS {
         let rows = Runtime::run(NRANKS, move |world| {
@@ -75,7 +70,6 @@ fn run_mode(
             let params = TessParams {
                 ghost: GHOST,
                 incremental_retess: incremental,
-                kernel,
                 ..TessParams::default()
             };
             let t0 = Instant::now();
@@ -132,18 +126,6 @@ type Decomp = diy::decomposition::Decomposition;
 
 const AB_RANKS: usize = 8;
 
-/// Extract `"key": <number>` from a flat JSON document (the baseline file
-/// is written by this binary, so the shape is known).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)? + pat.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn cand_per_cell(r: &ModeRun) -> f64 {
     r.stats.candidates_tested as f64 / r.stats.cells_computed.max(1) as f64
 }
@@ -156,70 +138,61 @@ fn main() {
         BalanceStats::measure(&dec, &Assignment::new(NBLOCKS, NRANKS), &positions).rank_imbalance()
     };
 
-    // A: seed-equivalent baseline — ring scan, 1-wide pool, full recompute.
+    // A: seed-equivalent baseline — 1-wide pool, full recompute.
     let prev = set_max_parallelism(1);
-    let baseline = run_mode(&particles, &dec, KernelMode::Ring, false);
-    // B and C: the optimized path at the CI thread count (TESS_THREADS,
-    // default 4), ring scan vs streamed kernel on the identical workload.
+    let baseline = run_mode(&particles, &dec, false);
+    // B: the production path at the CI thread count (TESS_THREADS,
+    // default 4) on the identical workload.
     let threads = std::env::var("TESS_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4usize);
     set_max_parallelism(threads.max(2));
-    let ring = run_mode(&particles, &dec, KernelMode::Ring, true);
-    let stream = run_mode(&particles, &dec, KernelMode::Stream, true);
+    let threaded = run_mode(&particles, &dec, true);
     set_max_parallelism(prev);
 
-    // Gate 1: bit-identical meshes across pool width, incremental reuse,
-    // and — the kernel-equivalence invariant — the candidate kernel itself.
+    // Gate 1: bit-identical meshes across pool width and incremental reuse.
     assert_eq!(
-        ring.mesh, baseline.mesh,
-        "ring incremental mesh differs from the sequential full-recompute baseline"
+        threaded.mesh, baseline.mesh,
+        "threaded incremental mesh differs from the sequential full-recompute baseline"
     );
-    assert_eq!(
-        stream.mesh, baseline.mesh,
-        "streamed-kernel mesh differs from the ring-scan baseline"
-    );
-    assert_eq!(stream.stats.cells, baseline.stats.cells);
+    assert_eq!(threaded.stats.cells, baseline.stats.cells);
     assert!(
-        stream.stats.cells_reused > 0,
+        threaded.stats.cells_reused > 0,
         "incremental mode reused nothing — not exercising the resume path"
     );
 
     // Gate 2: kernel work. Deterministic counters, no timing noise.
-    let (ring_cand, stream_cand) = (cand_per_cell(&ring), cand_per_cell(&stream));
-    assert_eq!(ring.stats.cells_computed, stream.stats.cells_computed);
+    let cand = cand_per_cell(&threaded);
     assert!(
-        stream_cand * 2.0 <= ring_cand,
-        "stream kernel clipped {stream_cand:.1} candidates/cell vs ring {ring_cand:.1} — need at least 2x fewer"
+        cand <= CANDIDATES_PER_CELL_BUDGET,
+        "kernel clipped {cand:.1} candidates/cell — budget {CANDIDATES_PER_CELL_BUDGET}"
     );
     assert!(
-        stream.stats.prefilter_skipped > 0,
-        "stream prefilter never fired"
+        threaded.stats.prefilter_skipped > 0,
+        "candidate rejects never fired"
     );
 
     let cps = |r: &ModeRun| r.stats.cells as f64 / r.wall_s;
-    let (base_cps, ring_cps, stream_cps) = (cps(&baseline), cps(&ring), cps(&stream));
-    let speedup = stream_cps / base_cps;
+    let (base_cps, threaded_cps) = (cps(&baseline), cps(&threaded));
+    let speedup = threaded_cps / base_cps;
     println!(
-        "perf_smoke: baseline {base_cps:.0} cells/s ({} computed), ring {ring_cps:.0} cells/s, stream {stream_cps:.0} cells/s ({} computed, {} reused), speedup {speedup:.2}x over {} rounds",
+        "perf_smoke: baseline {base_cps:.0} cells/s ({} computed), threaded {threaded_cps:.0} cells/s ({} computed, {} reused), speedup {speedup:.2}x over {} rounds",
         baseline.stats.cells_computed,
-        stream.stats.cells_computed,
-        stream.stats.cells_reused,
-        stream.stats.ghost_rounds,
+        threaded.stats.cells_computed,
+        threaded.stats.cells_reused,
+        threaded.stats.ghost_rounds,
     );
     println!(
-        "perf_smoke: candidates/cell ring {ring_cand:.1} vs stream {stream_cand:.1} ({:.2}x fewer), {} prefilter-skipped",
-        ring_cand / stream_cand,
-        stream.stats.prefilter_skipped,
+        "perf_smoke: candidates/cell {cand:.1} (budget {CANDIDATES_PER_CELL_BUDGET}), {} rejected unclipped",
+        threaded.stats.prefilter_skipped,
     );
 
     // Per-phase thread-CPU seconds (max across ranks) from the RunReport
     // spans; the gate below keeps them from silently regressing to 0.0.
-    let entry = |label: &str, kernel: &str, r: &ModeRun| {
+    let entry = |label: &str, r: &ModeRun| {
         let e = TessBenchEntry {
             label: label.into(),
-            kernel: kernel.into(),
             stats: r.stats,
             wall_s: r.wall_s,
             ghost_bytes: r.ghost_bytes,
@@ -239,16 +212,10 @@ fn main() {
         e
     };
     let mut entries = vec![
-        entry("perf_smoke_baseline_seq_full", "ring", &baseline),
+        entry("perf_smoke_baseline_seq_full", &baseline),
         entry(
-            &format!("perf_smoke_ring_threads{threads}_incremental"),
-            "ring",
-            &ring,
-        ),
-        entry(
-            &format!("perf_smoke_stream_threads{threads}_incremental"),
-            "stream",
-            &stream,
+            &format!("perf_smoke_threads{threads}_incremental"),
+            &threaded,
         ),
     ];
 
@@ -318,7 +285,6 @@ fn main() {
     );
     let ab_entry = |label: &str, r: &DecompAbArm, decomp: &str| TessBenchEntry {
         label: label.into(),
-        kernel: "stream".into(),
         stats: r.stats,
         wall_s: r.modeled_s,
         ghost_bytes: r.ghost_bytes,
@@ -343,50 +309,23 @@ fn main() {
         println!("perf_smoke: wrote {}", path.display());
     }
 
-    // Distribution sparklines from the streamed run's merged report.
-    println!("perf_smoke: distributions (stream run):");
-    print_report_hists(&stream.report);
+    // Distribution sparklines from the threaded run's merged report.
+    println!("perf_smoke: distributions (threaded run):");
+    print_report_hists(&threaded.report);
 
     // Gate 3: relative throughput.
     assert!(
         speedup >= 2.0,
-        "stream path is only {speedup:.2}x the sequential full-recompute baseline (need 2x)"
+        "threaded path is only {speedup:.2}x the sequential full-recompute baseline (need 2x)"
     );
-    assert!(
-        stream_cps >= 0.9 * ring_cps,
-        "stream kernel fell behind the ring scan: {stream_cps:.0} vs {ring_cps:.0} cells/s"
-    );
-
-    // Gate 4: absolute regression against the committed baseline.
-    let baseline_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("perf_baseline.json");
-    if std::env::var("PERF_BASELINE_WRITE").is_ok() {
-        let doc = format!(
-            "{{\n  \"config\": \"np{NP} steps{NSTEPS} blocks{NBLOCKS} ranks{NRANKS} adaptive0.5 stream\",\n  \"cells_per_sec\": {stream_cps:.1},\n  \"candidates_per_cell\": {stream_cand:.1},\n  \"speedup_vs_seq_full\": {speedup:.2}\n}}\n"
-        );
-        std::fs::write(&baseline_path, doc).expect("write perf_baseline.json");
-        println!(
-            "perf_smoke: baseline rewritten at {}",
-            baseline_path.display()
-        );
-        return;
-    }
-    let doc = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", baseline_path.display()));
-    let committed = json_number(&doc, "cells_per_sec").expect("cells_per_sec in baseline");
-    assert!(
-        stream_cps >= 0.7 * committed,
-        "cells/sec regressed >30%: {stream_cps:.0} now vs {committed:.0} committed \
-         (rerun with PERF_BASELINE_WRITE=1 if intentional)"
-    );
-    println!("perf_smoke: {stream_cps:.0} cells/s vs committed {committed:.0} — OK");
 
     // Ledger row for bench_trend's cross-run regression gate.
     let row = bench_harness::history::HistoryRow::now(
         "perf_smoke",
         &format!("np{NP}_steps{NSTEPS}_r{NRANKS}_stream"),
         vec![
-            ("stream_cells_per_sec".into(), stream_cps),
-            ("candidates_per_cell".into(), stream_cand),
+            ("stream_cells_per_sec".into(), threaded_cps),
+            ("candidates_per_cell".into(), cand),
             ("speedup_vs_seq_full".into(), speedup),
         ],
     );

@@ -134,7 +134,6 @@ fn main() {
             let (_, ghost_bytes) = report.tag_traffic_where(is_ghost_tag);
             bench_entries.push(TessBenchEntry {
                 label: format!("table2_np{np}_r{nranks}"),
-                kernel: tess::KernelMode::from_env().as_str().into(),
                 stats: *stats,
                 wall_s: *tess_wall,
                 ghost_bytes,
@@ -205,7 +204,6 @@ fn main() {
         );
         bench_entries.push(TessBenchEntry {
             label: format!("table2_np{np}_r{nranks}_adaptive_incr"),
-            kernel: tess::KernelMode::from_env().as_str().into(),
             stats: *stats,
             wall_s: *wall,
             ghost_bytes,
@@ -257,7 +255,6 @@ fn main() {
         ]);
         bench_entries.push(TessBenchEntry {
             label: format!("table2_clustered_r8_{label}"),
-            kernel: "stream".into(),
             stats: arm.stats,
             wall_s: arm.modeled_s,
             ghost_bytes: arm.ghost_bytes,

@@ -3,9 +3,9 @@
 //!
 //! Cosmological particle sets are nothing like uniform: most mass sits in
 //! halo clumps strung along filaments, with voids in between. That
-//! anisotropy is what gives the streamed kernel its edge (void cells are
-//! large and elongated, so ordered emission + the support prefilter prune
-//! hardest there) and what breaks volume-uniform block decompositions
+//! anisotropy is what stresses the cell kernel (void cells are large and
+//! elongated, so ordered emission + the support reject prune hardest
+//! there) and what breaks volume-uniform block decompositions
 //! (one octant holds most of the particles). The generator here is the
 //! single seeded source of such corpora; the kernel-equivalence and
 //! adversarial-corpus tests and the decomposition A/B benches all draw

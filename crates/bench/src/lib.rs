@@ -129,8 +129,8 @@ impl DecompAbArm {
 
 /// Run one decomposition arm of the clustered A/B: tessellate `particles`
 /// at `nranks` ranks (one block per rank) under `scheme`, with weighted
-/// block→rank assignment for the k-d scheme, the streamed kernel, and the
-/// multi-round adaptive ghost protocol. `reps` repeats keep the best
+/// block→rank assignment for the k-d scheme and the multi-round adaptive
+/// ghost protocol. `reps` repeats keep the best
 /// (smallest) modeled wall; the mesh and imbalance are deterministic.
 /// Call under `rayon::set_max_parallelism(1)` so per-rank thread-CPU
 /// attribution is exact.
@@ -167,7 +167,6 @@ pub fn run_decomp_ab(
                     max_rounds: 8,
                 },
                 incremental_retess: true,
-                kernel: tess::KernelMode::Stream,
                 ..tess::TessParams::default()
             };
             let r = tess::tessellate(world, &dec, &asn, &local, &params);
@@ -317,8 +316,6 @@ pub fn evolved_particles_cached(np: usize, nsteps: usize) -> Vec<(u64, Vec3)> {
 pub struct TessBenchEntry {
     /// Configuration label, e.g. `table2_np16_r4`.
     pub label: String,
-    /// Cell kernel the run used (`"ring"` or `"stream"`).
-    pub kernel: String,
     /// Globally merged tessellation counters.
     pub stats: tess::TessStats,
     /// Wall-clock seconds of the `tessellate` call (max across ranks).
@@ -367,7 +364,7 @@ pub fn tess_bench_entries_json(entries: &[TessBenchEntry]) -> String {
         let sep = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
             concat!(
-                "    {{\"label\": \"{}\", \"kernel\": \"{}\", \"decomp\": \"{}\", ",
+                "    {{\"label\": \"{}\", \"decomp\": \"{}\", ",
                 "\"imbalance\": {:.4}, \"cells\": {}, \"wall_s\": {:.6}, ",
                 "\"cells_per_sec\": {:.3}, \"candidates_per_cell\": {:.3}, ",
                 "\"prefilter_skipped\": {}, ",
@@ -377,7 +374,6 @@ pub fn tess_bench_entries_json(entries: &[TessBenchEntry]) -> String {
                 "\"exchange_s\": {:.6}, \"voronoi_s\": {:.6}, \"output_s\": {:.6}}}{}\n"
             ),
             json::escape(&e.label),
-            json::escape(&e.kernel),
             json::escape(&e.decomp),
             e.imbalance,
             s.cells,

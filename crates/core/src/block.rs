@@ -215,8 +215,8 @@ impl BlockSession {
     /// `ghosts` is the full cumulative ghost set, `new_ghosts` just the
     /// particles that arrived since the previous pass (used by the debug
     /// certification check). Output is bit-identical to a full recompute:
-    /// complete cells are canonicalised by the kernel, so the round that
-    /// computed them cannot show in their bits.
+    /// a complete cell's bits are a function of the particle set alone, so
+    /// the round that computed it cannot show in them.
     pub fn retessellate(
         &mut self,
         own: &[(u64, Vec3)],
@@ -322,7 +322,7 @@ fn compute_records(
 ) -> Vec<(CellRecord, u64, u64, u64)> {
     let bounds = session.bounds;
     let grid = CandidateGrid::build(*region, pts, 2.0);
-    // Canonicalisation box for the kernel: a function of the block alone
+    // Canonical start box for the kernel: a function of the block alone
     // (largest ghost radius the adaptive schedule can reach), never of the
     // current round's radius — see `cell::CellContext::clip_box`.
     let e = bounds.extent();
@@ -335,10 +335,6 @@ fn compute_records(
         clip_box: &clip_box,
         canon_extent: params.canon_extent,
         eps: params.eps,
-        kernel: params.kernel,
-        // Kept-incomplete cells reach the output, so their bits must be
-        // canonical (kernel- and round-independent) too.
-        canon_incomplete: params.keep_incomplete,
     };
     let cull_diam2 = params.cull_diameter().map(|d| d * d);
     // Resolve once per pass: per-cell clock reads only happen under a
@@ -372,14 +368,13 @@ fn compute_one(
     let tested = cell.candidates_tested as u64;
     let skipped = cell.prefilter_skipped;
     let record = |outcome, needed| (CellRecord { outcome, needed }, tested, skipped);
-    let sec2 = 4.0 * cell.poly.max_vertex_dist2(site);
     // Radius bound an uncertified cell needs: the security ball
     // (2× site→farthest-vertex) must fit inside the grown region,
     // so the halo must extend that far past the block wall.
     let needed = if cell.complete {
         0.0
     } else {
-        (sec2.sqrt() - bounds.interior_distance(site)).max(0.0)
+        (cell.sec2.sqrt() - bounds.interior_distance(site)).max(0.0)
     };
     if !cell.complete && !params.keep_incomplete {
         return record(Outcome::Incomplete, needed);
@@ -433,7 +428,7 @@ fn compute_one(
             volume,
             area,
             complete: cell.complete,
-            sec2,
+            sec2: cell.sec2,
             faces,
         })),
         needed,

@@ -1,36 +1,28 @@
 //! Local Voronoi cell computation with the security-radius criterion.
 //!
-//! Two-phase kernel:
+//! One ordered clip pass ([`clip_ordered`]): start from a box, take the
+//! grid's candidates in the canonical order — exact distance, then global
+//! id, then position ([`CandidateGrid::stream`]) — clip by each bisector,
+//! and stop the moment the next candidate lies beyond the security radius
+//! (twice the farthest vertex). Every clip that changes the cell leaves
+//! vertices on its bisector, so the final security radius is at least the
+//! distance of the last clipper that mattered and, the order being
+//! ascending, of every candidate before it: whatever the pass never looked
+//! at is a provable no-op. The cell's floating-point bits are therefore a
+//! function of the start box and the particle *set* alone — not of the
+//! ghost round, the grid geometry, or the local order of the points.
 //!
-//! 1. **Discovery** — grow the cell by clipping the ghosted region box with
-//!    bisectors of grid candidates until the security radius certifies no
-//!    remaining particle can cut it. Two interchangeable strategies exist
-//!    ([`crate::params::KernelMode`]): the legacy *ring scan* (whole
-//!    Chebyshev rings, sorted per ring) and the *candidate stream* (a lazy
-//!    min-heap merge emitting candidates in globally non-decreasing
-//!    distance with an `f32` SoA prefilter), which terminates the moment
-//!    the next candidate lies beyond the security radius.
-//! 2. **Canonicalisation** — re-clip every cell that can land in the
-//!    output from a discovery-independent starting box by every particle
-//!    inside the (slightly inflated) security ball, in a canonical order
-//!    (distance, then global id, then position). Discovery order depends
-//!    on the kernel and on the grid geometry, which changes as the
-//!    adaptive ghost region grows; canonicalisation makes the cell's
-//!    floating-point bits a function of the particle set alone, so both
-//!    kernels produce bit-identical meshes and a cell certified in round
-//!    `k` is bit-identical to the same cell recomputed in any later round
-//!    — the invariants the kernel A/B switch and incremental
-//!    re-tessellation rest on.
-//!
-//!    Complete cells re-clip from a site-centered cube whose half-extent
-//!    the driver derives from the global domain — independent of the
-//!    ghost round, the kernel, *and* the block decomposition, so regular
-//!    and k-d decompositions of the same particle set produce bit-identical
-//!    merged meshes (falling back to the current region only when a cell
-//!    outgrows the canonical box); incomplete
-//!    cells re-clip from the region when they are kept in the output
-//!    (`canon_incomplete`), and otherwise keep their discovery bits — the
-//!    geometry of a dropped cell is discarded anyway.
+//! [`compute_cell`] runs that pass at most twice. First from the
+//! **canonical start box** — a site-centered cube whose half-extent the
+//! driver derives from the global domain, so regular and k-d
+//! decompositions clip the same floats in the same order — with the
+//! candidates capped at the room the site has inside the ghosted region.
+//! A cell whose security ball fits inside that room (and inside the box)
+//! is the global Voronoi cell and is the output. Everything else — cells
+//! the region walls bound, cells too large for the canonical box — is
+//! clipped once more from the region itself, uncapped: those are the
+//! incomplete cells (dropped, or kept with the region walls legitimately
+//! part of them) and the rare huge complete ones.
 //!
 //! All buffers live in a caller-owned [`CellScratch`] so computing millions
 //! of cells allocates nothing in steady state.
@@ -39,7 +31,6 @@ use geometry::polyhedron::{ClipResult, ClipScratch};
 use geometry::{Aabb, ConvexPolyhedron, Plane, Vec3};
 
 use crate::grid::{CandidateGrid, StreamScratch};
-use crate::params::KernelMode;
 
 /// Outcome of computing one cell.
 pub struct ComputedCell {
@@ -47,11 +38,15 @@ pub struct ComputedCell {
     /// `true` when the security ball fit inside the known (ghosted) region,
     /// so the cell is provably identical to the global Voronoi cell.
     pub complete: bool,
-    /// Number of bisector planes tested (performance diagnostic).
+    /// Bisector planes actually clipped against (performance diagnostic).
     pub candidates_tested: usize,
-    /// Candidates the `f32` distance prefilter rejected before the exact
-    /// `f64` distance was ever computed (stream kernel + canonicalisation).
+    /// Candidates rejected without a clip: by the `f32` distance prefilter
+    /// before the exact distance was computed, or by the support-function
+    /// test against the cell's bounding box.
     pub prefilter_skipped: u64,
+    /// Security-ball diameter squared of `poly` (`4 × max site→vertex²`,
+    /// 0 for an emptied polyhedron).
+    pub(crate) sec2: f64,
 }
 
 /// Shared, immutable inputs for every cell of one block pass.
@@ -61,47 +56,28 @@ pub struct CellContext<'a> {
     /// Global particle id per entry of `points`.
     pub ids: &'a [u64],
     pub grid: &'a CandidateGrid,
-    /// The ghosted block box the points cover; bounds the discovery clip
-    /// and decides completeness.
+    /// The ghosted block box the points cover; decides completeness, and
+    /// is the start box of every cell that cannot certify.
     pub region: &'a Aabb,
-    /// Canonicalisation box: must depend only on the block, never on the
-    /// ghost radius, so re-clipping is reproducible across ghost rounds.
-    /// Only the fallback when `canon_extent` is `None`.
+    /// Canonical start box when `canon_extent` is `None`: must depend only
+    /// on the block, never on the ghost radius, so a complete cell's bits
+    /// are reproducible across ghost rounds.
     pub clip_box: &'a Aabb,
     /// Preferred canonical start box: a cube of this half-extent centered
     /// on the site. The driver derives it from the global domain, making
     /// it independent of the block *decomposition* as well as of the
-    /// ghost round and kernel — the invariant behind cross-scheme
-    /// bit-identical meshes. `None` uses the block-derived `clip_box`.
+    /// ghost round — the invariant behind cross-scheme bit-identical
+    /// meshes. `None` uses the block-derived `clip_box`.
     pub canon_extent: Option<f64>,
     /// Clipping tolerance.
     pub eps: f64,
-    /// Discovery strategy; the output bits are kernel-independent.
-    pub kernel: KernelMode,
-    /// Canonically re-clip incomplete cells too. Required whenever they
-    /// can land in the output (`keep_incomplete`), so their bits cannot
-    /// depend on the discovery kernel either.
-    pub canon_incomplete: bool,
 }
 
 /// Reusable per-thread buffers for [`compute_cell`].
 #[derive(Default)]
 pub struct CellScratch {
-    ring_buf: Vec<u32>,
-    ordered: Vec<(f64, u32)>,
-    ball: Vec<(f64, u32)>,
     clip: ClipScratch,
     stream: StreamScratch,
-}
-
-/// Discovery-phase result shared by both kernels.
-struct Discovery {
-    poly: ConvexPolyhedron,
-    tested: usize,
-    prefilter_skipped: u64,
-    /// The clip emptied the polyhedron — numerically impossible for a true
-    /// Voronoi cell, guarded for degenerate input.
-    degenerate: bool,
 }
 
 /// Compute the Voronoi cell of `site` (`self_idx` in `ctx.points`, skipped).
@@ -111,168 +87,68 @@ pub fn compute_cell(
     self_idx: u32,
     scratch: &mut CellScratch,
 ) -> ComputedCell {
-    let disc = match ctx.kernel {
-        KernelMode::Ring => discover_ring(ctx, site, self_idx, scratch),
-        KernelMode::Stream => discover_stream(ctx, site, self_idx, scratch),
+    // Room around the site inside the region all particles are known for:
+    // a cell is complete iff its security ball fits in it — and, when it
+    // started from a box whose walls are not part of the cell, reaches no
+    // farther than `fit` inside that box.
+    let room = ctx.region.interior_distance(site) + ctx.eps;
+    let certified = |cell: &ComputedCell, fit: f64| {
+        let ball = cell.sec2.sqrt();
+        !cell.poly.is_empty() && ball <= room && ball * 0.5 <= fit
     };
-    let mut poly = disc.poly;
-    let mut tested = disc.tested;
-    let mut prefilter_skipped = disc.prefilter_skipped;
-    if disc.degenerate {
+
+    let site_cube;
+    let (start_box, fit) = match ctx.canon_extent {
+        Some(h) => {
+            site_cube = Aabb::new(site - Vec3::splat(h), site + Vec3::splat(h));
+            (&site_cube, h)
+        }
+        None => (ctx.clip_box, ctx.clip_box.interior_distance(site)),
+    };
+    // No particle beyond `room` can cut a cell that ends up certified, so
+    // the first pass never needs to look past it.
+    let first = clip_ordered(ctx, site, self_idx, start_box, room * room, scratch);
+    if certified(&first, fit) {
         return ComputedCell {
-            poly,
-            complete: false,
-            candidates_tested: tested,
-            prefilter_skipped,
+            complete: true,
+            ..first
         };
     }
 
+    // Not certifiable from the canonical box: the region always contains
+    // the cell, and its walls are legitimately part of an incomplete one.
+    let second = clip_ordered(ctx, site, self_idx, ctx.region, f64::INFINITY, scratch);
+    ComputedCell {
+        complete: certified(&second, f64::INFINITY),
+        candidates_tested: first.candidates_tested + second.candidates_tested,
+        prefilter_skipped: first.prefilter_skipped + second.prefilter_skipped,
+        ..second
+    }
+}
+
+/// Clip `start_box` by the bisectors of the candidates around `site` in
+/// canonical order, stopping at the first one beyond the security radius
+/// or beyond `cap2` (squared). `complete` is left `false` for the caller.
+/// An emptied polyhedron — numerically impossible for a true Voronoi cell,
+/// guarded for degenerate input — ends the pass.
+fn clip_ordered(
+    ctx: &CellContext,
+    site: Vec3,
+    self_idx: u32,
+    start_box: &Aabb,
+    cap2: f64,
+    scratch: &mut CellScratch,
+) -> ComputedCell {
+    let CellScratch { stream, clip } = scratch;
+    let mut poly = ConvexPolyhedron::from_aabb(start_box);
+    let (mut bb, maxd2) = poly.vertex_aabb_and_max_dist2(site);
     // 2 × max site-to-vertex distance, squared — any particle farther than
     // this cannot clip the cell.
-    let sec2 = 4.0 * poly.max_vertex_dist2(site);
-    let maxvert = sec2.sqrt() * 0.5;
-    // Complete iff the security ball is inside the region all particles
-    // are known for.
-    let complete = 2.0 * maxvert <= ctx.region.interior_distance(site) + ctx.eps;
-
-    if complete || ctx.canon_incomplete {
-        // The re-clip start box must contain the cell strictly in its
-        // interior for complete cells (so the box walls cannot cut them):
-        // `clip_box` when the cell fits — the round-stable canonical
-        // choice; in adaptive mode `clip_box ⊇ region`, so completeness
-        // already guarantees the fit. Otherwise fall back to the current
-        // region, which always contains the discovery cell (single-round
-        // fixed-ghost configurations, and incomplete cells, whose region
-        // walls are legitimately part of the cell).
-        let site_cube;
-        let start_box = if complete {
-            match ctx.canon_extent {
-                // Site-centered canonical cube: its corner coordinates are
-                // a function of (site, domain) alone, so every scheme and
-                // round clips the same floats in the same order.
-                Some(h) if maxvert <= h => {
-                    site_cube = Aabb::new(site - Vec3::splat(h), site + Vec3::splat(h));
-                    &site_cube
-                }
-                None if maxvert <= ctx.clip_box.interior_distance(site) => ctx.clip_box,
-                // Cell too large for the canonical box (single-round
-                // fixed-ghost configurations with huge radii): the region
-                // always contains the discovery cell.
-                _ => ctx.region,
-            }
-        } else {
-            ctx.region
-        };
-        if let Some((canon, extra, skipped)) =
-            canonical_reclip(ctx, site, self_idx, sec2, start_box, scratch)
-        {
-            poly = canon;
-            tested += extra;
-            prefilter_skipped += skipped;
-        }
-    }
-
-    ComputedCell {
-        poly,
-        complete,
-        candidates_tested: tested,
-        prefilter_skipped,
-    }
-}
-
-/// Legacy discovery: visit whole Chebyshev rings, sort each ring by
-/// distance, clip everything inside the current security radius. Kept
-/// behind [`KernelMode::Ring`] (`TESS_KERNEL=ring`) as the A/B baseline.
-fn discover_ring(
-    ctx: &CellContext,
-    site: Vec3,
-    self_idx: u32,
-    scratch: &mut CellScratch,
-) -> Discovery {
-    let grid = ctx.grid;
-    let mut poly = ConvexPolyhedron::from_aabb(ctx.region);
-    let mut tested = 0usize;
-    let mut sec2 = 4.0 * poly.max_vertex_dist2(site);
-
-    'rings: for r in 0..=grid.max_ring() {
-        // No remaining candidate can be closer than this (the legacy
-        // center-independent bound, preserved for faithful A/B runs).
-        let lb = grid.ring_min_distance(r);
-        if lb * lb > sec2 {
-            break 'rings;
-        }
-        grid.ring_candidates(site, r, &mut scratch.ring_buf);
-        if scratch.ring_buf.is_empty() {
-            continue;
-        }
-        scratch.ordered.clear();
-        scratch
-            .ordered
-            .extend(scratch.ring_buf.iter().filter_map(|&i| {
-                if i == self_idx {
-                    return None;
-                }
-                let d2 = ctx.points[i as usize].dist2(site);
-                if d2 < 1e-24 {
-                    // coincident particle: no bisector exists; skip (both sites
-                    // share the cell)
-                    return None;
-                }
-                Some((d2, i))
-            }));
-        scratch
-            .ordered
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        for &(d2, i) in scratch.ordered.iter() {
-            if d2 > sec2 {
-                // sorted ascending: the rest of this ring is irrelevant
-                break;
-            }
-            let q = ctx.points[i as usize];
-            let plane = Plane::bisector(site, q).expect("distinct points");
-            tested += 1;
-            match poly.clip_with(&plane, Some(i as u64), ctx.eps, &mut scratch.clip) {
-                ClipResult::Clipped => {
-                    sec2 = 4.0 * poly.max_vertex_dist2(site);
-                }
-                ClipResult::Unchanged => {}
-                ClipResult::Empty => {
-                    return Discovery {
-                        poly,
-                        tested,
-                        prefilter_skipped: 0,
-                        degenerate: true,
-                    }
-                }
-            }
-        }
-    }
-    Discovery {
-        poly,
-        tested,
-        prefilter_skipped: 0,
-        degenerate: false,
-    }
-}
-
-/// Streamed discovery: clip candidates in globally non-decreasing distance
-/// and stop the moment the next one lies beyond the security radius. The
-/// default kernel ([`KernelMode::Stream`]).
-fn discover_stream(
-    ctx: &CellContext,
-    site: Vec3,
-    self_idx: u32,
-    scratch: &mut CellScratch,
-) -> Discovery {
-    let CellScratch { stream, clip, .. } = scratch;
-    let mut poly = ConvexPolyhedron::from_aabb(ctx.region);
-    let (mut bb, maxd2) = poly.vertex_aabb_and_max_dist2(site);
     let mut sec2 = 4.0 * maxd2;
     let mut tested = 0usize;
     let mut cheap_rejects = 0u64;
-    let mut candidates = ctx.grid.stream(ctx.points, site, self_idx, stream);
-    while let Some((d2, i)) = candidates.next(sec2) {
+    let mut candidates = ctx.grid.stream(ctx.points, ctx.ids, site, self_idx, stream);
+    while let Some((d2, i)) = candidates.next(sec2.min(cap2)) {
         if d2 < 1e-24 {
             continue; // coincident particle: no bisector exists
         }
@@ -296,86 +172,18 @@ fn discover_stream(
             }
             ClipResult::Unchanged => {}
             ClipResult::Empty => {
-                let prefilter_skipped = candidates.prefilter_skipped() + cheap_rejects;
-                return Discovery {
-                    poly,
-                    tested,
-                    prefilter_skipped,
-                    degenerate: true,
-                };
+                sec2 = 0.0;
+                break;
             }
         }
     }
-    let prefilter_skipped = candidates.prefilter_skipped() + cheap_rejects;
-    Discovery {
+    ComputedCell {
         poly,
-        tested,
-        prefilter_skipped,
-        degenerate: false,
+        complete: false,
+        candidates_tested: tested,
+        prefilter_skipped: candidates.prefilter_skipped() + cheap_rejects,
+        sec2,
     }
-}
-
-/// Re-clip a cell from `start_box` using every particle in the (slightly
-/// inflated) security ball, in canonical order. Returns `None` only when
-/// the re-clip empties the polyhedron (degenerate input) — the caller then
-/// keeps the discovery-phase polyhedron.
-fn canonical_reclip(
-    ctx: &CellContext,
-    site: Vec3,
-    self_idx: u32,
-    sec2: f64,
-    start_box: &Aabb,
-    scratch: &mut CellScratch,
-) -> Option<(ConvexPolyhedron, usize, u64)> {
-    // Inflate the ball so a particle at exactly the security distance (a
-    // common exact tie on lattices) never flips in/out on the ulp-level
-    // differences `sec2` carries between rounds or kernels. Extra
-    // particles only add tangent planes, which cannot cut.
-    let bound2 = sec2 * (1.0 + 1e-9);
-    let mut skipped = ctx.grid.ball_candidates(
-        ctx.points,
-        site,
-        self_idx,
-        bound2,
-        &mut scratch.ring_buf,
-        &mut scratch.ball,
-    );
-
-    // Canonical order: distance, then global id, then position — the last
-    // because distinct periodic images of one particle can tie exactly in
-    // both distance and id.
-    let (points, ids) = (ctx.points, ctx.ids);
-    scratch.ball.sort_by(|&(d2a, ia), &(d2b, ib)| {
-        d2a.total_cmp(&d2b)
-            .then_with(|| ids[ia as usize].cmp(&ids[ib as usize]))
-            .then_with(|| {
-                let pa = points[ia as usize];
-                let pb = points[ib as usize];
-                pa.x.total_cmp(&pb.x)
-                    .then_with(|| pa.y.total_cmp(&pb.y))
-                    .then_with(|| pa.z.total_cmp(&pb.z))
-            })
-    });
-
-    let mut poly = ConvexPolyhedron::from_aabb(start_box);
-    let mut bb = *start_box;
-    let mut tested = 0usize;
-    for &(_, i) in scratch.ball.iter() {
-        let plane = Plane::bisector(site, points[i as usize]).expect("distinct points");
-        // Same support-function reject as streamed discovery: skipping a
-        // provable no-op clip cannot change the canonical bits.
-        if bb.support(plane.n) - plane.d <= ctx.eps {
-            skipped += 1;
-            continue;
-        }
-        tested += 1;
-        match poly.clip_with(&plane, Some(i as u64), ctx.eps, &mut scratch.clip) {
-            ClipResult::Clipped => (bb, _) = poly.vertex_aabb_and_max_dist2(site),
-            ClipResult::Unchanged => {}
-            ClipResult::Empty => return None, // degenerate; keep discovery poly
-        }
-    }
-    Some((poly, tested, skipped))
 }
 
 #[cfg(test)]
@@ -404,25 +212,60 @@ mod tests {
             .collect()
     }
 
-    fn cell_with(pts: &[Vec3], region: &Aabb, idx: usize, kernel: KernelMode) -> ComputedCell {
+    /// Cell of `pts[idx]` with `region` as both the known region and the
+    /// canonical start box.
+    fn cell_with_ids(pts: &[Vec3], ids: &[u64], region: &Aabb, idx: usize) -> ComputedCell {
         let grid = CandidateGrid::build(*region, pts, 2.0);
-        let ids: Vec<u64> = (0..pts.len() as u64).collect();
         let ctx = CellContext {
             points: pts,
-            ids: &ids,
+            ids,
             grid: &grid,
             region,
             clip_box: region,
             canon_extent: None,
             eps: 1e-9,
-            kernel,
-            canon_incomplete: false,
         };
         compute_cell(&ctx, pts[idx], idx as u32, &mut CellScratch::default())
     }
 
     fn cell_of(pts: &[Vec3], region: &Aabb, idx: usize) -> ComputedCell {
-        cell_with(pts, region, idx, KernelMode::Stream)
+        let ids: Vec<u64> = (0..pts.len() as u64).collect();
+        cell_with_ids(pts, &ids, region, idx)
+    }
+
+    /// The oracle: `start_box` clipped by *every* other particle sorted by
+    /// (distance, id, position) — no grid, no termination, no reject.
+    fn brute_force(
+        pts: &[Vec3],
+        ids: &[u64],
+        start_box: &Aabb,
+        idx: usize,
+        eps: f64,
+    ) -> ConvexPolyhedron {
+        let site = pts[idx];
+        let mut order: Vec<usize> = (0..pts.len())
+            .filter(|&i| i != idx && pts[i].dist2(site) >= 1e-24)
+            .collect();
+        order.sort_by(|&a, &b| {
+            let key = |i: usize| (pts[i].dist2(site), ids[i], [pts[i].x, pts[i].y, pts[i].z]);
+            key(a).partial_cmp(&key(b)).unwrap()
+        });
+        let mut poly = ConvexPolyhedron::from_aabb(start_box);
+        for i in order {
+            let plane = Plane::bisector(site, pts[i]).unwrap();
+            poly.clip(&plane, Some(i as u64), eps);
+        }
+        poly
+    }
+
+    fn assert_same_bits(a: &ConvexPolyhedron, b: &ConvexPolyhedron, what: &str) {
+        assert_eq!(a.verts.len(), b.verts.len(), "{what}");
+        for (va, vb) in a.verts.iter().zip(&b.verts) {
+            assert_eq!(va.x.to_bits(), vb.x.to_bits(), "{what}");
+            assert_eq!(va.y.to_bits(), vb.y.to_bits(), "{what}");
+            assert_eq!(va.z.to_bits(), vb.z.to_bits(), "{what}");
+        }
+        assert_eq!(a.volume().to_bits(), b.volume().to_bits(), "{what}");
     }
 
     #[test]
@@ -431,124 +274,113 @@ mod tests {
         let pts = lattice(n, 0.0);
         let region = Aabb::cube(n as f64);
         let center_idx = (n / 2) + n * ((n / 2) + n * (n / 2));
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let cell = cell_with(&pts, &region, center_idx, kernel);
-            assert!(cell.complete);
-            assert!(
-                (cell.poly.volume() - 1.0).abs() < 1e-9,
-                "vol {}",
-                cell.poly.volume()
-            );
-            assert!((cell.poly.surface_area() - 6.0).abs() < 1e-9);
-            assert!(cell.poly.check_closed());
-            // only the 6 face neighbors touch the cell
-            assert_eq!(cell.poly.neighbor_ids().count(), 6);
-            // far fewer candidates than the full point set were tested
-            assert!(
-                cell.candidates_tested < pts.len() / 2,
-                "{}",
-                cell.candidates_tested
-            );
-        }
+        let cell = cell_of(&pts, &region, center_idx);
+        assert!(cell.complete);
+        assert!(
+            (cell.poly.volume() - 1.0).abs() < 1e-9,
+            "vol {}",
+            cell.poly.volume()
+        );
+        assert!((cell.poly.surface_area() - 6.0).abs() < 1e-9);
+        assert!(cell.poly.check_closed());
+        // only the 6 face neighbors touch the cell
+        assert_eq!(cell.poly.neighbor_ids().count(), 6);
+        // far fewer candidates than the full point set were tested
+        assert!(
+            cell.candidates_tested < pts.len() / 2,
+            "{}",
+            cell.candidates_tested
+        );
     }
 
     #[test]
     fn security_radius_terminates_early_on_jittered_lattice() {
-        // Interior cells: both kernels stop at the security radius and test
-        // only a small neighborhood of the full point set.
+        // Interior cells stop at the security radius and test only a small
+        // neighborhood of the full point set.
         let n = 9;
         let pts = lattice(n, 0.2);
         let region = Aabb::cube(n as f64);
         let idx = (n / 2) + n * ((n / 2) + n * (n / 2));
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let cell = cell_with(&pts, &region, idx, kernel);
-            assert!(cell.complete);
-            assert!(cell.poly.check_closed());
-            assert!(cell.candidates_tested < 250, "{}", cell.candidates_tested);
-        }
+        let cell = cell_of(&pts, &region, idx);
+        assert!(cell.complete);
+        assert!(cell.poly.check_closed());
+        assert!(cell.candidates_tested < 250, "{}", cell.candidates_tested);
     }
 
     #[test]
-    fn stream_kernel_clips_far_fewer_candidates_on_elongated_boundary_cells() {
+    fn support_reject_skips_most_of_the_ball_on_elongated_boundary_cells() {
         // A region that extends past the particle slab: cells of face sites
-        // stretch into the empty margin, their security balls blow up, and
-        // the ring scan dutifully clips every candidate in the ball. The
-        // streamed kernel's support-function reject proves most of those
+        // stretch into the empty margin and their security balls blow up.
+        // Clipping every candidate in the ball would be dozens of O(verts)
+        // classifications; the support-function reject proves most of those
         // lateral clips are no-ops and skips them without touching the poly.
         let n = 9;
         let pts = lattice(n, 0.2);
         let region = Aabb::cube(n as f64).grown(2.0);
         let idx = (n / 2) + n * (n / 2); // z-face site at (4.5, 4.5, ~0.5)
-        let ring = cell_with(&pts, &region, idx, KernelMode::Ring);
-        let stream = cell_with(&pts, &region, idx, KernelMode::Stream);
-        assert_eq!(ring.complete, stream.complete);
-        assert!(ring.candidates_tested > 60, "{}", ring.candidates_tested);
+        let cell = cell_of(&pts, &region, idx);
+        assert!(!cell.complete);
+        let in_ball = pts
+            .iter()
+            .filter(|p| (1e-24..=cell.sec2).contains(&p.dist2(pts[idx])))
+            .count();
+        assert!(in_ball > 60, "{in_ball}");
         assert!(
-            stream.candidates_tested * 3 < ring.candidates_tested,
-            "stream {} vs ring {}",
-            stream.candidates_tested,
-            ring.candidates_tested
+            cell.candidates_tested * 3 < in_ball,
+            "clipped {} of {in_ball} candidates in the security ball",
+            cell.candidates_tested
         );
-        assert!(stream.prefilter_skipped > 0, "reject never fired");
+        assert!(cell.prefilter_skipped > 0, "reject never fired");
     }
 
     #[test]
-    fn stream_and_ring_kernels_agree_bit_for_bit() {
+    fn cells_match_the_brute_force_clip_bit_for_bit() {
+        // Jittered points and an exact lattice (every shell an exact
+        // distance tie, so the tie order decides the bits); ids scrambled so
+        // id order and index order differ. Corner, edge, face and interior
+        // sites: complete cells and incomplete ones alike.
         let n = 7;
-        let pts = lattice(n, 0.3);
         let region = Aabb::cube(n as f64);
-        for idx in [0, 1, n * n, (n / 2) + n * ((n / 2) + n * (n / 2))] {
-            let a = cell_with(&pts, &region, idx, KernelMode::Ring);
-            let b = cell_with(&pts, &region, idx, KernelMode::Stream);
-            assert_eq!(a.complete, b.complete, "site {idx}");
-            if !a.complete {
-                // dropped-incomplete cells keep discovery bits; only their
-                // completeness verdict must agree (canon_incomplete covers
-                // the kept case — see kernel_equivalence integration tests)
-                continue;
+        let ids: Vec<u64> = (0..(n * n * n) as u64).map(|i| (i * 37) % 343).collect();
+        for jitter in [0.3, 0.0] {
+            let pts = lattice(n, jitter);
+            for idx in [0, 1, n * n, (n / 2) + n * ((n / 2) + n * (n / 2))] {
+                let cell = cell_with_ids(&pts, &ids, &region, idx);
+                let oracle = brute_force(&pts, &ids, &region, idx, 1e-9);
+                let what = format!("jitter {jitter} site {idx}");
+                assert_same_bits(&cell.poly, &oracle, &what);
+                let na: Vec<u64> = cell.poly.neighbor_ids().collect();
+                let nb: Vec<u64> = oracle.neighbor_ids().collect();
+                assert_eq!(na, nb, "{what}");
             }
-            assert_eq!(a.poly.verts.len(), b.poly.verts.len(), "site {idx}");
-            for (va, vb) in a.poly.verts.iter().zip(&b.poly.verts) {
-                assert_eq!(va.x.to_bits(), vb.x.to_bits());
-                assert_eq!(va.y.to_bits(), vb.y.to_bits());
-                assert_eq!(va.z.to_bits(), vb.z.to_bits());
-            }
-            assert_eq!(a.poly.volume().to_bits(), b.poly.volume().to_bits());
         }
     }
 
     #[test]
-    fn canon_incomplete_makes_kept_incomplete_cells_kernel_independent() {
+    fn incomplete_cell_bits_do_not_depend_on_the_point_order() {
+        // What the rank count changes for a block is the order its ghosts
+        // arrive in, i.e. the local index order of `points`. A kept
+        // incomplete cell must not show it — even on an exact lattice,
+        // where every shell is a distance tie.
         let n = 6;
-        let pts = lattice(n, 0.25);
-        let region = Aabb::cube(n as f64);
-        let grid = CandidateGrid::build(region, &pts, 2.0);
+        let pts = lattice(n, 0.0);
         let ids: Vec<u64> = (0..pts.len() as u64).collect();
-        let run = |kernel| {
-            let ctx = CellContext {
-                points: &pts,
-                ids: &ids,
-                grid: &grid,
-                region: &region,
-                clip_box: &region,
-                eps: 1e-9,
-                kernel,
-                canon_incomplete: true,
-                canon_extent: None,
-            };
-            // corner site: clipped by the region walls, never complete
-            compute_cell(&ctx, pts[0], 0, &mut CellScratch::default())
+        let region = Aabb::cube(n as f64);
+        // corner site: clipped by the region walls, never complete
+        let a = cell_with_ids(&pts, &ids, &region, 0);
+        assert!(!a.complete);
+        // same set, the other particles in reverse order
+        let mut rp = pts.clone();
+        let mut ri = ids.clone();
+        rp[1..].reverse();
+        ri[1..].reverse();
+        let b = cell_with_ids(&rp, &ri, &region, 0);
+        assert!(!b.complete);
+        assert_same_bits(&a.poly, &b.poly, "corner cell");
+        let neighbors = |c: &ComputedCell, ids: &[u64]| -> Vec<u64> {
+            c.poly.neighbor_ids().map(|i| ids[i as usize]).collect()
         };
-        let a = run(KernelMode::Ring);
-        let b = run(KernelMode::Stream);
-        assert!(!a.complete && !b.complete);
-        assert_eq!(a.poly.verts.len(), b.poly.verts.len());
-        for (va, vb) in a.poly.verts.iter().zip(&b.poly.verts) {
-            assert_eq!(va.x.to_bits(), vb.x.to_bits());
-            assert_eq!(va.y.to_bits(), vb.y.to_bits());
-            assert_eq!(va.z.to_bits(), vb.z.to_bits());
-        }
-        assert_eq!(a.poly.volume().to_bits(), b.poly.volume().to_bits());
+        assert_eq!(neighbors(&a, &ids), neighbors(&b, &ri));
     }
 
     #[test]
@@ -594,14 +426,12 @@ mod tests {
     fn two_points_split_the_region() {
         let pts = vec![Vec3::new(1.0, 2.0, 2.0), Vec3::new(3.0, 2.0, 2.0)];
         let region = Aabb::cube(4.0);
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let cell = cell_with(&pts, &region, 0, kernel);
-            // half the box
-            assert!((cell.poly.volume() - 32.0).abs() < 1e-9);
-            // bounded by walls → incomplete
-            assert!(!cell.complete);
-            assert_eq!(cell.poly.neighbor_ids().collect::<Vec<_>>(), vec![1]);
-        }
+        let cell = cell_of(&pts, &region, 0);
+        // half the box
+        assert!((cell.poly.volume() - 32.0).abs() < 1e-9);
+        // bounded by walls → incomplete
+        assert!(!cell.complete);
+        assert_eq!(cell.poly.neighbor_ids().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -612,20 +442,17 @@ mod tests {
             Vec3::new(1.0, 2.0, 2.0),
         ];
         let region = Aabb::cube(4.0);
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let cell = cell_with(&pts, &region, 0, kernel);
-            assert!(!cell.poly.is_empty());
-            assert!(cell.poly.volume() > 0.0);
-        }
+        let cell = cell_of(&pts, &region, 0);
+        assert!(!cell.poly.is_empty());
+        assert!(cell.poly.volume() > 0.0);
     }
 
     #[test]
     fn complete_cell_bits_do_not_depend_on_the_region() {
-        // The canonicalisation contract: compute an interior cell once with
-        // a tight region and once with a grown region (more known space,
-        // different grid geometry, different discovery order) while keeping
-        // the same clip_box. Complete cells must agree bit for bit — for
-        // both kernels, and across them.
+        // The canonical-start-box contract: compute an interior cell once
+        // with a tight region and once with a grown region (more known
+        // space, different grid geometry, a larger candidate cap) while
+        // keeping the same clip_box. Complete cells must agree bit for bit.
         let n = 7;
         let pts = lattice(n, 0.25);
         let tight = Aabb::cube(n as f64);
@@ -633,41 +460,26 @@ mod tests {
         let idx = (n / 2) + n * ((n / 2) + n * (n / 2));
         let ids: Vec<u64> = (0..pts.len() as u64).collect();
 
-        let run = |region: &Aabb, kernel: KernelMode| {
+        let run = |region: &Aabb| {
             let grid = CandidateGrid::build(*region, &pts, 2.0);
             let ctx = CellContext {
                 points: &pts,
                 ids: &ids,
                 grid: &grid,
                 region,
-                clip_box: &grown, // same canonical box for all runs
-                eps: 1e-9,
-                kernel,
-                canon_incomplete: false,
+                clip_box: &grown, // same canonical box for both runs
                 canon_extent: None,
+                eps: 1e-9,
             };
             compute_cell(&ctx, pts[idx], idx as u32, &mut CellScratch::default())
         };
 
-        let reference = run(&tight, KernelMode::Ring);
-        assert!(reference.complete);
-        for (region, kernel) in [
-            (&grown, KernelMode::Ring),
-            (&tight, KernelMode::Stream),
-            (&grown, KernelMode::Stream),
-        ] {
-            let b = run(region, kernel);
-            assert!(b.complete);
-            assert_eq!(reference.poly.verts.len(), b.poly.verts.len());
-            for (va, vb) in reference.poly.verts.iter().zip(&b.poly.verts) {
-                assert_eq!(va.x.to_bits(), vb.x.to_bits());
-                assert_eq!(va.y.to_bits(), vb.y.to_bits());
-                assert_eq!(va.z.to_bits(), vb.z.to_bits());
-            }
-            assert_eq!(reference.poly.volume().to_bits(), b.poly.volume().to_bits());
-            let na: Vec<u64> = reference.poly.neighbor_ids().collect();
-            let nb: Vec<u64> = b.poly.neighbor_ids().collect();
-            assert_eq!(na, nb);
-        }
+        let a = run(&tight);
+        let b = run(&grown);
+        assert!(a.complete && b.complete);
+        assert_same_bits(&a.poly, &b.poly, "tight vs grown region");
+        let na: Vec<u64> = a.poly.neighbor_ids().collect();
+        let nb: Vec<u64> = b.poly.neighbor_ids().collect();
+        assert_eq!(na, nb);
     }
 }

@@ -284,7 +284,7 @@ fn run_rounds(
     rayon::set_task_trace(trace_mode() == TraceMode::Full);
     let metrics = world.metrics();
     record_balance(&metrics, local);
-    // Canonical re-clip cube half-extent: a function of the *domain*, so
+    // Canonical start cube half-extent: a function of the *domain*, so
     // certified cell bits cannot depend on which decomposition scheme cut
     // the domain into blocks (see `cell::CellContext::canon_extent`).
     let params = &TessParams {

@@ -4,26 +4,17 @@
 //! distance from a site so the security-radius test terminates early. A
 //! uniform grid over the ghosted block region gives candidates in
 //! Chebyshev "rings" of bins; the minimum possible distance to the next
-//! ring provides the lower bound used by the termination test.
+//! ring ([`CandidateGrid::ring_min_distance_from`], which knows on which
+//! sides of the center a ring still has bins) provides the lower bound
+//! used by the termination test.
 //!
-//! Two consumers sit on top of the binning:
-//!
-//! * the legacy **ring scan** ([`CandidateGrid::ring_candidates`] +
-//!   [`CandidateGrid::ring_min_distance`]), which visits whole rings and
-//!   sorts each one by distance, and
-//! * the **candidate stream** ([`CandidateGrid::stream`]), a lazy min-heap
-//!   merge of the rings that emits candidates one at a time in globally
-//!   non-decreasing distance, prefiltered by an SoA `f32` distance test
-//!   with a provably conservative slack before the exact `f64` distance is
-//!   computed.
-//!
-//! The stream's termination bound is the *center-aware*
-//! [`CandidateGrid::ring_min_distance_from`]: the legacy center-independent
-//! bound treats an axis as attainable whenever the ring fits inside the
-//! axis (`r < dims`), which under-reports the bound for a cell on a block
-//! face of a strongly anisotropic grid — the short axis counts as feasible
-//! even though no ring-`r` bin exists on the center's far side, so the scan
-//! keeps going on rings that provably cannot hold a closer candidate.
+//! The **candidate stream** ([`CandidateGrid::stream`]) sits on top of the
+//! binning: a lazy min-heap merge of the rings that emits candidates one at
+//! a time in the canonical clip order — exact squared distance, then global
+//! id, then position — prefiltered by an SoA `f32` distance test with a
+//! provably conservative slack before the exact `f64` distance is computed.
+//! The order is a function of the point *set* alone: neither the local
+//! index order of the points nor the grid geometry can show in it.
 
 use geometry::{Aabb, Vec3};
 
@@ -40,10 +31,10 @@ pub struct CandidateGrid {
     sx: Vec<f32>,
     sy: Vec<f32>,
     sz: Vec<f32>,
-    /// Conservative absolute slack of the `f32` distance computation:
-    /// a true distance `d` always measures at least `d - slack` in `f32`,
-    /// so `d2f > (sqrt(bound2)+slack)^2 (1+1e-6)` proves `d2 > bound2`.
-    prefilter_slack: f64,
+    /// Largest |coordinate relative to `bounds.min`| that enters a distance
+    /// or ring-bound subtraction: stored points and any center inside the
+    /// bounds. Rounding slacks are multiples of `eps · scale`.
+    scale: f64,
 }
 
 impl CandidateGrid {
@@ -72,11 +63,8 @@ impl CandidateGrid {
             sx: Vec::with_capacity(points.len()),
             sy: Vec::with_capacity(points.len()),
             sz: Vec::with_capacity(points.len()),
-            prefilter_slack: 0.0,
+            scale: 0.0,
         };
-        // Slack scale: the largest |coordinate| that enters an f32
-        // subtraction, covering both stored points and any query center
-        // inside the bounds.
         let mut scale = e.x.max(e.y).max(e.z);
         for (i, &p) in points.iter().enumerate() {
             let b = grid.bin_of(p);
@@ -87,44 +75,12 @@ impl CandidateGrid {
             grid.sz.push(rel.z as f32);
             scale = scale.max(rel.x.abs()).max(rel.y.abs()).max(rel.z.abs());
         }
-        // Each f32 component difference errs by at most ~3 eps32·scale
-        // (two conversions + one subtraction), the 3-axis norm by √3 of
-        // that; 8 eps32·scale bounds it with margin to spare. The squaring
-        // and summation rounding is relative and absorbed by the 1e-6
-        // factor in `prefilter_bound`.
-        grid.prefilter_slack = 8.0 * (f32::EPSILON as f64) * scale.max(1e-300);
+        grid.scale = scale.max(1e-300);
         grid
     }
 
     pub fn dims(&self) -> [usize; 3] {
         self.dims
-    }
-
-    /// Center-independent lower bound on the distance from any point in
-    /// *some* bin to any point in a bin at Chebyshev ring `r` (`r >= 1`)
-    /// around it.
-    ///
-    /// A ring-`r` bin is `r` bin steps away along at least one axis, which
-    /// along axis `a` forces a gap of `(r-1)·h[a]` in space — but only an
-    /// axis with at least `r+1` bins can attain the Chebyshev maximum from
-    /// *some* center. This is valid for every center but loose near block
-    /// faces: an axis the center has already exhausted on one side still
-    /// counts as feasible. Prefer [`Self::ring_min_distance_from`] when the
-    /// center is known (the streamed kernel's termination depends on the
-    /// tighter bound; this variant is kept for center-free consumers and
-    /// the legacy ring kernel).
-    pub fn ring_min_distance(&self, r: usize) -> f64 {
-        if r == 0 {
-            return 0.0;
-        }
-        let steps = (r - 1) as f64;
-        let mut bound = f64::INFINITY;
-        for a in 0..3 {
-            if r < self.dims[a] {
-                bound = bound.min(steps * self.h[a]);
-            }
-        }
-        bound
     }
 
     /// Center-aware lower bound on the distance from `center` to any point
@@ -138,6 +94,12 @@ impl CandidateGrid {
     /// attainability only shrinks with `r`, every later ring) is empty.
     /// Non-decreasing in `r`, which is what makes the candidate stream's
     /// sorted emission proof go through.
+    ///
+    /// The bound also holds for *computed* distances (`Vec3::dist2`), not
+    /// just true ones: binning, the wall position and the distance each
+    /// round a few times at coordinate magnitude (≲ 5 eps·scale in all),
+    /// and a candidate on a bin wall can measure a few ulps closer than
+    /// the wall does, so the bound is pulled in by 8 eps·scale.
     pub fn ring_min_distance_from(&self, center: Vec3, r: usize) -> f64 {
         let rel = center - self.bounds.min;
         self.ring_lb([rel.x, rel.y, rel.z], self.coords_of(center), r)
@@ -160,7 +122,7 @@ impl CandidateGrid {
                 bound = bound.min((rel[a] - (c[a] - ri + 1) as f64 * h).max(0.0));
             }
         }
-        bound
+        (bound - 8.0 * f64::EPSILON * self.scale).max(0.0)
     }
 
     /// Largest ring index that can contain any bin, from any center.
@@ -234,12 +196,19 @@ impl CandidateGrid {
     /// `f32` threshold such that `d2f > threshold` proves the exact
     /// squared distance exceeds `bound2` (conservative: no true candidate
     /// is ever rejected).
+    ///
+    /// Each f32 component difference errs by at most ~3 eps32·scale (two
+    /// conversions + one subtraction), the 3-axis norm by √3 of that, so a
+    /// true distance `d` always measures at least `d - 8 eps32·scale`; the
+    /// squaring and summation rounding is relative and absorbed by the
+    /// 1e-6 factor.
     #[inline]
     fn prefilter_bound(&self, bound2: f64) -> f32 {
         if !bound2.is_finite() {
             return f32::INFINITY;
         }
-        ((bound2.sqrt() + self.prefilter_slack).powi(2) * (1.0 + 1e-6)) as f32
+        let slack = 8.0 * (f32::EPSILON as f64) * self.scale;
+        ((bound2.sqrt() + slack).powi(2) * (1.0 + 1e-6)) as f32
     }
 
     /// Squared distance in `f32` between stored point `i` and a center
@@ -253,12 +222,14 @@ impl CandidateGrid {
         dx * dx + dy * dy + dz * dz
     }
 
-    /// Open a distance-ordered candidate stream around `center`. `points`
-    /// must be the slice the grid was built from; `skip` is an index to
-    /// omit (the site itself; pass `u32::MAX` to keep everything).
+    /// Open a candidate stream around `center`, ordered by (exact squared
+    /// distance, global id, position). `points` must be the slice the grid
+    /// was built from and `ids` the global id of each entry; `skip` is an
+    /// index to omit (the site itself; pass `u32::MAX` to keep everything).
     pub fn stream<'a>(
         &'a self,
         points: &'a [Vec3],
+        ids: &'a [u64],
         center: Vec3,
         skip: u32,
         scratch: &'a mut StreamScratch,
@@ -268,7 +239,7 @@ impl CandidateGrid {
         let rel = center - self.bounds.min;
         NeighborStream {
             grid: self,
-            points,
+            order: CanonicalOrder { points, ids },
             center,
             center_rel32: [rel.x as f32, rel.y as f32, rel.z as f32],
             center_rel: [rel.x, rel.y, rel.z],
@@ -279,50 +250,6 @@ impl CandidateGrid {
             prefilter_skipped: 0,
             scratch,
         }
-    }
-
-    /// Gather every candidate with exact squared distance in
-    /// `[1e-24, bound2]` of `center` into `out` as `(d2, index)`, using the
-    /// center-aware ring bound to stop scanning and the `f32` prefilter to
-    /// skip exact distance computations. Effectively-coincident pairs
-    /// (below the `1e-24` floor) are omitted — they have no bisector.
-    /// Returns the number of candidates the prefilter rejected.
-    pub fn ball_candidates(
-        &self,
-        points: &[Vec3],
-        center: Vec3,
-        skip: u32,
-        bound2: f64,
-        ring_buf: &mut Vec<u32>,
-        out: &mut Vec<(f64, u32)>,
-    ) -> u64 {
-        out.clear();
-        let c = self.coords_of(center);
-        let rel = center - self.bounds.min;
-        let rel32 = [rel.x as f32, rel.y as f32, rel.z as f32];
-        let pf = self.prefilter_bound(bound2);
-        let mut skipped = 0u64;
-        for r in 0..=self.max_ring() {
-            let lb = self.ring_lb([rel.x, rel.y, rel.z], c, r);
-            if lb * lb > bound2 {
-                break;
-            }
-            self.ring_candidates_at(c, r, ring_buf);
-            for &i in ring_buf.iter() {
-                if i == skip {
-                    continue;
-                }
-                if self.rel_dist2_f32(i, rel32) > pf {
-                    skipped += 1;
-                    continue;
-                }
-                let d2 = points[i as usize].dist2(center);
-                if (1e-24..=bound2).contains(&d2) {
-                    out.push((d2, i));
-                }
-            }
-        }
-        skipped
     }
 }
 
@@ -335,22 +262,26 @@ pub struct StreamScratch {
     ring: Vec<u32>,
 }
 
-/// Lazy distance-ordered merge of the grid rings around one center.
+/// Lazy ordered merge of the grid rings around one center.
 ///
 /// [`NeighborStream::next`] takes the caller's current squared search
 /// bound, which must be **non-increasing** across calls (the security
 /// radius only shrinks as the cell is clipped). Candidates are emitted in
-/// non-decreasing exact distance; `None` means no remaining candidate lies
+/// the canonical clip order — non-decreasing exact distance, exact ties by
+/// global id, then position (distinct periodic images of one particle can
+/// tie in both distance and id); `None` means no remaining candidate lies
 /// within the bound — and since the bound never grows, none ever will.
 ///
-/// Internally: rings are fetched one at a time into a binary min-heap
-/// keyed on `(d2, index)`. The heap top is only emitted once its distance
-/// is at most the lower bound of the next unfetched ring, which is what
-/// makes the global emission order sorted; candidates are prefiltered with
-/// the `f32` SoA distance before the exact `f64` distance is computed.
+/// Internally: rings are fetched one at a time into a binary min-heap in
+/// that order. The heap top is only emitted once its distance is strictly
+/// below the lower bound of the next unfetched ring — strictly, so an exact
+/// tie straddling two rings is merged in the heap before either side pops —
+/// which is what makes the emission order a function of the point set and
+/// not of the grid; candidates are prefiltered with the `f32` SoA distance
+/// before the exact `f64` distance is computed.
 pub struct NeighborStream<'a> {
     grid: &'a CandidateGrid,
-    points: &'a [Vec3],
+    order: CanonicalOrder<'a>,
     center: Vec3,
     center_rel32: [f32; 3],
     center_rel: [f64; 3],
@@ -366,17 +297,17 @@ pub struct NeighborStream<'a> {
 }
 
 impl NeighborStream<'_> {
-    /// Next candidate within `bound2` in non-decreasing distance, or
-    /// `None` when every remaining candidate provably lies beyond it.
+    /// Next candidate within `bound2` in canonical order, or `None` when
+    /// every remaining candidate provably lies beyond it.
     pub fn next(&mut self, bound2: f64) -> Option<(f64, u32)> {
         loop {
             if let Some(&(d2, i)) = self.scratch.heap.first() {
-                // safe to emit once nothing unfetched can be closer
-                if d2 <= self.cur_lb2 {
+                // safe to emit once nothing unfetched can come before it
+                if d2 < self.cur_lb2 {
                     if d2 > bound2 {
                         return None;
                     }
-                    heap_pop(&mut self.scratch.heap);
+                    self.order.heap_pop(&mut self.scratch.heap);
                     return Some((d2, i));
                 }
             }
@@ -411,9 +342,9 @@ impl NeighborStream<'_> {
                 self.prefilter_skipped += 1;
                 continue;
             }
-            let d2 = self.points[i as usize].dist2(self.center);
+            let d2 = self.order.points[i as usize].dist2(self.center);
             if d2 <= bound2 {
-                heap_push(&mut self.scratch.heap, (d2, i));
+                self.order.heap_push(&mut self.scratch.heap, (d2, i));
             }
         }
         let lb = self
@@ -423,50 +354,64 @@ impl NeighborStream<'_> {
     }
 }
 
-/// Min-heap order: distance, then index (deterministic pop order for
-/// exact distance ties).
-#[inline]
-fn cand_less(a: (f64, u32), b: (f64, u32)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    }
+/// The one tie-break rule: distance, then global id, then position. Heap
+/// entries stay `(d2, index)`; ids and positions are only read on an exact
+/// distance tie.
+#[derive(Clone, Copy)]
+struct CanonicalOrder<'a> {
+    points: &'a [Vec3],
+    ids: &'a [u64],
 }
 
-fn heap_push(h: &mut Vec<(f64, u32)>, item: (f64, u32)) {
-    h.push(item);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        if cand_less(h[i], h[p]) {
-            h.swap(i, p);
-            i = p;
-        } else {
-            break;
-        }
+impl CanonicalOrder<'_> {
+    #[inline]
+    fn less(&self, a: (f64, u32), b: (f64, u32)) -> bool {
+        let (ia, ib) = (a.1 as usize, b.1 as usize);
+        a.0.total_cmp(&b.0)
+            .then_with(|| self.ids[ia].cmp(&self.ids[ib]))
+            .then_with(|| {
+                let (pa, pb) = (self.points[ia], self.points[ib]);
+                pa.x.total_cmp(&pb.x)
+                    .then_with(|| pa.y.total_cmp(&pb.y))
+                    .then_with(|| pa.z.total_cmp(&pb.z))
+            })
+            .is_lt()
     }
-}
 
-fn heap_pop(h: &mut Vec<(f64, u32)>) -> (f64, u32) {
-    let top = h.swap_remove(0);
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut m = i;
-        if l < h.len() && cand_less(h[l], h[m]) {
-            m = l;
+    fn heap_push(&self, h: &mut Vec<(f64, u32)>, item: (f64, u32)) {
+        h.push(item);
+        let mut i = h.len() - 1;
+        while i > 0 {
+            let p = (i - 1) / 2;
+            if self.less(h[i], h[p]) {
+                h.swap(i, p);
+                i = p;
+            } else {
+                break;
+            }
         }
-        if r < h.len() && cand_less(h[r], h[m]) {
-            m = r;
-        }
-        if m == i {
-            break;
-        }
-        h.swap(i, m);
-        i = m;
     }
-    top
+
+    fn heap_pop(&self, h: &mut Vec<(f64, u32)>) -> (f64, u32) {
+        let top = h.swap_remove(0);
+        let mut i = 0;
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut m = i;
+            if l < h.len() && self.less(h[l], h[m]) {
+                m = l;
+            }
+            if r < h.len() && self.less(h[r], h[m]) {
+                m = r;
+            }
+            if m == i {
+                break;
+            }
+            h.swap(i, m);
+            i = m;
+        }
+        top
+    }
 }
 
 #[cfg(test)]
@@ -496,6 +441,10 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    fn seq_ids(pts: &[Vec3]) -> Vec<u64> {
+        (0..pts.len() as u64).collect()
     }
 
     #[test]
@@ -535,7 +484,7 @@ mod tests {
         let center = Vec3::new(4.1, 3.9, 4.0);
         let mut buf = Vec::new();
         for r in 1..=grid.max_ring() {
-            let lb = grid.ring_min_distance(r);
+            let lb = grid.ring_min_distance_from(center, r);
             grid.ring_candidates(center, r, &mut buf);
             for &i in &buf {
                 let d = pts[i as usize].dist(center);
@@ -549,8 +498,8 @@ mod tests {
 
     #[test]
     fn ring_min_distance_lower_bound_holds_on_anisotropic_grids() {
-        // Flat slab: bins are much shorter in z than in x/y, so the old
-        // single-min-edge bound was far too pessimistic along x/y.
+        // Flat slab: bins are much shorter in z than in x/y, so a bound
+        // from the shortest bin edge would be far too pessimistic along x/y.
         let mut pts = Vec::new();
         for k in 0..4 {
             for j in 0..16 {
@@ -575,7 +524,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut some_ring_infeasible_in_z = false;
         for r in 1..=grid.max_ring() {
-            let lb = grid.ring_min_distance(r);
+            let lb = grid.ring_min_distance_from(center, r);
             if r >= dz {
                 some_ring_infeasible_in_z = true;
                 // z can no longer attain the Chebyshev max, so the bound
@@ -596,18 +545,19 @@ mod tests {
         }
         assert!(some_ring_infeasible_in_z);
         // Past every axis, rings are provably empty.
-        assert!(grid.ring_min_distance(dx.max(dy).max(dz)).is_infinite());
+        assert!(grid
+            .ring_min_distance_from(center, dx.max(dy).max(dz))
+            .is_infinite());
     }
 
     #[test]
-    fn face_cell_center_aware_bound_fixes_the_legacy_under_report() {
-        // The boundary case the legacy bound gets wrong: on a strongly
-        // anisotropic grid (short z axis, h[z] < h[x]) the legacy bound
-        // keeps reporting the tiny `(r-1)·h[z]` gap while `r < dims[z]` —
-        // but for a center whose z bin is within one bin of *both* z block
-        // faces, no ring-`r` bin exists on either z side for `r >= 2`, so
-        // the true lower bound is set by the (much larger) x/y gaps. The
-        // center-aware bound must see that and still be valid everywhere.
+    fn center_aware_bound_drops_axes_the_center_has_exhausted() {
+        // On a strongly anisotropic grid (short z axis, h[z] < h[x]) a
+        // center whose z bin is within one bin of *both* z block faces has
+        // no ring-`r` bin on either z side for `r >= 2`, so the lower bound
+        // is set by the (much larger) x/y gaps, not by the sub-bin z gap a
+        // center-free bound would have to report. The bound must see that
+        // and still be valid everywhere.
         //
         // Slab sized so the builder picks dims [16, 16, 3]: h[x] = 1 but
         // h[z] = 2.05/3 ≈ 0.683 — genuinely anisotropic bin edges.
@@ -633,9 +583,7 @@ mod tests {
         // z faces of the block
         let center = Vec3::new(8.5, 7.5, 1.025);
         let mut buf = Vec::new();
-        let mut legacy_under_reported = false;
         for r in 1..grid.max_ring() {
-            let legacy = grid.ring_min_distance(r);
             let aware = grid.ring_min_distance_from(center, r);
             // validity: every ring-r candidate is at least `aware` away
             grid.ring_candidates(center, r, &mut buf);
@@ -646,30 +594,16 @@ mod tests {
                     "ring {r}: point at distance {d} < center-aware bound {aware}"
                 );
             }
-            // the center-aware bound never loosens the legacy bound
-            assert!(
-                aware >= legacy - 1e-12 || legacy.is_infinite(),
-                "ring {r}: aware {aware} < legacy {legacy}"
-            );
             if r == 2 {
-                // r < dims[z], so legacy still thinks z is attainable and
-                // reports the sub-bin z gap ...
-                assert!(
-                    (legacy - (r - 1) as f64 * hz).abs() < 1e-12,
-                    "ring {r}: legacy bound {legacy} expected {}",
-                    (r - 1) as f64 * hz
-                );
-                // ... but from this center both z sides are exhausted at
-                // r = 2 (middle bin of 3), so the true bound is the mid-bin
-                // x/y gap of 1.5·h[x] — more than a whole bin edge tighter.
+                // both z sides are exhausted at r = 2 (middle bin of 3), so
+                // the bound is the mid-bin x/y gap of 1.5·h[x], more than a
+                // whole bin edge past the (r-1)·h[z] z gap
                 assert!(
                     (aware - 1.5 * hx).abs() < 1e-9,
                     "ring {r}: aware {aware} expected {}",
                     1.5 * hx
                 );
-                if aware > legacy + hz {
-                    legacy_under_reported = true;
-                }
+                assert!(aware > (r - 1) as f64 * hz + hz);
             }
             // monotonicity in r (the sorted-emission proof rests on it)
             if r > 1 {
@@ -679,19 +613,16 @@ mod tests {
                 );
             }
         }
-        assert!(
-            legacy_under_reported,
-            "mid-slab cell must expose the legacy under-report"
-        );
     }
 
     #[test]
     fn stream_emits_every_candidate_in_nondecreasing_distance() {
         let pts = jittered(6, 11, 0.4);
         let grid = CandidateGrid::build(Aabb::cube(6.0), &pts, 2.0);
+        let ids = seq_ids(&pts);
         for (skip, center) in [(17u32, pts[17]), (u32::MAX, Vec3::new(0.1, 5.7, 2.3))] {
             let mut scratch = StreamScratch::default();
-            let mut stream = grid.stream(&pts, center, skip, &mut scratch);
+            let mut stream = grid.stream(&pts, &ids, center, skip, &mut scratch);
             let mut got = Vec::new();
             let mut last = 0.0f64;
             while let Some((d2, i)) = stream.next(f64::MAX) {
@@ -718,7 +649,8 @@ mod tests {
         let center = pts[31];
         let bounds_seq = [9.0f64, 4.0, 2.5, 2.5, 1.4];
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, 31, &mut scratch);
+        let ids = seq_ids(&pts);
+        let mut stream = grid.stream(&pts, &ids, center, 31, &mut scratch);
         let mut emitted = Vec::new();
         let mut k = 0usize;
         loop {
@@ -747,13 +679,67 @@ mod tests {
     }
 
     #[test]
+    fn exact_ties_emit_in_canonical_order_whatever_the_index_order_or_grid() {
+        // An exact lattice seen from a face-centre: every shell is a set of
+        // exact distance ties. Ids are scrambled so id order differs from
+        // index order, and one particle appears as two periodic images that
+        // tie in distance *and* id from this center.
+        let mut pts = lattice(5);
+        let mut ids: Vec<u64> = (0..pts.len() as u64).map(|i| (i * 37) % 125).collect();
+        let center = Vec3::new(3.0, 2.5, 2.5);
+        let left = pts
+            .iter()
+            .position(|&p| p == Vec3::new(0.5, 2.5, 2.5))
+            .unwrap();
+        pts.push(Vec3::new(5.5, 2.5, 2.5));
+        ids.push(ids[left]);
+
+        let emitted = |pts: &[Vec3], ids: &[u64], region: Aabb| {
+            let grid = CandidateGrid::build(region, pts, 2.0);
+            let mut scratch = StreamScratch::default();
+            let mut stream = grid.stream(pts, ids, center, u32::MAX, &mut scratch);
+            let mut seq = Vec::new();
+            while let Some((d2, i)) = stream.next(f64::MAX) {
+                let p = pts[i as usize];
+                seq.push((d2, ids[i as usize], [p.x, p.y, p.z]));
+            }
+            seq
+        };
+
+        let region = Aabb::cube(5.0).grown(1.0);
+        let reference = emitted(&pts, &ids, region);
+        let mut sorted = reference.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(reference, sorted, "not in (d2, id, position) order");
+        assert_eq!(reference.len(), pts.len());
+        let images = reference.iter().filter(|e| e.1 == ids[left]).count();
+        assert_eq!(images, 2, "both periodic images must be emitted");
+
+        // local index order reversed
+        let (rp, ri): (Vec<Vec3>, Vec<u64>) = pts
+            .iter()
+            .rev()
+            .copied()
+            .zip(ids.iter().rev().copied())
+            .unzip();
+        assert_eq!(emitted(&rp, &ri, region), reference, "index order showed");
+        // grid rebuilt over a grown region: different bins, different rings
+        assert_eq!(
+            emitted(&pts, &ids, region.grown(1.7)),
+            reference,
+            "grid geometry showed"
+        );
+    }
+
+    #[test]
     fn prefilter_skips_far_candidates_but_never_true_ones() {
         let pts = jittered(7, 5, 0.3);
         let grid = CandidateGrid::build(Aabb::cube(7.0), &pts, 2.0);
         let center = pts[100];
         let bound2 = 2.25f64; // radius 1.5 in a box of extent 7
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, 100, &mut scratch);
+        let ids = seq_ids(&pts);
+        let mut stream = grid.stream(&pts, &ids, center, 100, &mut scratch);
         let mut got = Vec::new();
         while let Some((_, i)) = stream.next(bound2) {
             got.push(i);
@@ -775,43 +761,20 @@ mod tests {
     }
 
     #[test]
-    fn ball_candidates_matches_brute_force() {
-        let pts = jittered(6, 29, 0.45);
-        let grid = CandidateGrid::build(Aabb::cube(6.0), &pts, 2.0);
-        let center = pts[77];
-        let bound2 = 3.1f64;
-        let (mut ring_buf, mut out) = (Vec::new(), Vec::new());
-        grid.ball_candidates(&pts, center, 77, bound2, &mut ring_buf, &mut out);
-        let mut got: Vec<u32> = out.iter().map(|&(_, i)| i).collect();
-        got.sort_unstable();
-        let mut expect: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| i != 77 && (1e-24..=bound2).contains(&p.dist2(center)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-        for &(d2, i) in &out {
-            assert_eq!(d2, pts[i as usize].dist2(center), "exact distances only");
-        }
-    }
-
-    #[test]
     fn handles_empty_and_single_point() {
         let grid = CandidateGrid::build(Aabb::cube(1.0), &[], 2.0);
         let mut buf = Vec::new();
         grid.ring_candidates(Vec3::splat(0.5), 0, &mut buf);
         assert!(buf.is_empty());
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&[], Vec3::splat(0.5), u32::MAX, &mut scratch);
+        let mut stream = grid.stream(&[], &[], Vec3::splat(0.5), u32::MAX, &mut scratch);
         assert!(stream.next(f64::MAX).is_none());
 
         let pts = [Vec3::splat(0.2)];
         let grid = CandidateGrid::build(Aabb::cube(1.0), &pts, 2.0);
         grid.ring_candidates(Vec3::splat(0.9), 0, &mut buf);
         assert_eq!(buf, vec![0]);
-        let mut stream = grid.stream(&pts, Vec3::splat(0.9), u32::MAX, &mut scratch);
+        let mut stream = grid.stream(&pts, &[7], Vec3::splat(0.9), u32::MAX, &mut scratch);
         assert_eq!(stream.next(f64::MAX).map(|(_, i)| i), Some(0));
         assert!(stream.next(f64::MAX).is_none());
     }
@@ -827,6 +790,69 @@ mod tests {
         for &i in &buf {
             let p = pts[i as usize];
             assert!(p.x < 4.0 && p.y < 4.0 && p.z < 4.0);
+        }
+    }
+
+    #[test]
+    fn emission_order_is_canonical_when_candidates_hug_the_bin_walls() {
+        // The ring lower bound is computed in floats and can exceed the
+        // *computed* distance of a candidate sitting on a bin wall by a few
+        // ulps. Points placed within ulps of every x wall, level with the
+        // center, plus their mirror images through the center (near-exact
+        // distance ties that land in an earlier ring when the center sits
+        // high in its bin) are the worst case: without the rounding slack
+        // in the ring bound a mirror pops before its wall twin is even
+        // fetched (case 269 is the first). The emitted sequence must equal
+        // the brute-force sort.
+        use rand::{Rng, SeedableRng};
+        fn rand3(rng: &mut impl Rng, lo: f64, hi: Vec3) -> Vec3 {
+            Vec3::new(
+                rng.gen_range(lo..hi.x),
+                rng.gen_range(lo..hi.y),
+                rng.gen_range(lo..hi.z),
+            )
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        let mut scratch = StreamScratch::default();
+        for case in 0..400 {
+            let ext = rand3(&mut rng, 1.0, Vec3::splat(20.0));
+            let min = rand3(&mut rng, -10.0, Vec3::splat(10.0));
+            let bounds = Aabb::new(min, min + ext);
+            let nfill = rng.gen_range(8..300usize);
+            let mut pts: Vec<Vec3> = (0..nfill)
+                .map(|_| min + rand3(&mut rng, 0.0, ext))
+                .collect();
+            let center = min + rand3(&mut rng, 0.0, ext);
+            let probe = CandidateGrid::build(bounds, &pts, 2.0);
+            for k in 1..probe.dims[0] {
+                let wall = k as f64 * probe.h[0];
+                for du in -2i64..=2 {
+                    let relx = f64::from_bits((wall.to_bits() as i64 + du) as u64);
+                    let p = Vec3::new(min.x + relx, center.y, center.z);
+                    let mirror = Vec3::new(center.x - (p.x - center.x), center.y, center.z);
+                    pts.push(p);
+                    if bounds.contains(mirror) {
+                        pts.push(mirror);
+                    }
+                }
+            }
+            // same bins as the probe: keep points-per-bin × bins constant
+            let per_bin = 2.0 * pts.len() as f64 / nfill as f64;
+            let grid = CandidateGrid::build(bounds, &pts, per_bin);
+            assert_eq!(grid.dims(), probe.dims(), "case {case}: bins drifted");
+            // ids descending in index, so an index-order pop is never right
+            let ids: Vec<u64> = (0..pts.len() as u64).rev().collect();
+
+            let mut stream = grid.stream(&pts, &ids, center, u32::MAX, &mut scratch);
+            let mut got = Vec::with_capacity(pts.len());
+            while let Some((d2, i)) = stream.next(f64::MAX) {
+                let q = pts[i as usize];
+                got.push((d2, ids[i as usize], [q.x, q.y, q.z]));
+            }
+            let mut want = got.clone();
+            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(got.len(), pts.len(), "case {case}");
+            assert!(got == want, "case {case}: emission left canonical order");
         }
     }
 }

@@ -48,49 +48,6 @@ impl GhostSpec {
     }
 }
 
-/// Which per-cell discovery kernel clips the Voronoi cell.
-///
-/// Both kernels produce **bit-identical** meshes: every cell that lands in
-/// the output is re-clipped in a canonical order from a kernel-independent
-/// starting box (see `cell::compute_cell`), so the discovery strategy can
-/// only change *how much work* finds the cell, never its bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Legacy grid ring scan: visit whole Chebyshev rings of bins, sort
-    /// each ring by distance, clip everything inside the current security
-    /// radius. Simple, but early rings are clipped while the radius is
-    /// still region-sized, so it tests far more candidates than the cell
-    /// has faces.
-    Ring,
-    /// Distance-ordered candidate stream: a lazy min-heap merge of the
-    /// grid rings emits candidates in globally non-decreasing distance
-    /// (f32 SoA prefilter, exact f64 clipping) and stops the moment the
-    /// next candidate lies beyond the security radius.
-    Stream,
-}
-
-impl KernelMode {
-    /// Kernel selected by the `TESS_KERNEL` environment variable
-    /// (`ring` | `stream`), defaulting to [`KernelMode::Stream`]. Resolved
-    /// once per process; tests that need a specific kernel should set
-    /// [`TessParams::kernel`] directly instead of the environment.
-    pub fn from_env() -> Self {
-        static MODE: std::sync::OnceLock<KernelMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("TESS_KERNEL").ok().as_deref() {
-            None | Some("") | Some("stream") => KernelMode::Stream,
-            Some("ring") => KernelMode::Ring,
-            Some(v) => panic!("TESS_KERNEL must be `ring` or `stream`, got `{v}`"),
-        })
-    }
-
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelMode::Ring => "ring",
-            KernelMode::Stream => "stream",
-        }
-    }
-}
-
 /// How cell volumes and areas are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HullMode {
@@ -127,14 +84,11 @@ pub struct TessParams {
     /// behaviour, kept for A/B determinism tests and the perf baseline);
     /// the output is bit-identical either way.
     pub incremental_retess: bool,
-    /// Per-cell discovery kernel (`TESS_KERNEL` overrides the default;
-    /// both kernels yield bit-identical meshes).
-    pub kernel: KernelMode,
-    /// Half-extent of the canonical re-clip start cube centered on each
-    /// site. The distributed driver fills it from the decomposition's
-    /// *domain* (never from a block), which is what makes certified cell
-    /// bits independent of the block decomposition scheme. `None` —
-    /// direct single-block calls — falls back to a block-derived box.
+    /// Half-extent of the canonical start cube centered on each site. The
+    /// distributed driver fills it from the decomposition's *domain* (never
+    /// from a block), which is what makes certified cell bits independent
+    /// of the block decomposition scheme. `None` — direct single-block
+    /// calls — falls back to a block-derived box.
     pub canon_extent: Option<f64>,
 }
 
@@ -147,7 +101,6 @@ impl Default for TessParams {
             eps: 1e-9,
             hull_mode: HullMode::Clip,
             incremental_retess: true,
-            kernel: KernelMode::from_env(),
             canon_extent: None,
         }
     }
@@ -167,13 +120,6 @@ impl TessParams {
     /// Switch to the default adaptive ghost schedule ([`GhostSpec::adaptive`]).
     pub fn with_adaptive_ghost(mut self) -> Self {
         self.ghost = GhostSpec::adaptive();
-        self
-    }
-
-    /// Select the per-cell discovery kernel explicitly (overrides the
-    /// `TESS_KERNEL`-derived default).
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -212,16 +158,5 @@ mod tests {
                 max_rounds: 8
             }
         );
-    }
-
-    #[test]
-    fn kernel_builder_overrides_the_env_default() {
-        let p = TessParams::default().with_kernel(KernelMode::Ring);
-        assert_eq!(p.kernel, KernelMode::Ring);
-        assert_eq!(p.kernel.as_str(), "ring");
-        assert_eq!(KernelMode::Stream.as_str(), "stream");
-        // the env-derived default resolves to one of the two modes and is
-        // stable within a process
-        assert_eq!(KernelMode::from_env(), KernelMode::from_env());
     }
 }

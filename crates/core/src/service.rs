@@ -39,8 +39,7 @@
 //! the minimum-image offset to the true nearest site is at most half the
 //! extent per periodic axis, so the winning image is always indexed. Exact
 //! `f64` distance ties are broken canonically toward the **smallest site
-//! id** (entries are sorted by site id, and the stream kernel pops equal
-//! distances in index order).
+//! id** (the candidate stream orders equal distances by id).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,11 +202,8 @@ impl ServiceConfig {
 }
 
 /// One indexed site: the primary position of a cell's seed, or one of its
-/// periodic images near the boundary. Entries are sorted by `site_id` so
-/// the stream kernel's (distance, index) tie-break is a (distance,
-/// site id) tie-break.
+/// periodic images near the boundary.
 struct SiteEntry {
-    site_id: u64,
     gid: u64,
     cell: u32,
 }
@@ -225,7 +221,9 @@ pub struct MeshSnapshot {
     pub total_volume: f64,
     pub total_cells: u64,
     entries: Vec<SiteEntry>,
-    /// Positions parallel to `entries` (primary sites + periodic images).
+    /// Site ids and positions parallel to `entries` (primary sites +
+    /// periodic images), sorted by site id.
+    site_ids: Vec<u64>,
     positions: Vec<Vec3>,
     grid: Option<CandidateGrid>,
 }
@@ -241,6 +239,7 @@ impl MeshSnapshot {
             total_volume: 0.0,
             total_cells: 0,
             entries: Vec::new(),
+            site_ids: Vec::new(),
             positions: Vec::new(),
             grid: None,
         }
@@ -305,9 +304,8 @@ impl MeshSnapshot {
                 }
             }
         }
-        // Canonical order: site id first (ties in the kernel resolve to
-        // the smallest index = smallest id), then position bits so the
-        // build is fully deterministic.
+        // Site id first, then position bits, so the build is fully
+        // deterministic.
         raw.sort_by(|a, b| {
             (a.0, a.3.x.to_bits(), a.3.y.to_bits(), a.3.z.to_bits()).cmp(&(
                 b.0,
@@ -317,9 +315,11 @@ impl MeshSnapshot {
             ))
         });
         let mut entries = Vec::with_capacity(raw.len());
+        let mut site_ids = Vec::with_capacity(raw.len());
         let mut positions = Vec::with_capacity(raw.len());
         for (site_id, gid, cell, pos) in raw {
-            entries.push(SiteEntry { site_id, gid, cell });
+            entries.push(SiteEntry { gid, cell });
+            site_ids.push(site_id);
             positions.push(pos);
         }
         let grid = if positions.is_empty() {
@@ -335,6 +335,7 @@ impl MeshSnapshot {
             total_volume,
             total_cells,
             entries,
+            site_ids,
             positions,
             grid,
         }
@@ -364,13 +365,13 @@ impl MeshSnapshot {
     pub fn lookup_point(&self, p: Vec3, scratch: &mut StreamScratch) -> Option<PointHit> {
         let grid = self.grid.as_ref()?;
         let q = self.wrap_query(p);
-        let mut stream = grid.stream(&self.positions, q, u32::MAX, scratch);
+        let mut stream = grid.stream(&self.positions, &self.site_ids, q, u32::MAX, scratch);
         let (d2, idx) = stream.next(f64::INFINITY)?;
         let e = &self.entries[idx as usize];
         let block = &self.blocks[&e.gid];
         let cell = &block.cells[e.cell as usize];
         Some(PointHit {
-            site_id: e.site_id,
+            site_id: self.site_ids[idx as usize],
             gid: e.gid,
             dist2: d2,
             volume: cell.volume,

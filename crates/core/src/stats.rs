@@ -27,11 +27,13 @@ pub struct TessStats {
     /// adaptive mode counts its delta rounds). Merged with `max`, not a
     /// sum: every rank participates in the same collective rounds.
     pub ghost_rounds: u64,
-    /// Candidate neighbors tested across all cell computations (the
-    /// kernel's dominant cost driver).
+    /// Bisector planes actually clipped against, summed over every cell
+    /// computation — both calls of the clip pass for a cell that takes the
+    /// second (the kernel's dominant cost driver).
     pub candidates_tested: u64,
-    /// Candidates rejected by the f32 distance prefilter before the exact
-    /// f64 distance was computed (stream kernel + canonicalisation).
+    /// Candidates rejected without a clip: by the f32 distance prefilter
+    /// before the exact f64 distance was computed, or by the
+    /// support-function test against the cell's bounding box.
     pub prefilter_skipped: u64,
     /// Cell computations actually executed, counting re-runs across
     /// adaptive rounds.

@@ -125,7 +125,7 @@ pub fn find_halos(world: &mut World, sim: &Simulation, params: &FofParams) -> Ve
     for i in 0..pts.len() {
         let p = pts[i];
         for r in 0..=grid.max_ring() {
-            if grid.ring_min_distance(r) > ell {
+            if grid.ring_min_distance_from(p, r) > ell {
                 break;
             }
             grid.ring_candidates(p, r, &mut ring);

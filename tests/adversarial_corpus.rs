@@ -6,16 +6,15 @@
 //! (degenerate bisector geometry), exact duplicates (zero-length bisectors),
 //! and periodic-seam-biased sets (wrap-around adjacency dominates). For
 //! every distribution the pipeline must not panic, must produce only
-//! non-negative finite cell volumes, and the ring and streamed kernels must
-//! agree bit for bit — serially and on 4 ranks with the adaptive ghost
-//! protocol.
+//! non-negative finite cell volumes, and the serial and 4-rank runs (adaptive
+//! ghost protocol) must agree bit for bit.
 
 use std::collections::BTreeMap;
 
 use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 
 fn partition(
     particles: &[(u64, Vec3)],
@@ -75,8 +74,8 @@ fn mesh_bits(
     merged
 }
 
-/// Run one distribution through serial and 4-rank adaptive configurations
-/// with both kernels; assert kernel agreement and sane volumes everywhere.
+/// Run one distribution through serial and 4-rank adaptive configurations;
+/// assert rank-count agreement and sane volumes everywhere.
 fn exercise(label: &str, particles: &[(u64, Vec3)], dec: &Decomposition, keep_incomplete: bool) {
     let ghost = if keep_incomplete {
         // degenerate sets never certify; bound the rounds and keep what
@@ -85,31 +84,28 @@ fn exercise(label: &str, particles: &[(u64, Vec3)], dec: &Decomposition, keep_in
     } else {
         GhostSpec::adaptive()
     };
+    let params = TessParams {
+        ghost,
+        keep_incomplete,
+        ..TessParams::default()
+    };
+    let mut reference: Option<BTreeMap<u64, CellBits>> = None;
     for nranks in [1usize, 4] {
-        let mut reference: Option<BTreeMap<u64, CellBits>> = None;
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let params = TessParams {
-                ghost,
-                keep_incomplete,
-                kernel,
-                ..TessParams::default()
-            };
-            let mesh = mesh_bits(particles, dec, nranks, &params);
-            for (id, (vol_bits, area_bits, _)) in &mesh {
-                let (vol, area) = (f64::from_bits(*vol_bits), f64::from_bits(*area_bits));
-                assert!(
-                    vol.is_finite() && vol >= 0.0,
-                    "{label}: cell {id} volume {vol}"
-                );
-                assert!(
-                    area.is_finite() && area >= 0.0,
-                    "{label}: cell {id} area {area}"
-                );
-            }
-            match &reference {
-                None => reference = Some(mesh),
-                Some(r) => assert_eq!(&mesh, r, "{label}: kernels disagree at {nranks} ranks"),
-            }
+        let mesh = mesh_bits(particles, dec, nranks, &params);
+        for (id, (vol_bits, area_bits, _)) in &mesh {
+            let (vol, area) = (f64::from_bits(*vol_bits), f64::from_bits(*area_bits));
+            assert!(
+                vol.is_finite() && vol >= 0.0,
+                "{label}: cell {id} volume {vol}"
+            );
+            assert!(
+                area.is_finite() && area >= 0.0,
+                "{label}: cell {id} area {area}"
+            );
+        }
+        match &reference {
+            None => reference = Some(mesh),
+            Some(r) => assert!(&mesh == r, "{label}: {nranks} ranks disagree with 1 rank"),
         }
     }
 }

@@ -2,19 +2,18 @@
 //! bit-identical whether the domain was cut into a regular grid or a
 //! particle-balanced k-d tree.
 //!
-//! Why this can hold at all: certified cells are canonically re-clipped
-//! from a site-centered cube whose half-extent the driver derives from the
-//! global *domain* (never from a block), in canonical candidate order, so
-//! a cell's floating-point history is a function of the particle set
-//! alone. Block shape only decides *which rank* computes a cell and which
+//! Why this can hold at all: certified cells are clipped from a
+//! site-centered cube whose half-extent the driver derives from the global
+//! *domain* (never from a block), in canonical candidate order, so a cell's
+//! floating-point history is a function of the particle set alone. Block shape only decides *which rank* computes a cell and which
 //! particles arrive as ghosts — and the ghost exchange's proximity links
 //! guarantee every particle inside a certified cell's security ball is
 //! present under either scheme. The one precondition is that every cell
 //! certifies (`incomplete == 0`): dropped cells are decided by the
 //! block-relative region, which *is* scheme-dependent.
 //!
-//! Matrix: {1, 2, 4, 8} ranks × {ring, stream} kernels × {explicit,
-//! adaptive} ghosts, all compared against one regular-grid reference.
+//! Matrix: {1, 2, 4, 8} ranks × {explicit, adaptive} ghosts, all compared
+//! against one regular-grid reference.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +21,7 @@ use bench_harness::corpus::ClusterSpec;
 use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 
 /// Bit-level fingerprint of one cell: volume and area as raw f64 bits plus
 /// the face-neighbor ids in face order.
@@ -176,41 +175,38 @@ fn explicit_radius(particles: &[(u64, Vec3)], side: f64) -> f64 {
 fn kd_matches_regular_across_ranks_kernels_and_ghost_modes() {
     let (particles, side) = corpus();
     let explicit = explicit_radius(&particles, side);
-    for kernel in [KernelMode::Ring, KernelMode::Stream] {
-        for (ghost_name, ghost) in [
-            ("explicit", GhostSpec::Explicit(explicit)),
-            (
-                "adaptive",
-                GhostSpec::Adaptive {
-                    initial_factor: 0.5,
-                    max_rounds: 8,
-                },
-            ),
-        ] {
-            let params = TessParams {
-                ghost,
-                kernel,
-                incremental_retess: true,
-                ..TessParams::default()
-            };
-            let reference = mesh_bits(
-                &particles,
-                side,
-                DecompScheme::Regular,
-                1,
-                &params,
-                "regular@1",
-            );
-            assert!(!reference.is_empty());
-            for nranks in [1usize, 2, 4, 8] {
-                let label = format!("kd@{nranks} {kernel:?} {ghost_name}");
-                let kd = mesh_bits(&particles, side, KD, nranks, &params, &label);
-                assert_same_mesh(&reference, &kd, &label);
-            }
-            let label = format!("regular@8 {kernel:?} {ghost_name}");
-            let reg8 = mesh_bits(&particles, side, DecompScheme::Regular, 8, &params, &label);
-            assert_same_mesh(&reference, &reg8, &label);
+    for (ghost_name, ghost) in [
+        ("explicit", GhostSpec::Explicit(explicit)),
+        (
+            "adaptive",
+            GhostSpec::Adaptive {
+                initial_factor: 0.5,
+                max_rounds: 8,
+            },
+        ),
+    ] {
+        let params = TessParams {
+            ghost,
+            incremental_retess: true,
+            ..TessParams::default()
+        };
+        let reference = mesh_bits(
+            &particles,
+            side,
+            DecompScheme::Regular,
+            1,
+            &params,
+            "regular@1",
+        );
+        assert!(!reference.is_empty());
+        for nranks in [1usize, 2, 4, 8] {
+            let label = format!("kd@{nranks} {ghost_name}");
+            let kd = mesh_bits(&particles, side, KD, nranks, &params, &label);
+            assert_same_mesh(&reference, &kd, &label);
         }
+        let label = format!("regular@8 {ghost_name}");
+        let reg8 = mesh_bits(&particles, side, DecompScheme::Regular, 8, &params, &label);
+        assert_same_mesh(&reference, &reg8, &label);
     }
 }
 

@@ -2,7 +2,7 @@
 //! configurations (proptest).
 
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 use proptest::prelude::*;
 
 /// Jittered periodic lattice: `n³` particles, never collinear or wrapped,
@@ -204,10 +204,7 @@ proptest! {
             &particles,
             domain,
             [true; 3],
-            // explicitly the streamed kernel: the conservation bound must
-            // hold on the default production path regardless of TESS_KERNEL
-            &TessParams { ghost: GhostSpec::adaptive(), ..TessParams::default() }
-                .with_kernel(KernelMode::Stream),
+            &TessParams { ghost: GhostSpec::adaptive(), ..TessParams::default() },
         );
         prop_assert_eq!(stats.incomplete, 0, "adaptive left cells uncertified");
         prop_assert_eq!(stats.cells as usize, particles.len());
@@ -231,20 +228,24 @@ proptest! {
         use meshing_universe::tess::grid::{CandidateGrid, StreamScratch};
         let region = Aabb::cube(5.0);
         let pts: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
+        let ids: Vec<u64> = particles.iter().map(|&(id, _)| id).collect();
         let grid = CandidateGrid::build(region, &pts, 2.0);
         let skip = (cidx % pts.len()) as u32;
         let center = pts[skip as usize];
         let bound2 = bound * bound;
 
-        let mut oracle: Vec<(f64, u32)> = pts.iter().enumerate()
-            .filter(|&(i, _)| i as u32 != skip)
-            .map(|(i, p)| (p.dist2(center), i as u32))
-            .filter(|&(d2, _)| d2 <= bound2)
+        // canonical order: distance, then id, then position
+        let key = |i: u32| {
+            let p = pts[i as usize];
+            (p.dist2(center), ids[i as usize], [p.x, p.y, p.z])
+        };
+        let mut oracle: Vec<u32> = (0..pts.len() as u32)
+            .filter(|&i| i != skip && key(i).0 <= bound2)
             .collect();
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        oracle.sort_by(|&a, &b| key(a).partial_cmp(&key(b)).unwrap());
 
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, skip, &mut scratch);
+        let mut stream = grid.stream(&pts, &ids, center, skip, &mut scratch);
         let mut got: Vec<(f64, u32)> = Vec::new();
         let mut prev = 0.0f64;
         while let Some((d2, i)) = stream.next(bound2) {
@@ -254,9 +255,10 @@ proptest! {
                 "stream distance is not the exact f64 distance");
             got.push((d2, i));
         }
-        let got_set: std::collections::BTreeSet<u32> = got.iter().map(|&(_, i)| i).collect();
-        let oracle_set: std::collections::BTreeSet<u32> = oracle.iter().map(|&(_, i)| i).collect();
-        prop_assert_eq!(got_set, oracle_set, "stream missed or invented candidates");
+        let got_keys: Vec<_> = got.iter().map(|&(_, i)| key(i)).collect();
+        let oracle_keys: Vec<_> = oracle.iter().map(|&i| key(i)).collect();
+        prop_assert_eq!(got_keys, oracle_keys,
+            "stream missed, invented or misordered candidates");
     }
 
     /// Under a shrinking bound (the kernel's security radius only ever
@@ -271,13 +273,14 @@ proptest! {
         use meshing_universe::tess::grid::{CandidateGrid, StreamScratch};
         let region = Aabb::cube(5.0);
         let pts: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
+        let ids: Vec<u64> = particles.iter().map(|&(id, _)| id).collect();
         let grid = CandidateGrid::build(region, &pts, 2.0);
         let skip = (cidx % pts.len()) as u32;
         let center = pts[skip as usize];
         let final2 = (start * start) / 16.0;
 
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, skip, &mut scratch);
+        let mut stream = grid.stream(&pts, &ids, center, skip, &mut scratch);
         let mut bound2 = start * start;
         let mut emitted: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         while let Some((_, i)) = stream.next(bound2) {
@@ -308,7 +311,6 @@ proptest! {
         use meshing_universe::tess::{
             cell::{compute_cell, CellContext, CellScratch},
             grid::CandidateGrid,
-            KernelMode,
         };
 
         let points = degenerate_points(family, n, seed);
@@ -316,27 +318,23 @@ proptest! {
         let region = Aabb::cube(4.0);
         let grid = CandidateGrid::build(region, &points, 2.0);
         let mut scratch = CellScratch::default();
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let ctx = CellContext {
-                points: &points,
-                ids: &ids,
-                grid: &grid,
-                region: &region,
-                clip_box: &region,
-                canon_extent: None,
-                eps: 1e-9,
-                kernel,
-                canon_incomplete: true,
-            };
-            for (i, &site) in points.iter().enumerate() {
-                let cell = compute_cell(&ctx, site, i as u32, &mut scratch);
-                let vol = cell.poly.volume();
-                let area = cell.poly.surface_area();
-                prop_assert!(vol.is_finite() && vol >= -1e-9,
-                    "family {} site {} ({:?}): negative volume {}", family, i, kernel, vol);
-                prop_assert!(area.is_finite() && area >= -1e-9,
-                    "family {} site {} ({:?}): negative area {}", family, i, kernel, area);
-            }
+        let ctx = CellContext {
+            points: &points,
+            ids: &ids,
+            grid: &grid,
+            region: &region,
+            clip_box: &region,
+            canon_extent: None,
+            eps: 1e-9,
+        };
+        for (i, &site) in points.iter().enumerate() {
+            let cell = compute_cell(&ctx, site, i as u32, &mut scratch);
+            let vol = cell.poly.volume();
+            let area = cell.poly.surface_area();
+            prop_assert!(vol.is_finite() && vol >= -1e-9,
+                "family {} site {}: negative volume {}", family, i, vol);
+            prop_assert!(area.is_finite() && area >= -1e-9,
+                "family {} site {}: negative area {}", family, i, area);
         }
         // quickhull must reject degeneracy gracefully, never panic; when a
         // hull does come out (duplicates of a full-dimensional set), its

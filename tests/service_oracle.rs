@@ -2,14 +2,14 @@
 //! resident mesh service.
 //!
 //! The service's point lookup streams candidates from a grid in
-//! non-decreasing exact distance and stops at the first emission; the
+//! (exact distance, site id) order and stops at the first emission; the
 //! oracle here is the definition it must match: brute-force argmin of
 //! exact f64 distance over **every** cell seed × **every** periodic image
 //! (not just the indexed ones), ties broken canonically by smallest site
 //! id. Box extraction must equal a plain filter over all cells, and
 //! region summaries over any partition of the domain must conserve the
 //! total volume to 1e-9. All of it must hold bit-for-bit across rank
-//! counts 1/2/4 × pool widths 1/2/8 × both candidate kernels.
+//! counts 1/2/4 × pool widths 1/2/8.
 //!
 //! The snapshot-consistency half races queries against an in-flight
 //! update: every response must carry a valid epoch and match that epoch's
@@ -27,8 +27,8 @@ use meshing_universe::geometry::{Aabb, Vec3};
 use meshing_universe::rayon::set_max_parallelism;
 use meshing_universe::tess::grid::StreamScratch;
 use meshing_universe::tess::{
-    self, Answer, GhostSpec, KernelMode, MeshService, MeshSnapshot, PointHit, Query, ServiceConfig,
-    TessParams, Update,
+    self, Answer, GhostSpec, MeshService, MeshSnapshot, PointHit, Query, ServiceConfig, TessParams,
+    Update,
 };
 
 const NBLOCKS: usize = 8;
@@ -66,10 +66,9 @@ fn jittered(n: usize, seed: u64, amp: f64) -> Vec<(u64, Vec3)> {
         .collect()
 }
 
-fn params(kernel: KernelMode) -> TessParams {
+fn params() -> TessParams {
     TessParams {
         ghost: GhostSpec::Auto { factor: 2.5 },
-        kernel,
         ..TessParams::default()
     }
 }
@@ -79,7 +78,6 @@ fn spawn_service(
     box_len: f64,
     periodic: bool,
     nranks: usize,
-    kernel: KernelMode,
 ) -> MeshService {
     MeshService::spawn(
         Aabb::cube(box_len),
@@ -87,7 +85,7 @@ fn spawn_service(
         particles,
         ServiceConfig::new(nranks, NBLOCKS)
             .with_workers(2)
-            .with_params(params(kernel)),
+            .with_params(params()),
     )
 }
 
@@ -95,7 +93,7 @@ fn spawn_service(
 /// seed × every periodic image offset in {-1,0,1}³, argmin with ties
 /// broken by smallest site id. The distance is computed as
 /// `image.dist2(query)` — the same expression (modulo an exact sign flip
-/// under squaring) the streaming kernel evaluates — so agreement is
+/// under squaring) the candidate stream evaluates — so agreement is
 /// required bit-for-bit, not just approximately.
 fn oracle_point(snap: &MeshSnapshot, p: Vec3) -> Option<PointHit> {
     let q = snap.wrap_query(p);
@@ -209,8 +207,7 @@ fn mesh_bits(blocks: &BTreeMap<u64, tess::MeshBlock>) -> BTreeMap<u64, CellBits>
 
 /// The tentpole differential: batched point lookups through the service
 /// match the brute-force oracle bit-for-bit across 1/2/4 ranks × pool
-/// widths 1/2/8 × both candidate kernels, and every configuration
-/// publishes the identical mesh.
+/// widths 1/2/8, and every configuration publishes the identical mesh.
 #[test]
 fn point_lookups_match_oracle_across_ranks_pools_kernels() {
     let particles = jittered(4, 11, 0.3);
@@ -218,38 +215,34 @@ fn point_lookups_match_oracle_across_ranks_pools_kernels() {
     let mut reference_mesh: Option<BTreeMap<u64, CellBits>> = None;
     for &nranks in &[1usize, 2, 4] {
         for &width in &[1usize, 2, 8] {
-            for &kernel in &[KernelMode::Ring, KernelMode::Stream] {
-                let ctx = format!("ranks={nranks} pool={width} kernel={kernel:?}");
-                with_pool_width(width, || {
-                    let svc = spawn_service(&particles, 4.0, true, nranks, kernel);
-                    let snap = svc.snapshot();
-                    assert_eq!(snap.epoch, 1, "{ctx}");
-                    let bits = mesh_bits(&snap.blocks);
-                    match &reference_mesh {
-                        None => reference_mesh = Some(bits),
-                        Some(r) => assert_eq!(&bits, r, "{ctx}: mesh differs"),
+            let ctx = format!("ranks={nranks} pool={width}");
+            with_pool_width(width, || {
+                let svc = spawn_service(&particles, 4.0, true, nranks);
+                let snap = svc.snapshot();
+                assert_eq!(snap.epoch, 1, "{ctx}");
+                let bits = mesh_bits(&snap.blocks);
+                match &reference_mesh {
+                    None => reference_mesh = Some(bits),
+                    Some(r) => assert_eq!(&bits, r, "{ctx}: mesh differs"),
+                }
+                // one batched submission wave, then compare each
+                let pending: Vec<_> = queries
+                    .iter()
+                    .map(|&p| svc.submit(Query::Point(p)).expect("open"))
+                    .collect();
+                for (p, pend) in queries.iter().zip(pending) {
+                    let r = pend.wait();
+                    assert_eq!(r.epoch, 1, "{ctx}");
+                    let Answer::Point(got) = r.answer else {
+                        panic!("{ctx}: point query returned non-point answer")
+                    };
+                    let want = oracle_point(&snap, *p);
+                    match (&got, &want) {
+                        (Some(g), Some(w)) => assert_hit_bits_eq(g, w, &format!("{ctx} q={p:?}")),
+                        _ => panic!("{ctx}: hit mismatch {got:?} vs {want:?}"),
                     }
-                    // one batched submission wave, then compare each
-                    let pending: Vec<_> = queries
-                        .iter()
-                        .map(|&p| svc.submit(Query::Point(p)).expect("open"))
-                        .collect();
-                    for (p, pend) in queries.iter().zip(pending) {
-                        let r = pend.wait();
-                        assert_eq!(r.epoch, 1, "{ctx}");
-                        let Answer::Point(got) = r.answer else {
-                            panic!("{ctx}: point query returned non-point answer")
-                        };
-                        let want = oracle_point(&snap, *p);
-                        match (&got, &want) {
-                            (Some(g), Some(w)) => {
-                                assert_hit_bits_eq(g, w, &format!("{ctx} q={p:?}"))
-                            }
-                            _ => panic!("{ctx}: hit mismatch {got:?} vs {want:?}"),
-                        }
-                    }
-                });
-            }
+                }
+            });
         }
     }
 }
@@ -260,7 +253,7 @@ fn point_lookups_match_oracle_across_ranks_pools_kernels() {
 #[test]
 fn box_extraction_and_region_partition_match_oracle() {
     let particles = jittered(4, 23, 0.3);
-    let svc = spawn_service(&particles, 4.0, true, 2, KernelMode::Stream);
+    let svc = spawn_service(&particles, 4.0, true, 2);
     let snap = svc.snapshot();
 
     // Differential: random boxes vs an independent filter over all cells.
@@ -350,7 +343,7 @@ fn exact_ties_break_to_smallest_site_id() {
             )
         })
         .collect();
-    let svc = spawn_service(&particles, 4.0, true, 2, KernelMode::Stream);
+    let svc = spawn_service(&particles, 4.0, true, 2);
     let snap = svc.snapshot();
 
     // (query, winner site id, exact tie distance²)
@@ -404,12 +397,7 @@ fn partition(
 
 /// From-scratch oracle snapshot for one particle set, built outside the
 /// service on an independent runtime.
-fn oracle_snapshot(
-    epoch: u64,
-    particles: &[(u64, Vec3)],
-    box_len: f64,
-    kernel: KernelMode,
-) -> MeshSnapshot {
+fn oracle_snapshot(epoch: u64, particles: &[(u64, Vec3)], box_len: f64) -> MeshSnapshot {
     // Same scheme as the service under test (TESS_DECOMP): the oracle
     // must recompute the exact mesh the service published.
     let positions: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
@@ -418,7 +406,7 @@ fn oracle_snapshot(
     let rows = Runtime::run(2, move |world| {
         let asn = Assignment::new(NBLOCKS, world.nranks());
         let local = partition(particles, dec_ref, &asn, world.rank());
-        let r = tess::tessellate(world, dec_ref, &asn, &local, &params(kernel));
+        let r = tess::tessellate(world, dec_ref, &asn, &local, &params());
         (r.blocks, r.stats)
     });
     let mut blocks = BTreeMap::new();
@@ -437,10 +425,9 @@ fn race_one_config(
     upserts: &[(u64, Vec3)],
     oracles: &[MeshSnapshot; 2],
     nranks: usize,
-    kernel: KernelMode,
     ctx: &str,
 ) {
-    let svc = spawn_service(before, 4.0, true, nranks, kernel);
+    let svc = spawn_service(before, 4.0, true, nranks);
     let queries = query_points(4.0, 40, 5);
     let mut observed: Vec<(Query, tess::Response)> = Vec::new();
     std::thread::scope(|scope| {
@@ -505,7 +492,7 @@ fn race_one_config(
 /// Snapshot consistency: queries raced against an in-flight update must
 /// match either the pre-update or the post-update oracle mesh exactly —
 /// identified by the response epoch — never a blend of the two, across
-/// 1/2/4 ranks × pool widths 1/2/8 × both kernels.
+/// 1/2/4 ranks × pool widths 1/2/8.
 #[test]
 fn raced_queries_match_exactly_one_epoch_oracle() {
     let before = jittered(4, 31, 0.3);
@@ -529,20 +516,18 @@ fn raced_queries_match_exactly_one_epoch_oracle() {
     for &(id, p) in &upserts {
         after[id as usize] = (id, p);
     }
-    for &kernel in &[KernelMode::Ring, KernelMode::Stream] {
-        // The oracle meshes depend only on the particle set (mesh bits
-        // are rank/pool/kernel invariant), so build them once per kernel.
-        let oracles = [
-            oracle_snapshot(1, &before, 4.0, kernel),
-            oracle_snapshot(2, &after, 4.0, kernel),
-        ];
-        for &nranks in &[1usize, 2, 4] {
-            for &width in &[1usize, 2, 8] {
-                let ctx = format!("ranks={nranks} pool={width} kernel={kernel:?}");
-                with_pool_width(width, || {
-                    race_one_config(&before, &upserts, &oracles, nranks, kernel, &ctx)
-                });
-            }
+    // The oracle meshes depend only on the particle set (mesh bits are
+    // rank/pool invariant), so build them once.
+    let oracles = [
+        oracle_snapshot(1, &before, 4.0),
+        oracle_snapshot(2, &after, 4.0),
+    ];
+    for &nranks in &[1usize, 2, 4] {
+        for &width in &[1usize, 2, 8] {
+            let ctx = format!("ranks={nranks} pool={width}");
+            with_pool_width(width, || {
+                race_one_config(&before, &upserts, &oracles, nranks, &ctx)
+            });
         }
     }
 }

@@ -10,8 +10,7 @@
 
 use meshing_universe::geometry::{Aabb, Vec3};
 use meshing_universe::tess::{
-    Answer, GhostSpec, KernelMode, MeshService, MeshSnapshot, PointHit, Query, ServiceConfig,
-    TessParams,
+    Answer, GhostSpec, MeshService, MeshSnapshot, PointHit, Query, ServiceConfig, TessParams,
 };
 use proptest::prelude::*;
 
@@ -119,7 +118,6 @@ fn check_case(seed: u64, periodic: bool, exact: bool, raw: &[(f64, f64, f64, u8)
         &particles,
         ServiceConfig::new(2, 8).with_params(TessParams {
             ghost: GhostSpec::Auto { factor: 2.5 },
-            kernel: KernelMode::Stream,
             ..TessParams::default()
         }),
     );

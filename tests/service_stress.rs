@@ -12,8 +12,7 @@ use meshing_universe::diy::decomposition::{Assignment, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
 use meshing_universe::tess::grid::StreamScratch;
 use meshing_universe::tess::{
-    self, GhostSpec, KernelMode, MeshService, MeshSnapshot, Query, ServiceConfig, TessParams,
-    Update,
+    self, GhostSpec, MeshService, MeshSnapshot, Query, ServiceConfig, TessParams, Update,
 };
 
 const BOX: f64 = 4.0;
@@ -25,7 +24,6 @@ const QUERIES_PER_READER: usize = 120;
 fn params() -> TessParams {
     TessParams {
         ghost: GhostSpec::Auto { factor: 2.5 },
-        kernel: KernelMode::Stream,
         ..TessParams::default()
     }
 }

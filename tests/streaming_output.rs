@@ -2,11 +2,9 @@
 //! [`tess::tessellate_streaming`] pass writes to disk must be
 //! **bit-identical** to the in-memory merge [`tess::tessellate`] produces
 //! for the same configuration — block for block, byte for byte — across
-//! rank counts, decomposition schemes, discovery kernels, ghost modes,
-//! and volume culling. Streaming changes *residency*, never bits.
+//! rank counts, decomposition schemes, ghost modes, and volume culling. Streaming changes *residency*, never bits.
 //!
-//! Matrix: {1, 2, 4, 8} ranks × {regular, kd} × {ring, stream} under auto
-//! ghosts, plus a multi-round adaptive run, a culled run, and the
+//! Matrix: {1, 2, 4, 8} ranks × {regular, kd} under auto ghosts, plus a multi-round adaptive run, a culled run, and the
 //! RunReport memory-accounting invariants.
 
 use std::collections::BTreeMap;
@@ -19,7 +17,7 @@ use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
 use meshing_universe::diy::metrics::collect_report;
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 
 const NBLOCKS: usize = 8;
 
@@ -148,27 +146,25 @@ fn assert_same_blocks(
 }
 
 /// The acceptance matrix: streamed file == in-memory merge at 1/2/4/8
-/// ranks under both decomposition schemes and both kernels (auto ghosts:
-/// single collective round, the fixed-wave streaming path).
+/// ranks under both decomposition schemes (auto ghosts: single collective
+/// round, the fixed-wave streaming path).
 #[test]
 fn streamed_file_matches_in_memory_merge_across_the_matrix() {
     let (particles, side) = corpus();
     for (scheme, sname) in [(DecompScheme::Regular, "reg"), (KD, "kd")] {
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let params = TessParams::default().with_kernel(kernel);
-            let (reference, ref_stats) = accumulated(&particles, side, scheme, 1, &params);
-            for nranks in [1usize, 2, 4, 8] {
-                let label = format!("{sname}@{nranks} {kernel:?}");
-                let name = format!("matrix-{sname}-{nranks}-{}.tess", kernel.as_str());
-                let (blocks, stats, (nblocks, payload, file)) =
-                    streamed(&particles, side, scheme, nranks, &params, &name);
-                assert_same_blocks(&reference, &blocks, &label);
-                assert_eq!(stats.cells, ref_stats.cells, "{label}: cell counts");
-                assert_eq!(nblocks as usize, reference.len(), "{label}");
-                let expected_payload: u64 = reference.values().map(|b| b.len() as u64).sum();
-                assert_eq!(payload, expected_payload, "{label}: payload bytes");
-                assert!(file > payload, "{label}: framing must be accounted");
-            }
+        let params = TessParams::default();
+        let (reference, ref_stats) = accumulated(&particles, side, scheme, 1, &params);
+        for nranks in [1usize, 2, 4, 8] {
+            let label = format!("{sname}@{nranks}");
+            let name = format!("matrix-{sname}-{nranks}.tess");
+            let (blocks, stats, (nblocks, payload, file)) =
+                streamed(&particles, side, scheme, nranks, &params, &name);
+            assert_same_blocks(&reference, &blocks, &label);
+            assert_eq!(stats.cells, ref_stats.cells, "{label}: cell counts");
+            assert_eq!(nblocks as usize, reference.len(), "{label}");
+            let expected_payload: u64 = reference.values().map(|b| b.len() as u64).sum();
+            assert_eq!(payload, expected_payload, "{label}: payload bytes");
+            assert!(file > payload, "{label}: framing must be accounted");
         }
     }
 }
