@@ -76,10 +76,12 @@ stage_kernel() {
     # incremental-vs-full re-tessellation and explicit+adaptive ghost modes,
     # on jittered points and the exact lattice — keep kept-incomplete cells
     # bit-stable across rank counts, and stay inside the pinned
-    # candidates/cell budgets; the adversarial corpus must agree between
-    # 1 and 4 ranks.
+    # candidates/cell budgets and the mesh digest recorded before the flat
+    # cell storage; the adversarial corpus must agree between 1 and 4
+    # ranks; a warm kernel must stay inside its allocations-per-cell budget.
     cargo test --release -q -p meshing-universe --test kernel_equivalence &&
-        cargo test --release -q -p meshing-universe --test adversarial_corpus
+        cargo test --release -q -p meshing-universe --test adversarial_corpus &&
+        cargo test --release -q -p meshing-universe --test kernel_allocations
 }
 
 stage_perf() {

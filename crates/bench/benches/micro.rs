@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use geometry::predicates::{insphere, orient3d};
-use geometry::{convex_hull, Aabb, ConvexPolyhedron, Plane, Vec3};
+use geometry::{convex_hull, Aabb, ClipScratch, ConvexPolyhedron, Plane, Vec3};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -64,20 +64,25 @@ fn bench_predicates(c: &mut Criterion) {
 }
 
 fn bench_clipping(c: &mut Criterion) {
-    // one Voronoi-cell-like clipping sequence
+    // one Voronoi-cell-like clipping sequence, on the kernel's path: the
+    // start box reuses the previous cell's recycled storage and every clip
+    // runs through one warm scratch
     let site = Vec3::splat(4.5);
     let pts = jittered_lattice(9, 2);
+    let mut scratch = ClipScratch::new();
     c.bench_function("cell_clip_sequence", |b| {
         b.iter(|| {
-            let mut poly = ConvexPolyhedron::from_aabb(&Aabb::cube(9.0));
+            let mut poly = scratch.from_aabb(&Aabb::cube(9.0));
             for &q in pts.iter().take(60) {
                 if q.dist2(site) > 1e-12 {
                     if let Some(plane) = Plane::bisector(site, q) {
-                        poly.clip(&plane, Some(1), 1e-9);
+                        poly.clip_with(&plane, Some(1), 1e-9, &mut scratch);
                     }
                 }
             }
-            black_box(poly.volume())
+            let volume = poly.volume();
+            scratch.recycle(poly);
+            black_box(volume)
         })
     });
 }

@@ -12,13 +12,14 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use diy::hist::LogHistogram;
 use diy::trace::{monotonic_ns, trace_mode, TraceMode};
 use geometry::{Aabb, Vec3};
 use rayon::prelude::*;
 
-use crate::cell::{compute_cell, CellContext, CellScratch};
+use crate::cell::{compute_cell, CellContext, CellScratch, ComputedCell};
 use crate::grid::CandidateGrid;
 use crate::model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
 use crate::params::{HullMode, TessParams};
@@ -47,7 +48,10 @@ struct Kept {
     /// Security-ball diameter squared at compute time; debug builds check
     /// later ghost rounds against it.
     sec2: f64,
-    faces: Vec<(u64, Vec<Vec3>)>, // neighbor global id + face points
+    /// Per face: the neighbor's global id and the loop length; the loops'
+    /// points are back to back in `points`.
+    faces: Vec<(u64, u32)>,
+    points: Vec<Vec3>,
 }
 
 enum Outcome {
@@ -363,11 +367,28 @@ fn compute_one(
     cull_diam2: Option<f64>,
     i: usize,
 ) -> (CellRecord, u64, u64) {
+    SCRATCH.with(|s| {
+        let mut scratch = s.borrow_mut();
+        let cell = compute_cell(ctx, ctx.points[i], i as u32, &mut scratch);
+        let record = record_of(ctx, bounds, params, cull_diam2, i, &cell);
+        let (tested, skipped) = (cell.candidates_tested as u64, cell.prefilter_skipped);
+        // Everything the block keeps has been copied out of the polyhedron.
+        scratch.recycle(cell.poly);
+        (record, tested, skipped)
+    })
+}
+
+/// What the block keeps of cell `i`.
+fn record_of(
+    ctx: &CellContext,
+    bounds: &Aabb,
+    params: &TessParams,
+    cull_diam2: Option<f64>,
+    i: usize,
+    cell: &ComputedCell,
+) -> CellRecord {
     let site = ctx.points[i];
-    let cell = SCRATCH.with(|s| compute_cell(ctx, site, i as u32, &mut s.borrow_mut()));
-    let tested = cell.candidates_tested as u64;
-    let skipped = cell.prefilter_skipped;
-    let record = |outcome, needed| (CellRecord { outcome, needed }, tested, skipped);
+    let poly = &cell.poly;
     // Radius bound an uncertified cell needs: the security ball
     // (2× site→farthest-vertex) must fit inside the grown region,
     // so the halo must extend that far past the block wall.
@@ -377,62 +398,65 @@ fn compute_one(
         (cell.sec2.sqrt() - bounds.interior_distance(site)).max(0.0)
     };
     if !cell.complete && !params.keep_incomplete {
-        return record(Outcome::Incomplete, needed);
+        return CellRecord {
+            outcome: Outcome::Incomplete,
+            needed,
+        };
     }
     // Early conservative cull (before any hull work). Valid even
     // for uncertified cells: unknown particles only shrink them.
     if let Some(d2) = cull_diam2 {
-        if cell.poly.max_pairwise_dist2() < d2 {
-            return record(
-                Outcome::CulledEarly {
+        if poly.max_pairwise_dist2() < d2 {
+            return CellRecord {
+                outcome: Outcome::CulledEarly {
                     certified: cell.complete,
                 },
-                0.0,
-            );
+                needed: 0.0,
+            };
         }
     }
     // Volume / area: native clip path or the paper's Qhull path.
     let (volume, area) = match params.hull_mode {
-        HullMode::Clip => (cell.poly.volume(), cell.poly.surface_area()),
-        HullMode::Quickhull => match geometry::convex_hull(&cell.poly.verts, params.eps) {
+        HullMode::Clip => (poly.volume(), poly.surface_area()),
+        HullMode::Quickhull => match geometry::convex_hull(&poly.verts, params.eps) {
             Ok(h) => (h.volume(), h.surface_area()),
-            Err(_) => (cell.poly.volume(), cell.poly.surface_area()),
+            Err(_) => (poly.volume(), poly.surface_area()),
         },
     };
     // Exact cull after the volume is known.
     if let Some(minv) = params.min_volume {
         if volume < minv {
-            return record(
-                Outcome::CulledLate {
+            return CellRecord {
+                outcome: Outcome::CulledLate {
                     certified: cell.complete,
                 },
-                0.0,
-            );
+                needed: 0.0,
+            };
         }
     }
-    let faces = cell
-        .poly
-        .faces
-        .iter()
-        .map(|f| {
-            let nbr = f
-                .neighbor
-                .map(|cand| ctx.ids[cand as usize])
-                .unwrap_or(NO_NEIGHBOR);
-            (nbr, cell.poly.face_points(f))
-        })
-        .collect();
-    record(
-        Outcome::Kept(Box::new(Kept {
+    let mut faces = Vec::with_capacity(poly.faces.len());
+    let mut points = Vec::with_capacity(poly.loops.len());
+    for f in &poly.faces {
+        let nbr = f
+            .neighbor
+            .map(|cand| ctx.ids[cand as usize])
+            .unwrap_or(NO_NEIGHBOR);
+        let loop_ = poly.face_verts(f);
+        faces.push((nbr, loop_.len() as u32));
+        points.extend(loop_.iter().map(|&v| poly.verts[v as usize]));
+    }
+    CellRecord {
+        outcome: Outcome::Kept(Box::new(Kept {
             site_idx: i as u32,
             volume,
             area,
             complete: cell.complete,
             sec2: cell.sec2,
             faces,
+            points,
         })),
         needed,
-    )
+    }
 }
 
 /// Assemble the mesh block from the session's records (serial: vertex
@@ -454,7 +478,20 @@ fn assemble(
         ..Default::default()
     };
     let mut block = MeshBlock::empty(session.gid, session.bounds);
-    let mut vert_index: HashMap<(i64, i64, i64), u32> = HashMap::new();
+    // An interior Voronoi vertex is a corner of three faces in each of four
+    // cells; the benchmark's blocks list 9–11 face corners per distinct
+    // vertex (5–9 on small blocks, whose wall vertices are shared less).
+    // Sized for 8, the map rarely grows.
+    let corners: usize = session
+        .records
+        .iter()
+        .map(|r| match &r.outcome {
+            Outcome::Kept(k) => k.points.len(),
+            _ => 0,
+        })
+        .sum();
+    let mut vert_index: HashMap<(i64, i64, i64), u32, BuildHasherDefault<FxHasher>> =
+        HashMap::with_capacity_and_hasher(corners / 8, Default::default());
     // Quantization for vertex dedup within a block: 1e-6 domain units.
     let quant = |p: Vec3| {
         (
@@ -483,13 +520,15 @@ fn assemble(
                     cert.uncertified += 1;
                     cert.needed_ghost = cert.needed_ghost.max(record.needed);
                 }
+                let mut points = kept.points.iter();
                 let faces = kept
                     .faces
                     .iter()
-                    .map(|(nbr, points)| Face {
-                        neighbor: *nbr,
+                    .map(|&(neighbor, len)| Face {
+                        neighbor,
                         verts: points
-                            .iter()
+                            .by_ref()
+                            .take(len as usize)
                             .map(|&p| {
                                 *vert_index.entry(quant(p)).or_insert_with(|| {
                                     block.verts.push(p);
@@ -513,6 +552,34 @@ fn assemble(
     stats.verts = block.verts.len() as u64;
     stats.faces = block.num_faces() as u64;
     (block, stats, cert)
+}
+
+/// rustc's FxHash: one rotate, xor and multiply per word. The vertex keys
+/// are quantized coordinates this module computes itself, so SipHash's
+/// resistance to crafted keys buys nothing here.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]

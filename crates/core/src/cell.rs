@@ -73,11 +73,20 @@ pub struct CellContext<'a> {
     pub eps: f64,
 }
 
-/// Reusable per-thread buffers for [`compute_cell`].
+/// Reusable per-thread buffers for [`compute_cell`], including the storage
+/// of the polyhedra it returns: hand each one back through
+/// [`recycle`](Self::recycle) once it has been read.
 #[derive(Default)]
 pub struct CellScratch {
     clip: ClipScratch,
     stream: StreamScratch,
+}
+
+impl CellScratch {
+    /// Return a computed cell's polyhedron for the next cell to build in.
+    pub fn recycle(&mut self, poly: ConvexPolyhedron) {
+        self.clip.recycle(poly);
+    }
 }
 
 /// Compute the Voronoi cell of `site` (`self_idx` in `ctx.points`, skipped).
@@ -117,11 +126,18 @@ pub fn compute_cell(
 
     // Not certifiable from the canonical box: the region always contains
     // the cell, and its walls are legitimately part of an incomplete one.
+    let ComputedCell {
+        poly,
+        candidates_tested,
+        prefilter_skipped,
+        ..
+    } = first;
+    scratch.recycle(poly);
     let second = clip_ordered(ctx, site, self_idx, ctx.region, f64::INFINITY, scratch);
     ComputedCell {
         complete: certified(&second, f64::INFINITY),
-        candidates_tested: first.candidates_tested + second.candidates_tested,
-        prefilter_skipped: first.prefilter_skipped + second.prefilter_skipped,
+        candidates_tested: candidates_tested + second.candidates_tested,
+        prefilter_skipped: prefilter_skipped + second.prefilter_skipped,
         ..second
     }
 }
@@ -140,7 +156,7 @@ fn clip_ordered(
     scratch: &mut CellScratch,
 ) -> ComputedCell {
     let CellScratch { stream, clip } = scratch;
-    let mut poly = ConvexPolyhedron::from_aabb(start_box);
+    let mut poly = clip.from_aabb(start_box);
     let (mut bb, maxd2) = poly.vertex_aabb_and_max_dist2(site);
     // 2 × max site-to-vertex distance, squared — any particle farther than
     // this cannot clip the cell.

@@ -23,13 +23,20 @@ pub fn triangle_area(a: Vec3, b: Vec3, c: Vec3) -> f64 {
 
 /// Area of a planar polygon given by an ordered vertex loop.
 pub fn polygon_area(verts: &[Vec3]) -> f64 {
-    if verts.len() < 3 {
+    polygon_area_by(verts.len(), |i| verts[i])
+}
+
+/// [`polygon_area`] of the `n`-corner loop whose `i`-th corner is
+/// `corner(i)` — for loops stored as indices into a shared vertex array.
+pub fn polygon_area_by(n: usize, corner: impl Fn(usize) -> Vec3) -> f64 {
+    if n < 3 {
         return 0.0;
     }
     // Shoelace generalized to 3D: half the norm of the summed cross products.
+    let p0 = corner(0);
     let mut s = Vec3::ZERO;
-    for i in 1..verts.len() - 1 {
-        s += (verts[i] - verts[0]).cross(verts[i + 1] - verts[0]);
+    for i in 1..n - 1 {
+        s += (corner(i) - p0).cross(corner(i + 1) - p0);
     }
     s.norm() * 0.5
 }
@@ -48,15 +55,6 @@ pub fn polygon_normal(verts: &[Vec3]) -> Option<Vec3> {
         n.z += (a.x - b.x) * (a.y + b.y);
     }
     n.normalized()
-}
-
-/// Centroid of a polygon's vertex loop (arithmetic mean of vertices).
-pub fn polygon_vertex_centroid(verts: &[Vec3]) -> Vec3 {
-    let mut c = Vec3::ZERO;
-    for &v in verts {
-        c += v;
-    }
-    c / verts.len().max(1) as f64
 }
 
 /// Circumcenter of the tetrahedron `(a, b, c, d)`, or `None` when the four

@@ -6,24 +6,35 @@
 //! polyhedron is stored as a vertex array plus polygonal faces; every face
 //! remembers which neighbor's bisector created it, which later gives the
 //! cell-adjacency graph (used for connected-component void finding) for free.
+//!
+//! Storage is flat: every face's vertex loop is a slice of one shared index
+//! buffer, back to back in face order. A clip writes the clipped loops into
+//! a second buffer lent by [`ClipScratch`] and swaps the two: a face the
+//! plane leaves whole is copied as a slice, and only the faces it cuts are
+//! walked vertex by vertex.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use crate::measures::{polygon_area, polygon_vertex_centroid, tetra_volume_signed};
+use crate::measures::{polygon_area_by, tetra_volume_signed};
 use crate::plane::Plane;
 use crate::vec3::Vec3;
 use crate::Aabb;
 
-/// One polygonal face of a convex polyhedron.
-#[derive(Debug, Clone)]
+/// One polygonal face of a convex polyhedron. Its ordered vertex loop
+/// (counterclockwise seen from outside) is
+/// [`ConvexPolyhedron::face_verts`].
+#[derive(Debug, Clone, Copy)]
 pub struct Face {
     /// Supporting plane, oriented with the normal pointing out of the cell.
     pub plane: Plane,
-    /// Ordered vertex loop (counterclockwise seen from outside).
-    pub verts: Vec<u32>,
     /// Global id of the neighbor site whose bisector generated this face;
     /// `None` for faces of the initial bounding volume.
     pub neighbor: Option<u64>,
+    /// Where the loop starts in [`ConvexPolyhedron::loops`].
+    start: u32,
+    /// Number of vertices in the loop.
+    len: u32,
 }
 
 /// Result of clipping by one half-space.
@@ -38,10 +49,12 @@ pub enum ClipResult {
 }
 
 /// A convex polyhedron (vertices + polygonal faces with outward planes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConvexPolyhedron {
     pub verts: Vec<Vec3>,
     pub faces: Vec<Face>,
+    /// Every face's vertex loop, back to back in face order.
+    pub loops: Vec<u32>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -49,36 +62,70 @@ enum Class {
     In,
     On,
     Out,
+    /// An `On` vertex already gathered into the closing face; the face
+    /// walk treats it as `On`.
+    Gathered,
 }
 
-/// Reusable buffers for [`ConvexPolyhedron::clip_with`]: a hot caller
-/// (the per-cell Voronoi kernel clips tens of planes per cell, millions of
-/// cells per run) keeps one of these per thread and clips allocation-free
-/// after warm-up. Consumed face loops are recycled through `spare_loops`,
-/// so steady state needs no heap traffic at all. Results are bit-identical
-/// to a fresh-buffer clip.
+/// Everything one clip needs besides the polyhedron. A hot caller (the
+/// per-cell Voronoi kernel clips tens of planes per cell, millions of cells
+/// per run) keeps one per thread, and after warm-up no clip allocates. It
+/// also lends polyhedra out ([`from_aabb`](Self::from_aabb)) and takes
+/// them back ([`recycle`](Self::recycle)), so one cell's storage is the
+/// next cell's. Results are bit-identical to a fresh-buffer clip.
 #[derive(Default)]
 pub struct ClipScratch {
+    /// Per vertex: its side of the plane. Vertices the clip creates are `On`.
     classes: Vec<Class>,
-    cut_cache: HashMap<(u32, u32), u32>,
-    on_plane: Vec<u32>,
-    spare_loops: Vec<Vec<u32>>,
-    faces_buf: Vec<Face>,
+    /// Edges this clip cut, as `(lower end, upper end, new vertex)`. A clip
+    /// cuts a handful of edges, so a linear scan finds them.
+    cuts: Vec<(u32, u32, u32)>,
+    /// The closing face's vertices in first-appearance order, their angle
+    /// keys, and the sorted order of their positions.
+    closing: Vec<u32>,
+    angles: Vec<f64>,
+    order: Vec<u32>,
+    /// The other halves of the polyhedron's loop and face double buffers.
+    loops: Vec<u32>,
+    faces: Vec<Face>,
+    /// Compaction: old vertex index → new one, and the renumbered vertices.
     map: Vec<u32>,
-    kept: Vec<Vec3>,
+    verts: Vec<Vec3>,
+    /// Polyhedra handed back through [`recycle`](Self::recycle).
+    spare: Vec<ConvexPolyhedron>,
 }
 
 impl ClipScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// [`ConvexPolyhedron::from_aabb`] in the storage of a recycled
+    /// polyhedron, when there is one.
+    pub fn from_aabb(&mut self, b: &Aabb) -> ConvexPolyhedron {
+        let mut poly = self.spare.pop().unwrap_or_default();
+        poly.set_aabb(b);
+        poly
+    }
+
+    /// Take `poly`'s storage back for the next [`from_aabb`](Self::from_aabb).
+    pub fn recycle(&mut self, poly: ConvexPolyhedron) {
+        self.spare.push(poly);
+    }
 }
 
 impl ConvexPolyhedron {
     /// Axis-aligned box as a polyhedron; all faces carry `neighbor: None`.
     pub fn from_aabb(b: &Aabb) -> Self {
+        let mut poly = Self::default();
+        poly.set_aabb(b);
+        poly
+    }
+
+    fn set_aabb(&mut self, b: &Aabb) {
         let (lo, hi) = (b.min, b.max);
-        let verts = vec![
+        self.clear();
+        self.verts.extend_from_slice(&[
             Vec3::new(lo.x, lo.y, lo.z), // 0
             Vec3::new(hi.x, lo.y, lo.z), // 1
             Vec3::new(lo.x, hi.y, lo.z), // 2
@@ -87,26 +134,40 @@ impl ConvexPolyhedron {
             Vec3::new(hi.x, lo.y, hi.z), // 5
             Vec3::new(lo.x, hi.y, hi.z), // 6
             Vec3::new(hi.x, hi.y, hi.z), // 7
-        ];
+        ]);
         // Loops are counterclockwise when viewed from outside the box.
-        let face = |n: Vec3, d: f64, loop_: [u32; 4]| Face {
-            plane: Plane { n, d },
-            verts: loop_.to_vec(),
-            neighbor: None,
-        };
-        let faces = vec![
-            face(Vec3::new(-1.0, 0.0, 0.0), -lo.x, [0, 4, 6, 2]),
-            face(Vec3::new(1.0, 0.0, 0.0), hi.x, [1, 3, 7, 5]),
-            face(Vec3::new(0.0, -1.0, 0.0), -lo.y, [0, 1, 5, 4]),
-            face(Vec3::new(0.0, 1.0, 0.0), hi.y, [2, 6, 7, 3]),
-            face(Vec3::new(0.0, 0.0, -1.0), -lo.z, [0, 2, 3, 1]),
-            face(Vec3::new(0.0, 0.0, 1.0), hi.z, [4, 5, 7, 6]),
-        ];
-        ConvexPolyhedron { verts, faces }
+        for (n, d, loop_) in [
+            (Vec3::new(-1.0, 0.0, 0.0), -lo.x, [0, 4, 6, 2]),
+            (Vec3::new(1.0, 0.0, 0.0), hi.x, [1, 3, 7, 5]),
+            (Vec3::new(0.0, -1.0, 0.0), -lo.y, [0, 1, 5, 4]),
+            (Vec3::new(0.0, 1.0, 0.0), hi.y, [2, 6, 7, 3]),
+            (Vec3::new(0.0, 0.0, -1.0), -lo.z, [0, 2, 3, 1]),
+            (Vec3::new(0.0, 0.0, 1.0), hi.z, [4, 5, 7, 6]),
+        ] {
+            self.faces.push(Face {
+                plane: Plane { n, d },
+                neighbor: None,
+                start: self.loops.len() as u32,
+                len: 4,
+            });
+            self.loops.extend_from_slice(&loop_);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.verts.clear();
+        self.faces.clear();
+        self.loops.clear();
     }
 
     pub fn is_empty(&self) -> bool {
         self.verts.len() < 4 || self.faces.len() < 4
+    }
+
+    /// The ordered vertex loop of `face`.
+    #[inline]
+    pub fn face_verts(&self, face: &Face) -> &[u32] {
+        &self.loops[face.start as usize..][..face.len as usize]
     }
 
     /// Clip by the inside half-space of `plane` (`n·x <= d`), tagging any
@@ -128,147 +189,167 @@ impl ConvexPolyhedron {
         eps: f64,
         scratch: &mut ClipScratch,
     ) -> ClipResult {
-        scratch.classes.clear();
-        scratch.classes.extend(self.verts.iter().map(|&v| {
+        let ClipScratch {
+            classes,
+            cuts,
+            closing,
+            angles,
+            order,
+            loops,
+            faces,
+            map,
+            verts: renumbered,
+            spare: _,
+        } = scratch;
+        classes.clear();
+        let (mut n_in, mut n_out) = (0, 0);
+        for &v in &self.verts {
             let d = plane.signed_distance(v);
-            if d < -eps {
+            classes.push(if d < -eps {
+                n_in += 1;
                 Class::In
             } else if d > eps {
+                n_out += 1;
                 Class::Out
             } else {
                 Class::On
-            }
-        }));
-        let classes = &scratch.classes;
-
-        let n_out = classes.iter().filter(|&&c| c == Class::Out).count();
+            });
+        }
         if n_out == 0 {
             return ClipResult::Unchanged;
         }
-        let n_in = classes.iter().filter(|&&c| c == Class::In).count();
         if n_in == 0 {
-            self.verts.clear();
-            self.faces.clear();
+            self.clear();
             return ClipResult::Empty;
         }
+        let any_on = n_in + n_out < self.verts.len();
 
-        // Cache one intersection vertex per cut undirected edge so adjacent
-        // faces share it and the result stays watertight.
-        let cut_cache = &mut scratch.cut_cache;
-        cut_cache.clear();
-        let mut verts = std::mem::take(&mut self.verts);
-        let mut old_faces = std::mem::take(&mut self.faces);
-        let mut new_faces = std::mem::take(&mut scratch.faces_buf);
-        new_faces.clear();
-
-        for face in old_faces.drain(..) {
-            let n = face.verts.len();
-            let mut loop_out = scratch.spare_loops.pop().unwrap_or_default();
-            loop_out.clear();
-            for i in 0..n {
-                let vi = face.verts[i];
-                let vj = face.verts[(i + 1) % n];
-                let ci = classes[vi as usize];
-                let cj = classes[vj as usize];
-                if ci != Class::Out {
-                    loop_out.push(vi);
-                }
-                let crossing =
-                    matches!((ci, cj), (Class::In, Class::Out) | (Class::Out, Class::In));
-                if crossing {
-                    let key = (vi.min(vj), vi.max(vj));
-                    let idx = *cut_cache.entry(key).or_insert_with(|| {
-                        let a = verts[vi as usize];
-                        let b = verts[vj as usize];
-                        let t = plane.intersect_segment(a, b).unwrap_or(0.5).clamp(0.0, 1.0);
-                        verts.push(a.lerp(b, t));
-                        (verts.len() - 1) as u32
-                    });
-                    loop_out.push(idx);
-                }
-            }
-            dedup_loop(&mut loop_out);
-            if loop_out.len() >= 3 {
-                new_faces.push(Face {
-                    plane: face.plane,
-                    verts: loop_out,
-                    neighbor: face.neighbor,
-                });
+        let ConvexPolyhedron {
+            verts,
+            faces: old_faces,
+            loops: old_loops,
+        } = self;
+        cuts.clear();
+        closing.clear();
+        loops.clear();
+        faces.clear();
+        // Vertices are renumbered by first reference as the kept loops are
+        // written, so no loop is read twice.
+        map.clear();
+        map.resize(verts.len(), u32::MAX);
+        renumbered.clear();
+        for face in old_faces.iter() {
+            let src = &old_loops[face.start as usize..][..face.len as usize];
+            let start = loops.len();
+            let cut = src.iter().any(|&v| classes[v as usize] == Class::Out);
+            if !cut {
+                loops.extend_from_slice(src);
             } else {
-                scratch.spare_loops.push(loop_out);
-            }
-            // Recycle the consumed loop's storage for later faces/clips.
-            scratch.spare_loops.push(face.verts);
-        }
-        scratch.faces_buf = old_faces; // empty; keeps its capacity for next clip
-
-        // Build the closing face from every vertex now lying on the plane.
-        let on_plane = &mut scratch.on_plane;
-        on_plane.clear();
-        for f in &new_faces {
-            for &v in &f.verts {
-                let is_new = (v as usize) >= classes.len();
-                if (is_new || classes[v as usize] == Class::On) && !on_plane.contains(&v) {
-                    on_plane.push(v);
+                // Keep the vertices that are not out, and put one vertex
+                // on every edge that crosses the plane. Adjacent faces share
+                // it, so the result stays watertight; it is interpolated
+                // in the direction the first face to reach the edge walks it.
+                let mut ci = classes[src[0] as usize];
+                for (i, &vi) in src.iter().enumerate() {
+                    let vj = *src.get(i + 1).unwrap_or(&src[0]);
+                    let cj = classes[vj as usize];
+                    if ci != Class::Out {
+                        push_distinct(loops, start, vi);
+                    }
+                    if matches!((ci, cj), (Class::In, Class::Out) | (Class::Out, Class::In)) {
+                        let (lo, hi) = (vi.min(vj), vi.max(vj));
+                        let idx = match cuts.iter().find(|c| c.0 == lo && c.1 == hi) {
+                            Some(c) => c.2,
+                            None => {
+                                let (a, b) = (verts[vi as usize], verts[vj as usize]);
+                                let t =
+                                    plane.intersect_segment(a, b).unwrap_or(0.5).clamp(0.0, 1.0);
+                                verts.push(a.lerp(b, t));
+                                classes.push(Class::On);
+                                map.push(u32::MAX);
+                                let idx = (verts.len() - 1) as u32;
+                                cuts.push((lo, hi, idx));
+                                idx
+                            }
+                        };
+                        push_distinct(loops, start, idx);
+                    }
+                    ci = cj;
+                }
+                while loops.len() - start > 1 && loops[start] == loops[loops.len() - 1] {
+                    loops.pop();
+                }
+                if loops.len() - start < 3 {
+                    loops.truncate(start);
+                    continue;
                 }
             }
+            // The closing face is every vertex now on the plane, in the
+            // order the surviving faces first reach it.
+            let gather = cut || any_on;
+            for v in &mut loops[start..] {
+                let old = *v as usize;
+                if gather && classes[old] == Class::On {
+                    classes[old] = Class::Gathered;
+                    closing.push(*v);
+                }
+                if map[old] == u32::MAX {
+                    map[old] = renumbered.len() as u32;
+                    renumbered.push(verts[old]);
+                }
+                *v = map[old];
+            }
+            faces.push(Face {
+                start: start as u32,
+                len: (loops.len() - start) as u32,
+                ..*face
+            });
         }
-        if on_plane.len() >= 3 {
+
+        if closing.len() >= 3 {
             let centroid = {
                 let mut c = Vec3::ZERO;
-                for &v in on_plane.iter() {
+                for &v in closing.iter() {
                     c += verts[v as usize];
                 }
-                c / on_plane.len() as f64
+                c / closing.len() as f64
             };
             let (u, w) = plane.basis();
-            // Sort counterclockwise around +n: (u, w, n) is right-handed.
-            on_plane.sort_by(|&a, &b| {
-                let pa = verts[a as usize] - centroid;
-                let pb = verts[b as usize] - centroid;
-                let aa = pa.dot(w).atan2(pa.dot(u));
-                let ab = pb.dot(w).atan2(pb.dot(u));
-                aa.partial_cmp(&ab).unwrap_or(std::cmp::Ordering::Equal)
+            // Counterclockwise around +n: (u, w, n) is right-handed. One
+            // angle per vertex; the stable sort of their positions sees the
+            // same comparisons, so makes the same permutation, as sorting
+            // the vertices by recomputing both angles in every comparison.
+            angles.clear();
+            angles.extend(closing.iter().map(|&v| {
+                let p = verts[v as usize] - centroid;
+                p.dot(w).atan2(p.dot(u))
+            }));
+            order.clear();
+            order.extend(0..closing.len() as u32);
+            order.sort_by(|&a, &b| {
+                angles[a as usize]
+                    .partial_cmp(&angles[b as usize])
+                    .unwrap_or(Ordering::Equal)
             });
-            let mut closing = scratch.spare_loops.pop().unwrap_or_default();
-            closing.clear();
-            closing.extend_from_slice(on_plane);
-            new_faces.push(Face {
+            faces.push(Face {
                 plane: *plane,
-                verts: closing,
                 neighbor,
+                start: loops.len() as u32,
+                len: closing.len() as u32,
             });
+            // Every closing vertex lies on a kept face, so is numbered.
+            loops.extend(order.iter().map(|&k| map[closing[k as usize] as usize]));
         }
 
-        self.verts = verts;
-        self.faces = new_faces;
-        self.compact_with(&mut scratch.map, &mut scratch.kept);
+        std::mem::swap(verts, renumbered);
+        std::mem::swap(old_loops, loops);
+        std::mem::swap(old_faces, faces);
         if self.is_empty() {
-            self.verts.clear();
-            self.faces.clear();
+            self.clear();
             ClipResult::Empty
         } else {
             ClipResult::Clipped
         }
-    }
-
-    /// Drop unreferenced vertices and remap face indices.
-    fn compact_with(&mut self, map: &mut Vec<u32>, kept: &mut Vec<Vec3>) {
-        map.clear();
-        map.resize(self.verts.len(), u32::MAX);
-        kept.clear();
-        for face in &mut self.faces {
-            for v in &mut face.verts {
-                let old = *v as usize;
-                if map[old] == u32::MAX {
-                    map[old] = kept.len() as u32;
-                    kept.push(self.verts[old]);
-                }
-                *v = map[old];
-            }
-        }
-        // Swap rather than assign so the old vertex storage is recycled.
-        std::mem::swap(&mut self.verts, kept);
     }
 
     /// Volume via the divergence theorem (exact for the stored polygonal
@@ -281,10 +362,11 @@ impl ConvexPolyhedron {
         let r = self.vertex_mean();
         let mut v = 0.0;
         for face in &self.faces {
-            let f0 = self.verts[face.verts[0] as usize];
-            for i in 1..face.verts.len() - 1 {
-                let fi = self.verts[face.verts[i] as usize];
-                let fj = self.verts[face.verts[i + 1] as usize];
+            let l = self.face_verts(face);
+            let f0 = self.verts[l[0] as usize];
+            for i in 1..l.len() - 1 {
+                let fi = self.verts[l[i] as usize];
+                let fj = self.verts[l[i + 1] as usize];
                 v += tetra_volume_signed(r, f0, fi, fj);
             }
         }
@@ -296,8 +378,8 @@ impl ConvexPolyhedron {
         self.faces
             .iter()
             .map(|f| {
-                let pts: Vec<Vec3> = f.verts.iter().map(|&v| self.verts[v as usize]).collect();
-                polygon_area(&pts)
+                let l = self.face_verts(f);
+                polygon_area_by(l.len(), |i| self.verts[l[i] as usize])
             })
             .sum()
     }
@@ -309,10 +391,11 @@ impl ConvexPolyhedron {
         let mut vol = 0.0;
         let mut c = Vec3::ZERO;
         for face in &self.faces {
-            let f0 = self.verts[face.verts[0] as usize];
-            for i in 1..face.verts.len() - 1 {
-                let fi = self.verts[face.verts[i] as usize];
-                let fj = self.verts[face.verts[i + 1] as usize];
+            let l = self.face_verts(face);
+            let f0 = self.verts[l[0] as usize];
+            for i in 1..l.len() - 1 {
+                let fi = self.verts[l[i] as usize];
+                let fj = self.verts[l[i + 1] as usize];
                 let v = tetra_volume_signed(r, f0, fi, fj);
                 vol += v;
                 c += (r + f0 + fi + fj) * (v / 4.0);
@@ -332,13 +415,6 @@ impl ConvexPolyhedron {
             c += v;
         }
         c / self.verts.len().max(1) as f64
-    }
-
-    /// Squared distance from `p` to the farthest vertex; the security-radius
-    /// criterion compares twice the square root of this against the distance
-    /// to the nearest unprocessed candidate site.
-    pub fn max_vertex_dist2(&self, p: Vec3) -> f64 {
-        self.verts.iter().map(|&v| v.dist2(p)).fold(0.0, f64::max)
     }
 
     /// Tight axis-aligned bounding box of the vertices, together with the
@@ -372,23 +448,6 @@ impl ConvexPolyhedron {
         best
     }
 
-    /// Undirected edge list as vertex index pairs (each edge once).
-    pub fn edges(&self) -> Vec<(u32, u32)> {
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for face in &self.faces {
-            let n = face.verts.len();
-            for i in 0..n {
-                let a = face.verts[i];
-                let b = face.verts[(i + 1) % n];
-                let e = (a.min(b), a.max(b));
-                if !edges.contains(&e) {
-                    edges.push(e);
-                }
-            }
-        }
-        edges
-    }
-
     /// A watertight convex polyhedron satisfies Euler's formula
     /// `V - E + F = 2` and every edge is shared by exactly two faces.
     pub fn check_closed(&self) -> bool {
@@ -397,10 +456,9 @@ impl ConvexPolyhedron {
         }
         let mut counts: HashMap<(u32, u32), u32> = HashMap::new();
         for face in &self.faces {
-            let n = face.verts.len();
-            for i in 0..n {
-                let a = face.verts[i];
-                let b = face.verts[(i + 1) % n];
+            let l = self.face_verts(face);
+            for i in 0..l.len() {
+                let (a, b) = (l[i], l[(i + 1) % l.len()]);
                 *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
             }
         }
@@ -421,22 +479,23 @@ impl ConvexPolyhedron {
         self.faces.iter().filter_map(|f| f.neighbor)
     }
 
-    /// Points of one face's loop, in order.
-    pub fn face_points(&self, face: &Face) -> Vec<Vec3> {
-        face.verts.iter().map(|&v| self.verts[v as usize]).collect()
-    }
-
-    /// Centroid of one face's vertex loop.
+    /// Centroid of one face's vertex loop (the mean of its vertices).
     pub fn face_centroid(&self, face: &Face) -> Vec3 {
-        polygon_vertex_centroid(&self.face_points(face))
+        let l = self.face_verts(face);
+        let mut c = Vec3::ZERO;
+        for &v in l {
+            c += self.verts[v as usize];
+        }
+        c / l.len().max(1) as f64
     }
 }
 
-/// Remove consecutive duplicate indices (and a duplicated first/last pair).
-fn dedup_loop(loop_: &mut Vec<u32>) {
-    loop_.dedup();
-    while loop_.len() > 1 && loop_.first() == loop_.last() {
-        loop_.pop();
+/// Append `v` to the loop that starts at `start` unless it repeats the
+/// loop's last vertex: consecutive duplicates never enter a loop.
+#[inline]
+fn push_distinct(loops: &mut Vec<u32>, start: usize, v: u32) {
+    if loops.len() == start || loops[loops.len() - 1] != v {
+        loops.push(v);
     }
 }
 
@@ -449,6 +508,25 @@ mod tests {
         ConvexPolyhedron::from_aabb(&Aabb::cube(1.0))
     }
 
+    fn bits(v: Vec3) -> [u64; 3] {
+        [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+    }
+
+    /// Same vertices, faces, loops and measures, bit for bit.
+    fn assert_same_bits(a: &ConvexPolyhedron, b: &ConvexPolyhedron) {
+        let vb = |p: &ConvexPolyhedron| p.verts.iter().map(|&v| bits(v)).collect::<Vec<_>>();
+        assert_eq!(vb(a), vb(b));
+        assert_eq!(a.faces.len(), b.faces.len());
+        for (fa, fb) in a.faces.iter().zip(&b.faces) {
+            assert_eq!(a.face_verts(fa), b.face_verts(fb));
+            assert_eq!(fa.neighbor, fb.neighbor);
+            assert_eq!(bits(fa.plane.n), bits(fb.plane.n));
+            assert_eq!(fa.plane.d.to_bits(), fb.plane.d.to_bits());
+        }
+        assert_eq!(a.volume().to_bits(), b.volume().to_bits());
+        assert_eq!(a.surface_area().to_bits(), b.surface_area().to_bits());
+    }
+
     #[test]
     fn cube_measures() {
         let c = unit_cube();
@@ -456,7 +534,10 @@ mod tests {
         assert!((c.surface_area() - 6.0).abs() < 1e-12);
         assert!((c.centroid() - Vec3::splat(0.5)).norm() < 1e-12);
         assert!(c.check_closed());
-        assert_eq!(c.edges().len(), 12);
+        // 6 quads: each of the 12 edges lies in two loops
+        assert_eq!(c.faces.len(), 6);
+        assert_eq!(c.loops.len(), 24);
+        assert!(c.faces.iter().all(|f| c.face_verts(f).len() == 4));
     }
 
     #[test]
@@ -485,6 +566,7 @@ mod tests {
         let plane = Plane::from_point_normal(Vec3::splat(-1.0), Vec3::new(1.0, 0.0, 0.0));
         assert_eq!(c.clip(&plane, None, EPS), ClipResult::Empty);
         assert!(c.is_empty());
+        assert!(c.loops.is_empty());
         assert_eq!(c.volume(), 0.0);
     }
 
@@ -501,18 +583,64 @@ mod tests {
         assert!(c.check_closed());
         // New face is a triangle tagged with the neighbor id.
         let new_face = c.faces.iter().find(|f| f.neighbor == Some(7)).unwrap();
-        assert_eq!(new_face.verts.len(), 3);
+        assert_eq!(c.face_verts(new_face).len(), 3);
     }
 
     #[test]
-    fn clip_through_vertices_stays_watertight() {
+    fn clip_through_vertices_keeps_them_and_creates_none() {
+        // The plane x = y contains the cube edges x = y = 0 and x = y = 1,
+        // so four vertices are On. The faces x = 1 and y = 0 keep only two
+        // of them each and disappear; the closing face is the four On
+        // vertices, and no vertex is interpolated.
         let mut c = unit_cube();
-        // Diagonal plane through four cube vertices: x = y plane.
         let n = Vec3::new(1.0, -1.0, 0.0).normalized().unwrap();
         let plane = Plane::from_point_normal(Vec3::ZERO, n);
-        let r = c.clip(&plane, Some(1), EPS);
-        assert_eq!(r, ClipResult::Clipped);
-        assert!((c.volume() - 0.5).abs() < 1e-9, "vol {}", c.volume());
+        assert_eq!(c.clip(&plane, Some(1), EPS), ClipResult::Clipped);
+        assert_eq!(c.verts.len(), 6);
+        for v in &c.verts {
+            assert!([v.x, v.y, v.z].iter().all(|&x| x == 0.0 || x == 1.0), "{v}");
+        }
+        assert_eq!(c.faces.len(), 5);
+        let gone = [Vec3::new(1.0, 0.0, 0.0), Vec3::new(0.0, -1.0, 0.0)];
+        assert!(c.faces.iter().all(|f| !gone.contains(&f.plane.n)));
+        let closing = c.faces.last().unwrap();
+        assert_eq!(closing.neighbor, Some(1));
+        assert_eq!(c.face_verts(closing).len(), 4);
+        assert!((c.volume() - 0.5).abs() < 1e-12, "vol {}", c.volume());
+        assert!(c.check_closed());
+    }
+
+    #[test]
+    fn clip_through_an_edge_drops_the_faces_it_leaves_with_two_vertices() {
+        // A plane through the cube edge x = y = 0 (On) that cuts the face
+        // y = 1 at x = 1/3: the face y = 0 keeps only its two On vertices
+        // and goes, the face x = 1 lies wholly outside and goes, the face
+        // x = 0 is untouched, and two vertices are interpolated — each in
+        // the direction the first face to reach its edge walks it (the face
+        // y = 1, loop 2 → 6 → 7 → 3).
+        let mut c = unit_cube();
+        let v = c.verts.clone();
+        let n = Vec3::new(3.0, -1.0, 0.0).normalized().unwrap();
+        let plane = Plane::from_point_normal(Vec3::ZERO, n);
+        assert_eq!(c.clip(&plane, Some(9), EPS), ClipResult::Clipped);
+        let cut =
+            |a: usize, b: usize| v[a].lerp(v[b], plane.intersect_segment(v[a], v[b]).unwrap());
+        // Vertices numbered by first reference: the untouched face x = 0
+        // (loop 0 → 4 → 6 → 2), then the face y = 1's two new vertices.
+        let want = [v[0], v[4], v[6], v[2], cut(6, 7), cut(3, 2)];
+        assert_eq!(
+            c.verts.iter().map(|&p| bits(p)).collect::<Vec<_>>(),
+            want.iter().map(|&p| bits(p)).collect::<Vec<_>>()
+        );
+        let loops: Vec<&[u32]> = c.faces.iter().map(|f| c.face_verts(f)).collect();
+        assert_eq!(
+            loops[..4],
+            [&[0, 1, 2, 3][..], &[3, 2, 4, 5], &[0, 3, 5], &[1, 4, 2]]
+        );
+        assert_eq!(c.faces.len(), 5);
+        assert_eq!(loops[4].len(), 4);
+        assert_eq!(c.faces[4].neighbor, Some(9));
+        assert!((c.volume() - 1.0 / 6.0).abs() < 1e-12, "vol {}", c.volume());
         assert!(c.check_closed());
     }
 
@@ -546,48 +674,53 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical_to_fresh_clips() {
-        // Same Voronoi construction as below, once with fresh buffers per
-        // clip and once through a single reused scratch.
-        let build = |scratch: Option<&mut ClipScratch>| {
-            let site = Vec3::new(1.4, 1.6, 1.5);
-            let mut cell = ConvexPolyhedron::from_aabb(&Aabb::cube(3.0));
-            let mut fresh = ClipScratch::new();
-            let scratch = match scratch {
-                Some(s) => s,
-                None => &mut fresh,
-            };
+        // Voronoi-like cells of a jittered and an exact 3³ lattice (the exact
+        // one puts cell vertices on later bisectors), each built twice:
+        // from `ConvexPolyhedron::from_aabb` with a fresh scratch per clip,
+        // and through one scratch whose start boxes reuse the storage of
+        // the cells recycled before them.
+        let cell = |site: Vec3,
+                    offset: Vec3,
+                    mut poly: ConvexPolyhedron,
+                    mut shared: Option<&mut ClipScratch>| {
             let mut id = 0u64;
             for i in 0..3 {
                 for j in 0..3 {
                     for k in 0..3 {
-                        let q = Vec3::new(i as f64 + 0.47, j as f64 + 0.53, k as f64 + 0.5);
+                        let q = Vec3::new(i as f64, j as f64, k as f64) + offset;
                         if q.dist2(site) > 1e-12 {
                             let b = Plane::bisector(site, q).unwrap();
-                            cell.clip_with(&b, Some(id), EPS, scratch);
+                            match shared.as_deref_mut() {
+                                Some(s) => poly.clip_with(&b, Some(id), EPS, s),
+                                None => poly.clip_with(&b, Some(id), EPS, &mut ClipScratch::new()),
+                            };
                         }
                         id += 1;
                     }
                 }
             }
-            cell
+            poly
         };
-        let mut scratch = ClipScratch::new();
-        // Warm the scratch on one throwaway cell first so reuse is exercised.
-        let _ = build(Some(&mut scratch));
-        let reused = build(Some(&mut scratch));
-        let fresh = build(None);
-        assert_eq!(fresh.verts.len(), reused.verts.len());
-        for (a, b) in fresh.verts.iter().zip(&reused.verts) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-            assert_eq!(a.z.to_bits(), b.z.to_bits());
+        let cells = [
+            (Vec3::new(1.4, 1.6, 1.5), Vec3::new(0.47, 0.53, 0.5)),
+            (Vec3::new(1.1, 0.7, 1.9), Vec3::new(0.47, 0.53, 0.5)),
+            (Vec3::splat(1.5), Vec3::splat(0.5)),
+            (Vec3::new(0.5, 1.5, 2.5), Vec3::splat(0.5)),
+        ];
+        let start = Aabb::cube(3.0);
+        let mut shared = ClipScratch::new();
+        // Twice over, so the second sweep runs entirely on warm, recycled
+        // storage.
+        for _ in 0..2 {
+            for &(site, offset) in &cells {
+                let fresh = cell(site, offset, ConvexPolyhedron::from_aabb(&start), None);
+                let poly = shared.from_aabb(&start);
+                let reused = cell(site, offset, poly, Some(&mut shared));
+                assert_same_bits(&fresh, &reused);
+                assert!(reused.check_closed());
+                shared.recycle(reused);
+            }
         }
-        assert_eq!(fresh.faces.len(), reused.faces.len());
-        for (a, b) in fresh.faces.iter().zip(&reused.faces) {
-            assert_eq!(a.verts, b.verts);
-            assert_eq!(a.neighbor, b.neighbor);
-        }
-        assert_eq!(fresh.volume().to_bits(), reused.volume().to_bits());
     }
 
     #[test]
@@ -603,8 +736,9 @@ mod tests {
     #[test]
     fn max_distances() {
         let c = unit_cube();
-        let d2 = c.max_vertex_dist2(Vec3::ZERO);
+        let (bb, d2) = c.vertex_aabb_and_max_dist2(Vec3::ZERO);
         assert!((d2 - 3.0).abs() < 1e-12);
+        assert_eq!((bb.min, bb.max), (Vec3::ZERO, Vec3::splat(1.0)));
         assert!((c.max_pairwise_dist2() - 3.0).abs() < 1e-12);
     }
 }

@@ -10,7 +10,9 @@
 //! incremental-vs-full re-tessellation and explicit and adaptive ghost
 //! protocols, on jittered points and on the exact lattice where tie order
 //! decides the bits. Any divergence is a kernel bug by definition; these
-//! tests are the oracle that pins it.
+//! tests are the oracle that pins it. The oracle runs the same clip as the
+//! kernel, so one more test pins the encoded mesh bytes themselves to a
+//! recorded digest.
 //!
 //! Pool width is process-global state, so tests that reconfigure it
 //! serialize through one mutex and restore the previous width on exit.
@@ -18,11 +20,13 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use meshing_universe::diy::codec::Encode;
 use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
+use meshing_universe::diy::io::fnv1a;
 use meshing_universe::geometry::{Aabb, ConvexPolyhedron, Plane, Vec3};
 use meshing_universe::rayon::set_max_parallelism;
-use meshing_universe::tess::{self, GhostSpec, TessParams};
+use meshing_universe::tess::{self, GhostSpec, MeshBlock, TessParams};
 
 /// Serializes tests that reconfigure the global pool width.
 static POOL_WIDTH: Mutex<()> = Mutex::new(());
@@ -91,6 +95,26 @@ fn partition(
 /// the face-neighbor ids in face order.
 type CellBits = (u64, u64, Vec<u64>);
 
+/// Tessellate on `nranks` ranks; per rank, what `read` takes from its
+/// blocks, with the globally reduced stats.
+fn run_ranks<T: Send>(
+    particles: &[(u64, Vec3)],
+    dec: &Decomposition,
+    nranks: usize,
+    params: &TessParams,
+    read: impl Fn(&BTreeMap<u64, MeshBlock>) -> T + Sync,
+) -> (Vec<T>, tess::TessStats) {
+    let collected = Runtime::run(nranks, |world| {
+        let asn = Assignment::new(dec.nblocks(), world.nranks());
+        let local = partition(particles, dec, &asn, world.rank());
+        let r = tess::tessellate(world, dec, &asn, &local, params);
+        let stats = tess::driver::global_stats(world, r.stats);
+        (read(&r.blocks), stats)
+    });
+    let stats = collected[0].1;
+    (collected.into_iter().map(|(t, _)| t).collect(), stats)
+}
+
 /// Tessellate on `nranks` ranks; merge every cell keyed by site id and
 /// return the globally reduced stats alongside.
 fn mesh_and_stats(
@@ -99,35 +123,25 @@ fn mesh_and_stats(
     nranks: usize,
     params: &TessParams,
 ) -> (BTreeMap<u64, CellBits>, tess::TessStats) {
-    let collected = Runtime::run(nranks, move |world| {
-        let asn = Assignment::new(dec.nblocks(), world.nranks());
-        let local = partition(particles, dec, &asn, world.rank());
-        let r = tess::tessellate(world, dec, &asn, &local, params);
-        let stats = tess::driver::global_stats(world, r.stats);
-        let cells = r
-            .blocks
+    let (per_rank, stats) = run_ranks(particles, dec, nranks, params, |blocks| {
+        blocks
             .values()
             .flat_map(|b| {
-                b.cells
-                    .iter()
-                    .map(|c| {
+                b.cells.iter().map(|c| {
+                    (
+                        b.site_id_of(c),
                         (
-                            b.site_id_of(c),
-                            (
-                                c.volume.to_bits(),
-                                c.area.to_bits(),
-                                c.faces.iter().map(|f| f.neighbor).collect::<Vec<u64>>(),
-                            ),
-                        )
-                    })
-                    .collect::<Vec<_>>()
+                            c.volume.to_bits(),
+                            c.area.to_bits(),
+                            c.faces.iter().map(|f| f.neighbor).collect::<Vec<u64>>(),
+                        ),
+                    )
+                })
             })
-            .collect::<Vec<_>>();
-        (cells, stats)
+            .collect::<Vec<_>>()
     });
-    let stats = collected[0].1;
     let mut merged = BTreeMap::new();
-    for (id, bits) in collected.into_iter().flat_map(|(cells, _)| cells) {
+    for (id, bits) in per_rank.into_iter().flatten() {
         let prev = merged.insert(id, bits);
         assert!(prev.is_none(), "cell {id} produced by two blocks");
     }
@@ -306,6 +320,70 @@ fn kernels_agree_when_incomplete_cells_are_kept() {
                 &format!("kept-incomplete ranks={nranks}"),
             );
         }
+    });
+}
+
+/// FNV-1a over every block's encoded bytes, in gid order, of one run on
+/// `nranks` ranks.
+fn mesh_digest(
+    particles: &[(u64, Vec3)],
+    dec: &Decomposition,
+    nranks: usize,
+    params: &TessParams,
+) -> (u64, tess::TessStats) {
+    let (per_rank, stats) = run_ranks(particles, dec, nranks, params, |blocks| {
+        blocks
+            .iter()
+            .map(|(&gid, b)| (gid, b.to_bytes()))
+            .collect::<Vec<_>>()
+    });
+    let blocks: BTreeMap<u64, Vec<u8>> = per_rank.into_iter().flatten().collect();
+    let bytes: Vec<u8> = blocks.into_values().flatten().collect();
+    (fnv1a(&bytes), stats)
+}
+
+#[test]
+fn mesh_bytes_match_the_recorded_digest() {
+    // The brute-force oracle above runs the same `clip` as the kernel, so
+    // it cannot see a change in how a clip computes its floats — which
+    // endpoint a cut edge is interpolated from, the order of the closing
+    // face, the numbering of the vertices. This digest can: it pins the
+    // encoded blocks (vertex bits and order, face loops, volumes, areas)
+    // to the values recorded at the commit before the flat cell storage.
+    // The closing face is ordered by libm `atan2`, so a platform whose
+    // `atan2` rounds differently may legitimately produce other bits.
+    let n = 6;
+    let particles = jittered(n, 41, 0.45);
+    // One value per block scheme: `TESS_DECOMP=kd` encodes other blocks.
+    let kd = matches!(DecompScheme::from_env(), DecompScheme::Kd { .. });
+    with_pool_width(2, || {
+        // Auto ghosts on the periodic box: every cell certifies from the
+        // canonical start cube.
+        let dec = decomp(n as f64, true, &particles);
+        let (digest, stats) = mesh_digest(&particles, &dec, 2, &TessParams::default());
+        assert_eq!(stats.cells, (n * n * n) as u64);
+        let want = if kd {
+            0x62552255c7c3e18f
+        } else {
+            0x1de2062460249abd
+        };
+        assert_eq!(digest, want, "auto ghosts: {digest:#018x}");
+
+        // Kept incomplete cells on the open box: region passes, walls
+        // included.
+        let dec = decomp(n as f64, false, &particles);
+        let params = TessParams {
+            keep_incomplete: true,
+            ..TessParams::default()
+        };
+        let (digest, stats) = mesh_digest(&particles, &dec, 2, &params);
+        assert!(stats.incomplete_kept > 0, "need genuinely incomplete cells");
+        let want = if kd {
+            0xf787fe9a7d5b5cfd
+        } else {
+            0xb09f3fdfd935cedb
+        };
+        assert_eq!(digest, want, "kept incomplete: {digest:#018x}");
     });
 }
 
