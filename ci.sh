@@ -131,8 +131,11 @@ stage_decomp() {
     # and the particle-balanced k-d tree across 1/2/4/8 ranks and
     # explicit+adaptive ghosts; (2) the rank-determinism, kernel-oracle,
     # and service-oracle suites rerun with every decomposition built as a k-d
-    # tree, so all of their invariants hold on irregular block geometry too.
+    # tree, so all of their invariants hold on irregular block geometry too;
+    # (3) distributed void labeling equals the serial union-find at
+    # 1/2/3/4/8 ranks on regular and k-d blocks.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
+        cargo test --release -q -p meshing-universe --test voids_pipeline &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle

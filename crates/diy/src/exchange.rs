@@ -38,6 +38,11 @@ impl<'a> NeighborExchange<'a> {
         NeighborExchange { dec, asn, links }
     }
 
+    /// Every neighbor link of `gid`.
+    pub fn links(&self, gid: u64) -> &[Neighbor] {
+        &self.links[gid as usize]
+    }
+
     /// The neighbor links of `gid` whose blocks lie within `ghost` of point
     /// `p` (targeted destinations). For a periodic link the proximity test is
     /// performed in the neighbor's frame (`p + xform`).

@@ -3,17 +3,24 @@
 //! Cells that survive the volume threshold are joined into components along
 //! shared faces: every cell face records the global id of the site on its
 //! far side, so the adjacency graph needs no extra geometry. Components of
-//! large cells are the paper's cosmological voids (§IV-B, Figure 9).
+//! large cells are the paper's cosmological voids (§IV-B, Figure 9). A
+//! component's label is the minimum site id in it.
 //!
-//! Two implementations:
-//! * [`label_components_serial`] — union-find over in-memory blocks.
-//! * [`label_components_parallel`] — distributed iterative min-label
-//!   propagation: each round, cells adjacent to remote cells exchange
-//!   labels with neighboring blocks; repeat until a global fixed point
-//!   (this is the paper's future-work item "label connected components
-//!   automatically in situ").
+//! Both implementations start with the same local pass: index the kept
+//! cells once, then one union-find pass over the faces whose two cells are
+//! both indexed.
+//! * [`label_components_serial`] — that pass over in-memory blocks.
+//! * [`label_components_parallel`] — the paper's future-work item "label
+//!   connected components automatically in situ", in a fixed number of
+//!   communication rounds. A face whose far site is not a local cell is a
+//!   boundary pair. One neighbor exchange sends `(far site, local label)`
+//!   to the linked blocks on other ranks, and the rank that keeps the far
+//!   site turns it into a label edge, so a face listed by only one of its
+//!   two cells still joins them. One tree merge (`diy::reduce`) gathers
+//!   every rank's label edges and per-local-component summaries, and every
+//!   rank resolves them with the same small union-find in the same order.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use diy::codec::{CodecError, Decode, Encode, Reader};
 use diy::comm::World;
@@ -27,6 +34,20 @@ pub struct ComponentSummary {
     pub cells: u64,
     pub volume: f64,
     pub area: f64,
+}
+
+impl ComponentSummary {
+    const EMPTY: ComponentSummary = ComponentSummary {
+        cells: 0,
+        volume: 0.0,
+        area: 0.0,
+    };
+
+    fn add(&mut self, other: &ComponentSummary) {
+        self.cells += other.cells;
+        self.volume += other.volume;
+        self.area += other.area;
+    }
 }
 
 impl Encode for ComponentSummary {
@@ -61,11 +82,12 @@ impl Components {
         self.summaries.len()
     }
 
-    /// Components sorted by decreasing volume.
+    /// Components sorted by decreasing volume (ties by label). A NaN volume
+    /// sorts by its bits under `f64::total_cmp` rather than panicking.
     pub fn by_volume(&self) -> Vec<(u64, ComponentSummary)> {
         let mut v: Vec<(u64, ComponentSummary)> =
             self.summaries.iter().map(|(&l, &s)| (l, s)).collect();
-        v.sort_by(|a, b| b.1.volume.partial_cmp(&a.1.volume).unwrap());
+        v.sort_by(|a, b| b.1.volume.total_cmp(&a.1.volume));
         v
     }
 }
@@ -99,8 +121,7 @@ impl UnionFind {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            // hook the larger root under the smaller so the final label is
-            // the minimum id in the component
+            // hook the larger root under the smaller
             if ra < rb {
                 self.parent[rb] = ra;
             } else {
@@ -108,74 +129,109 @@ impl UnionFind {
             }
         }
     }
+
+    /// For every element, the minimum of `ids` over its set: roots are
+    /// indices, not ids, so this is what makes labels canonical.
+    fn min_ids(&mut self, ids: &[u64]) -> Vec<u64> {
+        let mut min = vec![u64::MAX; ids.len()];
+        for (i, &id) in ids.iter().enumerate() {
+            let r = self.find(i);
+            min[r] = min[r].min(id);
+        }
+        (0..ids.len()).map(|i| min[self.find(i)]).collect()
+    }
+}
+
+/// The cells of some blocks that pass the threshold, joined along every
+/// face whose two cells are both among them.
+struct KeptCells {
+    /// Site id of every cell of the blocks → its index among the kept
+    /// cells, `None` when it is below the threshold.
+    index: HashMap<u64, Option<usize>>,
+    sites: Vec<u64>,
+    /// Per kept cell: a one-cell summary.
+    cells: Vec<ComponentSummary>,
+    /// Per kept cell: the minimum site id of its component in these blocks.
+    labels: Vec<u64>,
+    /// `(block gid, kept cell, far site)` of every face whose far site is
+    /// not a cell of these blocks.
+    boundary: Vec<(u64, usize, u64)>,
+}
+
+impl KeptCells {
+    fn label<'a>(blocks: impl IntoIterator<Item = &'a MeshBlock> + Clone, min_volume: f64) -> Self {
+        let mut index = HashMap::new();
+        let mut sites = Vec::new();
+        let mut cells = Vec::new();
+        for b in blocks.clone() {
+            for c in &b.cells {
+                let id = b.site_id_of(c);
+                let kept = c.volume >= min_volume;
+                index.insert(id, kept.then_some(sites.len()));
+                if kept {
+                    sites.push(id);
+                    cells.push(ComponentSummary {
+                        cells: 1,
+                        volume: c.volume,
+                        area: c.area,
+                    });
+                }
+            }
+        }
+
+        let mut uf = UnionFind::new(sites.len());
+        let mut boundary = Vec::new();
+        let kept_cells = blocks.into_iter().flat_map(|b| {
+            b.cells
+                .iter()
+                .filter(move |c| c.volume >= min_volume)
+                .map(move |c| (b.gid, c))
+        });
+        for (i, (gid, c)) in kept_cells.enumerate() {
+            for f in c.faces.iter().filter(|f| f.neighbor != NO_NEIGHBOR) {
+                match index.get(&f.neighbor) {
+                    Some(&Some(j)) => uf.union(i, j),
+                    Some(None) => {}
+                    None => boundary.push((gid, i, f.neighbor)),
+                }
+            }
+        }
+        let labels = uf.min_ids(&sites);
+        KeptCells {
+            index,
+            sites,
+            cells,
+            labels,
+            boundary,
+        }
+    }
+
+    /// Summaries per label, each summed in kept-cell order.
+    fn summaries(&self) -> BTreeMap<u64, ComponentSummary> {
+        let mut out = BTreeMap::new();
+        for (label, cell) in self.labels.iter().zip(&self.cells) {
+            out.entry(*label)
+                .or_insert(ComponentSummary::EMPTY)
+                .add(cell);
+        }
+        out
+    }
 }
 
 /// Serial labeling over in-memory blocks, considering only cells whose
 /// volume is at least `min_volume`.
 pub fn label_components_serial(blocks: &[MeshBlock], min_volume: f64) -> Components {
-    // Index kept sites.
-    let mut site_index: HashMap<u64, usize> = HashMap::new();
-    let mut sites: Vec<u64> = Vec::new();
-    let mut volumes: Vec<f64> = Vec::new();
-    let mut areas: Vec<f64> = Vec::new();
-    for b in blocks {
-        for c in &b.cells {
-            if c.volume >= min_volume {
-                let id = b.site_id_of(c);
-                site_index.insert(id, sites.len());
-                sites.push(id);
-                volumes.push(c.volume);
-                areas.push(c.area);
-            }
-        }
+    let kept = KeptCells::label(blocks, min_volume);
+    Components {
+        summaries: kept.summaries(),
+        labels: kept.sites.into_iter().zip(kept.labels).collect(),
     }
-
-    let mut uf = UnionFind::new(sites.len());
-    for b in blocks {
-        for c in &b.cells {
-            if c.volume < min_volume {
-                continue;
-            }
-            let me = site_index[&b.site_id_of(c)];
-            for f in &c.faces {
-                if f.neighbor == NO_NEIGHBOR {
-                    continue;
-                }
-                if let Some(&other) = site_index.get(&f.neighbor) {
-                    uf.union(me, other);
-                }
-            }
-        }
-    }
-
-    let mut out = Components::default();
-    // Roots are indices in insertion order, not site ids; compute each
-    // root's minimum site id to get the canonical label.
-    let mut root_label: HashMap<usize, u64> = HashMap::new();
-    for (i, &site) in sites.iter().enumerate() {
-        let r = uf.find(i);
-        let e = root_label.entry(r).or_insert(u64::MAX);
-        *e = (*e).min(site);
-    }
-    for i in 0..sites.len() {
-        let r = uf.find(i);
-        let label = root_label[&r];
-        out.labels.insert(sites[i], label);
-        let s = out.summaries.entry(label).or_insert(ComponentSummary {
-            cells: 0,
-            volume: 0.0,
-            area: 0.0,
-        });
-        s.cells += 1;
-        s.volume += volumes[i];
-        s.area += areas[i];
-    }
-    out
 }
 
 /// Distributed labeling (collective). `local` maps owned block gid → block.
 /// Returns labels for local sites plus global summaries (identical on every
-/// rank).
+/// rank). One neighbor exchange and one tree merge, whatever the shape of
+/// the components.
 pub fn label_components_parallel(
     world: &mut World,
     dec: &Decomposition,
@@ -183,200 +239,117 @@ pub fn label_components_parallel(
     local: &BTreeMap<u64, MeshBlock>,
     min_volume: f64,
 ) -> Components {
-    // Local structures: site → (label, volume, area, remote-adjacent?)
-    struct CellInfo {
-        label: u64,
-        volume: f64,
-        area: f64,
-        neighbors: Vec<u64>,
-    }
-    let mut cells: HashMap<u64, CellInfo> = HashMap::new();
-    let mut kept: HashSet<u64> = HashSet::new();
-    for b in local.values() {
-        for c in &b.cells {
-            if c.volume >= min_volume {
-                kept.insert(b.site_id_of(c));
-            }
-        }
-    }
-    for b in local.values() {
-        for c in &b.cells {
-            if c.volume < min_volume {
-                continue;
-            }
-            let id = b.site_id_of(c);
-            let neighbors: Vec<u64> = c
-                .faces
-                .iter()
-                .map(|f| f.neighbor)
-                .filter(|&n| n != NO_NEIGHBOR)
-                .collect();
-            cells.insert(
-                id,
-                CellInfo {
-                    label: id,
-                    volume: c.volume,
-                    area: c.area,
-                    neighbors,
-                },
-            );
-        }
-    }
+    let kept = KeptCells::label(local.values(), min_volume);
 
-    // Local propagation to a fixed point (equivalent to local union-find).
-    let local_sweep = |cells: &mut HashMap<u64, CellInfo>| -> bool {
-        let mut changed = false;
-        loop {
-            let mut round = false;
-            let snapshot: Vec<(u64, Vec<u64>, u64)> = cells
-                .iter()
-                .map(|(&id, c)| (id, c.neighbors.clone(), c.label))
-                .collect();
-            for (id, neighbors, label) in snapshot {
-                let mut best = label;
-                for n in &neighbors {
-                    if let Some(nc) = cells.get(n) {
-                        best = best.min(nc.label);
-                    }
-                }
-                if best < label {
-                    cells.get_mut(&id).expect("exists").label = best;
-                    round = true;
-                }
-                // push my label to local neighbors too
-                for n in neighbors {
-                    if let Some(nc) = cells.get_mut(&n) {
-                        if best < nc.label {
-                            nc.label = best;
-                            round = true;
-                        }
-                    }
-                }
-            }
-            if !round {
-                break;
-            }
-            changed = true;
-        }
-        changed
-    };
-    local_sweep(&mut cells);
-
-    // Iterative boundary exchange: cells with remote neighbors broadcast
-    // (remote_site, my_label) to all neighboring blocks; owners apply min.
+    // The far site of a boundary face was a ghost of the face's block, so
+    // its owner is one of that block's links, on another rank: every cell
+    // of this rank's blocks is indexed.
     let ex = NeighborExchange::new(dec, asn);
-    let owned_gids: Vec<u64> = local.keys().copied().collect();
-    loop {
-        let mut outgoing: Vec<(u64, (u64, u64))> = Vec::new();
-        for (&id, c) in &cells {
-            for &n in &c.neighbors {
-                if !cells.contains_key(&n) && !kept.contains(&n) {
-                    // remote (or not kept anywhere — the owner will ignore)
-                    for &gid in &owned_gids {
-                        for link in dec.neighbors(gid) {
-                            outgoing.push((link.gid, (n, c.label)));
-                        }
-                    }
-                    let _ = id;
-                }
+    let mut outgoing: Vec<(u64, (u64, u64))> = Vec::new();
+    for &(gid, i, far) in &kept.boundary {
+        for link in ex.links(gid) {
+            if asn.rank_of_block(link.gid) != world.rank() {
+                outgoing.push((link.gid, (far, kept.labels[i])));
             }
-        }
-        // dedup to keep message volume sane
-        outgoing.sort_unstable();
-        outgoing.dedup();
-
-        let incoming = ex.exchange(world, outgoing);
-        let mut changed = false;
-        for (_, items) in incoming {
-            for (site, label) in items {
-                if let Some(c) = cells.get_mut(&site) {
-                    if label < c.label {
-                        c.label = label;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if changed {
-            local_sweep(&mut cells);
-        }
-        let any_changed = world.all_reduce(changed as u64, |a, b| a.max(b));
-        if any_changed == 0 {
-            break;
         }
     }
+    outgoing.sort_unstable();
+    outgoing.dedup();
+    let mut edges: Vec<(u64, u64)> = ex
+        .exchange(world, outgoing)
+        .into_values()
+        .flatten()
+        .filter_map(|(site, label)| match kept.index.get(&site) {
+            Some(&Some(j)) => Some((label, kept.labels[j])),
+            _ => None,
+        })
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
 
-    // Global summaries by merging per-rank partials.
-    let partial: Vec<(u64, ComponentSummary)> = {
-        let mut m: BTreeMap<u64, ComponentSummary> = BTreeMap::new();
-        for c in cells.values() {
-            let s = m.entry(c.label).or_insert(ComponentSummary {
-                cells: 0,
-                volume: 0.0,
-                area: 0.0,
-            });
-            s.cells += 1;
-            s.volume += c.volume;
-            s.area += c.area;
-        }
-        m.into_iter().collect()
-    };
-    let merged = diy::reduce::all_reduce_merge(world, partial, |a, b| {
-        let mut m: BTreeMap<u64, ComponentSummary> = a.into_iter().collect();
-        for (label, s) in b {
-            let e = m.entry(label).or_insert(ComponentSummary {
-                cells: 0,
-                volume: 0.0,
-                area: 0.0,
-            });
-            e.cells += s.cells;
-            e.volume += s.volume;
-            e.area += s.area;
-        }
-        m.into_iter().collect()
+    let partial: Vec<(u64, ComponentSummary)> = kept.summaries().into_iter().collect();
+    let (edges, partials) = diy::reduce::all_reduce_merge(world, (edges, partial), |mut a, b| {
+        a.0.extend(b.0);
+        a.1.extend(b.1);
+        a
     });
 
+    // Every rank holds the same edges and partials in the same (rank)
+    // order, so the forest over labels and the folded sums agree bit for bit.
+    let slot: HashMap<u64, usize> = partials
+        .iter()
+        .enumerate()
+        .map(|(k, &(label, _))| (label, k))
+        .collect();
+    let mut uf = UnionFind::new(partials.len());
+    for (a, b) in &edges {
+        uf.union(slot[a], slot[b]);
+    }
+    let ids: Vec<u64> = partials.iter().map(|&(label, _)| label).collect();
+    let global = uf.min_ids(&ids);
+    let mut summaries = BTreeMap::new();
+    for ((_, s), &label) in partials.iter().zip(&global) {
+        summaries
+            .entry(label)
+            .or_insert(ComponentSummary::EMPTY)
+            .add(s);
+    }
     Components {
-        labels: cells.into_iter().map(|(id, c)| (id, c.label)).collect(),
-        summaries: merged.into_iter().collect(),
+        labels: kept
+            .sites
+            .iter()
+            .zip(&kept.labels)
+            .map(|(&site, label)| (site, global[slot[label]]))
+            .collect(),
+        summaries,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diy::comm::Runtime;
     use geometry::{Aabb, Vec3};
     use tess::{Cell, Face};
 
-    /// Build a fake 1D chain of cells: cell i adjacent to i-1 and i+1, with
-    /// given volumes.
-    fn chain_block(vols: &[f64]) -> MeshBlock {
-        let mut b = MeshBlock::empty(0, Aabb::cube(1.0));
-        for (i, &v) in vols.iter().enumerate() {
+    /// A block of cells `(site id, volume, far sites of its faces)`.
+    fn block(gid: u64, cells: &[(u64, f64, Vec<u64>)]) -> MeshBlock {
+        let mut b = MeshBlock::empty(gid, Aabb::cube(1.0));
+        for (i, (site, volume, far)) in cells.iter().enumerate() {
             b.particles.push(Vec3::splat(0.5));
-            b.site_ids.push(i as u64);
-            let mut faces = Vec::new();
-            if i > 0 {
-                faces.push(Face {
-                    neighbor: (i - 1) as u64,
-                    verts: vec![],
-                });
-            }
-            if i + 1 < vols.len() {
-                faces.push(Face {
-                    neighbor: (i + 1) as u64,
-                    verts: vec![],
-                });
-            }
+            b.site_ids.push(*site);
             b.cells.push(Cell {
                 site_idx: i as u32,
-                volume: v,
+                volume: *volume,
                 area: 1.0,
                 complete: true,
-                faces,
+                faces: far
+                    .iter()
+                    .map(|&neighbor| Face {
+                        neighbor,
+                        verts: vec![],
+                    })
+                    .collect(),
             });
         }
         b
+    }
+
+    /// Cells `first..` of a chain `0..=last` in which each cell lists its
+    /// predecessor and successor, so a chain can continue in another block.
+    fn chain(first: u64, vols: &[f64], last: u64) -> Vec<(u64, f64, Vec<u64>)> {
+        vols.iter()
+            .zip(first..)
+            .map(|(&v, id)| {
+                let far = [id.checked_sub(1), (id < last).then_some(id + 1)];
+                (id, v, far.into_iter().flatten().collect())
+            })
+            .collect()
+    }
+
+    /// A 1D chain of cells in one block: cell i adjacent to i-1 and i+1.
+    fn chain_block(vols: &[f64]) -> MeshBlock {
+        block(0, &chain(0, vols, vols.len() as u64 - 1))
     }
 
     #[test]
@@ -414,6 +387,114 @@ mod tests {
         assert_eq!(sorted[0].0, 3);
         assert!((sorted[0].1.volume - 6.0).abs() < 1e-12);
         assert_eq!(sorted[1].0, 0);
+    }
+
+    #[test]
+    fn a_nan_volume_never_panics() {
+        // a NaN-volume cell fails every threshold, so it splits the chain
+        let b = chain_block(&[1.0, f64::NAN, 3.0]);
+        let mut c = label_components_serial(&[b], 0.5);
+        assert_eq!(c.num_components(), 2);
+        assert!(!c.labels.contains_key(&1));
+        // a NaN summary volume sorts by its bits: f64::NAN is positive, so
+        // above every number
+        c.summaries.insert(
+            9,
+            ComponentSummary {
+                cells: 1,
+                volume: f64::NAN,
+                area: 0.0,
+            },
+        );
+        let order: Vec<u64> = c.by_volume().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(order, vec![9, 2, 0]);
+    }
+
+    /// Run `label_components_parallel` at `nranks` ranks, each owning its
+    /// blocks of `blocks` (every gid of `dec` has a block, perhaps empty).
+    /// Returns per rank the labeling and the messages the labeling sent.
+    fn label_on_ranks(
+        nranks: usize,
+        dec: &Decomposition,
+        blocks: &[MeshBlock],
+        min_volume: f64,
+    ) -> Vec<(Components, u64)> {
+        Runtime::run(nranks, |world| {
+            let asn = Assignment::new(dec.nblocks(), nranks);
+            let local: BTreeMap<u64, MeshBlock> = blocks
+                .iter()
+                .filter(|b| asn.rank_of_block(b.gid) == world.rank())
+                .map(|b| (b.gid, b.clone()))
+                .collect();
+            let before = diy::metrics::collect_report(world).traffic_totals().0;
+            let comps = label_components_parallel(world, dec, &asn, &local, min_volume);
+            let after = diy::metrics::collect_report(world).traffic_totals().0;
+            (comps, after - before)
+        })
+    }
+
+    /// Parallel labels match serial site for site, and every rank holds
+    /// the same summaries.
+    fn assert_matches_serial(runs: &[(Components, u64)], blocks: &[MeshBlock], min_volume: f64) {
+        let serial = label_components_serial(blocks, min_volume);
+        let mut labels = BTreeMap::new();
+        for (comps, _) in runs {
+            assert_eq!(comps.summaries, serial.summaries);
+            labels.extend(comps.labels.iter().map(|(&s, &l)| (s, l)));
+        }
+        assert_eq!(labels, serial.labels);
+    }
+
+    #[test]
+    fn a_face_listed_by_one_cell_still_joins_across_ranks() {
+        let dec = Decomposition::with_dims(Aabb::cube(2.0), [2, 1, 1], [false; 3]);
+        // 0 lists 1 and 3 lists 2, never the reverse; 4 ↔ 5 list each
+        // other, but 5 is below the threshold
+        let blocks = [
+            block(0, &[(0, 1.0, vec![1]), (2, 1.0, vec![]), (4, 1.0, vec![5])]),
+            block(1, &[(1, 1.0, vec![]), (3, 1.0, vec![2]), (5, 0.1, vec![4])]),
+        ];
+        for nranks in [1, 2] {
+            let runs = label_on_ranks(nranks, &dec, &blocks, 0.5);
+            assert_matches_serial(&runs, &blocks, 0.5);
+            let cells: Vec<(u64, u64)> = runs[0]
+                .0
+                .summaries
+                .iter()
+                .map(|(&l, s)| (l, s.cells))
+                .collect();
+            assert_eq!(cells, vec![(0, 2), (2, 2), (4, 1)], "nranks={nranks}");
+        }
+    }
+
+    #[test]
+    fn labeling_sends_as_many_messages_whatever_the_component_diameter() {
+        // 2×2×2 blocks, each adjacent to all seven others; rank r of 4 owns
+        // blocks 2r and 2r+1, so the long chain changes rank at every hop
+        let dec = Decomposition::regular(Aabb::cube(2.0), 8, [false; 3]);
+        let chain_through = |gids: &[u64]| -> Vec<MeshBlock> {
+            let per_block = 24 / gids.len() as u64;
+            let mut blocks: Vec<MeshBlock> = (0..8).map(|g| block(g, &[])).collect();
+            for (k, &gid) in gids.iter().enumerate() {
+                let first = k as u64 * per_block;
+                blocks[gid as usize] =
+                    block(gid, &chain(first, &vec![1.0; per_block as usize], 23));
+            }
+            blocks
+        };
+        let long = chain_through(&[0, 2, 4, 6, 1, 3, 5, 7]);
+        let short = chain_through(&[0, 2]);
+        for nranks in [2, 4, 8] {
+            let mut messages = Vec::new();
+            for blocks in [&long, &short] {
+                let runs = label_on_ranks(nranks, &dec, blocks, 0.5);
+                assert_matches_serial(&runs, blocks, 0.5);
+                assert_eq!(runs[0].0.summaries[&0].cells, 24);
+                messages.push(runs.iter().map(|r| r.1).collect::<Vec<_>>());
+            }
+            assert!(messages[0][0] > 0);
+            assert_eq!(messages[0], messages[1], "nranks={nranks}");
+        }
     }
 
     #[test]

@@ -37,6 +37,26 @@ pub struct Minkowski {
     pub unmatched_edges: u64,
 }
 
+/// One boundary edge: its length summed over the faces that list it, and
+/// the normals of the first two. A watertight surface has exactly two
+/// faces per edge; any other count is an unmatched edge.
+#[derive(Default)]
+struct EdgeFaces {
+    len2: f64,
+    normals: [Vec3; 2],
+    faces: u32,
+}
+
+impl EdgeFaces {
+    fn add(&mut self, len: f64, normal: Vec3) {
+        self.len2 += len;
+        if let Some(slot) = self.normals.get_mut(self.faces as usize) {
+            *slot = normal;
+        }
+        self.faces += 1;
+    }
+}
+
 /// Compute the functionals for the component consisting of `sites`.
 ///
 /// `domain` is the periodic box; boundary vertices are wrapped into it so
@@ -70,11 +90,12 @@ pub fn minkowski_functionals(
         )
     };
 
-    // Boundary edges: edge key → (total length, normals of adjacent faces).
+    // Boundary edges: edge key → the faces listing it, held inline.
     type EdgeKey = ((i64, i64, i64), (i64, i64, i64));
-    let mut edges: HashMap<EdgeKey, (f64, Vec<Vec3>)> = HashMap::new();
+    let mut edges: HashMap<EdgeKey, EdgeFaces> = HashMap::new();
     let mut boundary_verts: HashSet<(i64, i64, i64)> = HashSet::new();
     let mut boundary_faces: u64 = 0;
+    let mut pts: Vec<Vec3> = Vec::new();
 
     for b in blocks {
         for c in &b.cells {
@@ -88,7 +109,8 @@ pub fn minkowski_functionals(
                 if !is_boundary {
                     continue;
                 }
-                let pts = b.face_points(f);
+                pts.clear();
+                pts.extend(f.verts.iter().map(|&v| b.verts[v as usize]));
                 if pts.len() < 3 {
                     continue;
                 }
@@ -107,9 +129,7 @@ pub fn minkowski_functionals(
                     boundary_verts.insert(qa);
                     boundary_verts.insert(qb);
                     let key = if qa < qb { (qa, qb) } else { (qb, qa) };
-                    let entry = edges.entry(key).or_insert((0.0, Vec::new()));
-                    entry.0 += a.dist(bb); // counted once per adjacent face
-                    entry.1.push(n);
+                    edges.entry(key).or_default().add(a.dist(bb), n);
                 }
             }
         }
@@ -118,12 +138,12 @@ pub fn minkowski_functionals(
     let mut v2 = 0.0;
     let mut unmatched = 0u64;
     let mut edge_count = 0i64;
-    for (len2, normals) in edges.values() {
+    for e in edges.values() {
         edge_count += 1;
-        if normals.len() == 2 {
+        if e.faces == 2 {
             // each face contributed the length once → halve
-            let ell = len2 / 2.0;
-            let theta = dihedral_angle(normals[0], normals[1]);
+            let ell = e.len2 / 2.0;
+            let theta = dihedral_angle(e.normals[0], e.normals[1]);
             v2 += 0.5 * ell * (std::f64::consts::PI - theta);
         } else {
             unmatched += 1;
