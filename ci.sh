@@ -5,10 +5,13 @@
 #   ./ci.sh            full gate: every stage below, with a timing summary
 #   ./ci.sh full       same
 #   ./ci.sh quick      build + test + fmt + clippy (no release suites)
-#   ./ci.sh <stage>..  run the named stage(s) only, e.g. ./ci.sh memory schema
+#   ./ci.sh <stage>..  run the named stage(s) only, e.g. ./ci.sh memory obs
 #
-# Stages: build test ghost kernel perf trace service decomp memory obs
-#         schema benchmark fmt clippy
+# Stages: build test ghost kernel trace service decomp memory obs benchmark
+#         fmt clippy
+#
+# Timing is the benchmark stage's job (BENCHMARK.json); every other stage
+# gates on bit-identity, oracles and deterministic work counters.
 #
 # Everything runs offline: external dependencies resolve to the vendored
 # shims under crates/shims/ (see crates/shims/README.md).
@@ -73,28 +76,21 @@ stage_kernel() {
     echo "==> [kernel] kernel vs brute-force oracle (release)"
     # The cell kernel must produce the bits of clipping every cell by every
     # particle in canonical order — across 1/2/4/8 ranks, pool widths,
-    # incremental-vs-full re-tessellation and explicit+adaptive ghost modes,
-    # on jittered points and the exact lattice — keep kept-incomplete cells
-    # bit-stable across rank counts, and stay inside the pinned
-    # candidates/cell budgets and the mesh digest recorded before the flat
-    # cell storage; the adversarial corpus must agree between 1 and 4
-    # ranks; a warm kernel must stay inside its allocations-per-cell budget.
+    # incremental re-tessellation over adaptive rounds and explicit+adaptive
+    # ghost modes, on jittered points and the exact lattice — keep
+    # kept-incomplete cells bit-stable across rank counts, and stay inside
+    # the pinned candidates/cell budgets (with the support-function / f32
+    # rejects firing) and the mesh digest recorded before the flat cell
+    # storage; the adversarial corpus must agree between 1 and 4 ranks; a
+    # warm kernel must stay inside its allocations-per-cell budget.
     cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         cargo test --release -q -p meshing-universe --test adversarial_corpus &&
         cargo test --release -q -p meshing-universe --test kernel_allocations
 }
 
-stage_perf() {
-    echo "==> [perf] threaded+incremental vs sequential full-recompute baseline"
-    # Bit-identical meshes across both configs, conservation, candidates/cell
-    # under the pinned budget (deterministic), and >=2x cells/sec over the
-    # sequential full-recompute baseline measured in the same run.
-    TESS_THREADS=4 cargo run --release -q -p bench-harness --bin perf_smoke
-}
-
 stage_trace() {
     echo "==> [trace] 4-rank traced run, Chrome-trace validation, <10% overhead"
-    # Runs the perf_smoke workload untraced and under TESS_TRACE=full, asserts
+    # Runs the small Table II workload untraced and under TESS_TRACE=full, asserts
     # the traced mesh is bit-identical and the wall-clock overhead stays under
     # 10%, and validates the exported Chrome-trace JSON (parses, balanced B/E
     # pairs per track, monotonic timestamps). Artifact:
@@ -112,14 +108,6 @@ stage_service() {
     cargo test --release -q -p meshing-universe --test service_oracle &&
         cargo test --release -q -p meshing-universe --test service_property &&
         cargo test --release -q -p meshing-universe --test service_stress &&
-        echo "==> [service] 4-rank mixed query/update smoke, bit-identity + p99 bound" &&
-    # bench_service hammers the service from 4 client threads while a particle
-    # delta lands mid-flight, then gates on (1) the post-update published mesh
-    # being bit-identical to a from-scratch recompute of the final particle
-    # set, (2) every response carrying a valid epoch, (3) exactly-once
-    # accounting, and (4) client-observed p99 latency under SERVICE_P99_MS
-    # (default 500 ms). Writes the `service` section of BENCH_TESS.json.
-        TESS_THREADS=4 cargo run --release -q -p bench-harness --bin bench_service &&
         # End-to-end smoke of the tess-serve binary's scripted query/update loop.
         cargo run --release -q -p tess --bin tess-serve -- --box 8 --n 200 --demo
 }
@@ -133,16 +121,14 @@ stage_decomp() {
     # and service-oracle suites rerun with every decomposition built as a k-d
     # tree, so all of their invariants hold on irregular block geometry too;
     # (3) distributed void labeling equals the serial union-find at
-    # 1/2/3/4/8 ranks on regular and k-d blocks.
+    # 1/2/3/4/8 ranks on regular and k-d blocks. The equivalence suite also
+    # pins rank imbalance on the clustered corpus at 8 ranks: regular >=3.0,
+    # k-d + weighted assignment <=1.25.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
         cargo test --release -q -p meshing-universe --test voids_pipeline &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle
-    # Clustered-corpus A/B perf gate at 8 ranks (modeled parallel wall at
-    # pool width 1): kd must hit >=1.4x cells/sec over regular with rank
-    # imbalance <=1.25 (regular >=3.0) — asserted inside perf_smoke (the
-    # perf stage), which also records decomp/imbalance in BENCH_TESS.json.
 }
 
 stage_memory() {
@@ -153,39 +139,24 @@ stage_memory() {
     # write sink, so blocks that become final in different rounds (the
     # default schedule) must stream to the identical file; (2) the on-disk codec fuzz: any single-byte
     # corruption or truncation of a block file is a typed error, never a
-    # panic; (3) bench_memory: 8-rank clustered streaming vs accumulate A/B
-    # gating on allocator peak (<0.8x), VmHWM growth, the culled
-    # bytes/particle budget, and <5% allocation-accounting overhead.
-    # Writes the `memory` section of BENCH_TESS.json.
+    # panic; (3) memory_budget: 8-rank, 64-block clustered streaming vs
+    # accumulate A/B gating on allocator peak (<=0.8x), equal files, and the
+    # light- and tight-culled bytes/particle budgets.
     cargo test --release -q -p meshing-universe --test streaming_output &&
         cargo test --release -q -p diy --test blockfile_fuzz &&
-        cargo run --release -q -p bench-harness --bin bench_memory
+        cargo test --release -q -p meshing-universe --test memory_budget
 }
 
 stage_obs() {
-    echo "==> [obs] telemetry neutrality/overhead/round-trip + history trend gate"
-    # (1) unit + integration suites for the metric registry, log formats,
-    # histogram quantile contracts, and the service's live instruments /
-    # request-scoped tracing; (2) bench_obs: telemetry-on mesh bit-identical
-    # to telemetry-off at 4 ranks, <5% wall overhead, Prometheus exposition
-    # round-trips through the parser with exact scalar values, rolling p99
-    # within one log2 bucket of exact. Writes the `telemetry` section of
-    # BENCH_TESS.json. (3) bench_trend: the newest BENCH_HISTORY.jsonl row
-    # per (bench,label) must stay within 30% of the median of the last 5 —
-    # run AFTER perf/service so their freshly appended rows are judged.
+    echo "==> [obs] telemetry and tracing neutrality, quantiles, round-trip"
+    # Histogram quantile contracts (one log2 bucket of exact, for the
+    # rolling window too, while it fills and after it rotates), the
+    # service's live instruments and request-scoped tracing, and the
+    # telemetry-on / traced mesh bit-identical to a plain run. The
+    # Prometheus exposition round-trip is a diy unit test (test stage).
     cargo test --release -q -p diy --test hist_quantiles &&
         cargo test --release -q -p meshing-universe --test service_telemetry &&
-        TESS_THREADS=4 cargo run --release -q -p bench-harness --bin bench_obs &&
-        cargo run --release -q -p bench-harness --bin bench_trend
-}
-
-stage_schema() {
-    echo "==> [schema] BENCH_TESS.json schema gate"
-    # The bench artifact written by the perf/service/memory/obs stages must
-    # parse and carry the full key set of every section (entries / service
-    # / memory / telemetry) — a harness emitting a malformed or truncated
-    # document fails here instead of shipping.
-    cargo run --release -q -p bench-harness --bin bench_schema_check
+        cargo test --release -q -p meshing-universe --test trace_invariants
 }
 
 stage_benchmark() {
@@ -209,7 +180,7 @@ stage_clippy() {
 
 # ---- drivers ---------------------------------------------------------------
 
-ALL_STAGES="build test ghost kernel perf trace service decomp memory obs schema benchmark fmt clippy"
+ALL_STAGES="build test ghost kernel trace service decomp memory obs benchmark fmt clippy"
 QUICK_STAGES="build test fmt clippy"
 
 case "${1:-full}" in

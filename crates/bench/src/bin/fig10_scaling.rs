@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use bench_harness::{bytes_h, output_dir, secs, write_bench_memory_json, MemoryBenchEntry, Table};
+use bench_harness::{bytes_h, output_dir, secs, Table};
 use diy::comm::Runtime;
 use diy::metrics::collect_report;
 use geometry::Vec3;
@@ -52,10 +52,22 @@ fn tess_time(np: usize, nsteps: usize, nranks: usize) -> f64 {
     times[0]
 }
 
+/// One row of the memory sweep.
+struct MemoryPoint {
+    /// Allocator high-water mark over the run (bytes, process-wide, from
+    /// `diy::mem` after `reset_peak`).
+    peak_live_bytes: u64,
+    /// Kernel-reported peak RSS (`VmHWM`, kB; 0 off Linux).
+    peak_rss_kb: u64,
+    /// Serialized mesh payload bytes in the culled output file.
+    payload_bytes: u64,
+    wall_s: f64,
+}
+
 /// One bounded-memory streaming tessellation of the same workload,
 /// recording the allocator high-water mark over the run, the process
 /// `VmHWM`, and the real serialized byte counts the writer reports.
-fn memory_point(np: usize, nsteps: usize, nranks: usize) -> MemoryBenchEntry {
+fn memory_point(np: usize, nsteps: usize, nranks: usize) -> MemoryPoint {
     let params = SimParams::paper_like(np);
     let out = output_dir().join(format!("fig10_mem_np{np}_r{nranks}.tess"));
     let out_ref = &out;
@@ -78,25 +90,17 @@ fn memory_point(np: usize, nsteps: usize, nranks: usize) -> MemoryBenchEntry {
             out_ref,
         )
         .expect("streaming write");
-        let stats = tess::driver::global_stats(world, s.stats);
-        (stats.cells, s.payload_bytes, s.file_bytes)
+        s.payload_bytes
     });
     let wall_s = t0.elapsed().as_secs_f64();
     let after = diy::mem::stats();
     let (_, peak_rss_kb) = diy::mem::proc_status_kb();
-    let (cells, payload_bytes, file_bytes) = rows[0];
-    MemoryBenchEntry {
-        label: format!("fig10_np{np}_r{nranks}"),
-        mode: "stream".into(),
-        nranks,
-        particles: (np * np * np) as u64,
-        cells,
+    MemoryPoint {
         peak_live_bytes: after
             .peak_live_bytes
             .saturating_sub(before.live_bytes.min(after.peak_live_bytes)),
         peak_rss_kb,
-        payload_bytes,
-        file_bytes,
+        payload_bytes: rows[0],
         wall_s,
     }
 }
@@ -175,8 +179,7 @@ fn main() {
 
     // Memory sweep: the same workloads through the bounded-memory
     // streaming driver, recording allocator peak, VmHWM, and the real
-    // serialized byte counts (culled, min_volume 0.2). Lands in the
-    // `memory` section of BENCH_TESS.json under fig10_* labels.
+    // serialized byte counts (culled, min_volume 0.2).
     let mut mem = Table::new(&[
         "Particles",
         "Ranks",
@@ -190,7 +193,6 @@ fn main() {
     } else {
         vec![(16, 20, 4), (32, 20, 8)]
     };
-    let mut entries = Vec::new();
     for &(np, nsteps, nranks) in &mem_configs {
         let e = memory_point(np, nsteps, nranks);
         mem.row(&[
@@ -198,14 +200,10 @@ fn main() {
             nranks.to_string(),
             bytes_h(e.peak_live_bytes),
             e.peak_rss_kb.to_string(),
-            format!("{:.1}", e.payload_bytes as f64 / e.particles as f64),
+            format!("{:.1}", e.payload_bytes as f64 / (np * np * np) as f64),
             secs(e.wall_s),
         ]);
-        entries.push(e);
     }
     println!("## Memory sweep (streaming output, culled; paper: ~100 B/particle culled)");
     mem.print();
-    for p in write_bench_memory_json(&entries, "fig10_") {
-        println!("wrote {}", p.display());
-    }
 }

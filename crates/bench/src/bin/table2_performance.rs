@@ -17,19 +17,14 @@
 //! and scales well with rank count; output time grows with problem size.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use bench_harness::{
-    bytes_h, corpus::ClusterSpec, output_dir, run_decomp_ab, secs, write_bench_tess_json, Table,
-    TessBenchEntry,
-};
-use diy::comm::{Runtime, World};
+use bench_harness::{bytes_h, corpus::ClusterSpec, output_dir, run_decomp_ab, secs, Table};
+use diy::comm::Runtime;
 use diy::decomposition::DecompScheme;
 use diy::metrics::collect_report;
 use geometry::Vec3;
 use hacc::SimParams;
 use postprocess::VolumeFilter;
-use tess::ghost::is_ghost_tag;
 use tess::{tessellate, GhostSpec, TessParams, PHASE_GHOST_EXCHANGE, PHASE_OUTPUT, PHASE_VORONOI};
 
 /// Ghost mode from `BENCH_GHOST`: `adaptive`, `auto`, or an explicit
@@ -40,18 +35,6 @@ fn ghost_from_env() -> GhostSpec {
         Some("auto") => GhostSpec::default(),
         Some(v) => GhostSpec::Explicit(v.parse().expect("BENCH_GHOST: adaptive|auto|<radius>")),
         None => GhostSpec::Explicit(4.0),
-    }
-}
-
-/// Max/mean per-rank particle count (1.0 = perfectly balanced).
-fn rank_imbalance(world: &mut World, local: &BTreeMap<u64, Vec<(u64, Vec3)>>) -> f64 {
-    let mine: f64 = local.values().map(|v| v.len() as f64).sum();
-    let max = world.all_reduce(mine, f64::max);
-    let total = world.all_reduce(mine, |a, b| a + b);
-    if total > 0.0 {
-        max * world.nranks() as f64 / total
-    } else {
-        1.0
     }
 }
 
@@ -66,7 +49,6 @@ fn main() {
 
     println!("# Table II: in-situ performance (thread-CPU critical path; see DESIGN.md)");
     println!("# ghost mode: {ghost:?} (override with BENCH_GHOST=adaptive|auto|<radius>)");
-    let mut bench_entries: Vec<TessBenchEntry> = Vec::new();
     let mut table = Table::new(&[
         "Particles",
         "Steps",
@@ -100,17 +82,12 @@ fn main() {
                     ghost,
                     ..TessParams::default().with_min_volume(0.2)
                 };
-                let t0 = Instant::now();
                 let result = tessellate(world, &sim.dec, &sim.asn, &local, &tess_params);
-                let wall = world.all_reduce(t0.elapsed().as_secs_f64(), f64::max);
-                let stats = tess::driver::global_stats(world, result.stats);
-                let imbalance = rank_imbalance(world, &local);
-
                 let bytes =
                     tess::io::write_tessellation(world, &out_path, &result.blocks).expect("write");
-                (collect_report(world), bytes, stats, wall, imbalance)
+                (collect_report(world), bytes)
             });
-            let (report, bytes, stats, tess_wall, imbalance) = &rows[0];
+            let (report, bytes) = &rows[0];
             let sim_s = report.cpu_max(hacc::PHASE_SIM);
             let exch = report.cpu_max(PHASE_GHOST_EXCHANGE);
             let comp = report.cpu_max(PHASE_VORONOI);
@@ -131,18 +108,6 @@ fn main() {
             ]);
             let json_path = output_dir().join(format!("table2_np{np}_r{nranks}.report.json"));
             std::fs::write(&json_path, report.to_json()).expect("write report json");
-            let (_, ghost_bytes) = report.tag_traffic_where(is_ghost_tag);
-            bench_entries.push(TessBenchEntry {
-                label: format!("table2_np{np}_r{nranks}"),
-                stats: *stats,
-                wall_s: *tess_wall,
-                ghost_bytes,
-                exchange_s: exch,
-                voronoi_s: comp,
-                output_s: outp,
-                decomp: "regular".into(),
-                imbalance: *imbalance,
-            });
             // sanity echo of what survived the cull
             let blocks = tess::io::read_tessellation(&out_path).expect("read back");
             let kept: usize = blocks.iter().map(|b| b.cells.len()).sum();
@@ -159,67 +124,11 @@ fn main() {
     }
     table.print();
 
-    // One configuration through the adaptive multi-round incremental path,
-    // so the ghost_rounds / reuse counters are live in the committed
-    // BENCH_TESS.json — the fixed-radius entries above are single-round by
-    // construction, leaving those columns dead.
-    {
-        let (np, nsteps, nranks) = (16usize, 100usize, 4usize);
-        let params = SimParams::paper_like(np);
-        let rows = Runtime::run(nranks, move |world| {
-            let sim = bench_harness::run_sim(world, params, nranks, nsteps);
-            let local: BTreeMap<u64, Vec<(u64, Vec3)>> = sim
-                .blocks
-                .iter()
-                .map(|(&gid, ps)| (gid, ps.iter().map(|p| (p.id, p.pos)).collect()))
-                .collect();
-            let tess_params = TessParams {
-                ghost: GhostSpec::Adaptive {
-                    initial_factor: 0.5,
-                    max_rounds: 8,
-                },
-                incremental_retess: true,
-                ..TessParams::default().with_min_volume(0.2)
-            };
-            let t0 = Instant::now();
-            let result = tessellate(world, &sim.dec, &sim.asn, &local, &tess_params);
-            let wall = world.all_reduce(t0.elapsed().as_secs_f64(), f64::max);
-            let stats = tess::driver::global_stats(world, result.stats);
-            let imbalance = rank_imbalance(world, &local);
-            (collect_report(world), stats, wall, imbalance)
-        });
-        let (report, stats, wall, imbalance) = &rows[0];
-        assert!(
-            stats.ghost_rounds > 1,
-            "adaptive entry ran only one ghost round"
-        );
-        assert!(
-            stats.cells_reused > 0,
-            "adaptive entry reused no cells — the incremental path is dead"
-        );
-        let (_, ghost_bytes) = report.tag_traffic_where(is_ghost_tag);
-        eprintln!(
-            "  adaptive incremental np{np} r{nranks}: {} ghost rounds, {} reused / {} computed",
-            stats.ghost_rounds, stats.cells_reused, stats.cells_computed
-        );
-        bench_entries.push(TessBenchEntry {
-            label: format!("table2_np{np}_r{nranks}_adaptive_incr"),
-            stats: *stats,
-            wall_s: *wall,
-            ghost_bytes,
-            exchange_s: report.cpu_max(PHASE_GHOST_EXCHANGE),
-            voronoi_s: report.cpu_max(PHASE_VORONOI),
-            output_s: report.cpu_max(PHASE_OUTPUT),
-            decomp: "regular".into(),
-            imbalance: *imbalance,
-        });
-    }
-
     // Clustered-corpus decomposition A/B: regular vs particle-balanced k-d
-    // at 8 ranks on the corner-heavy halo corpus. perf_smoke gates these
-    // numbers in CI; here they land in the table and the JSON. Modeled
-    // parallel wall = max-over-ranks thread-CPU per phase (the slowest
-    // rank's critical path), with the cell-kernel pool pinned to 1 thread.
+    // at 8 ranks on the corner-heavy halo corpus. Modeled parallel wall =
+    // max-over-ranks thread-CPU per phase (the slowest rank's critical
+    // path), with the cell-kernel pool pinned to 1 thread. Both schemes
+    // must publish the same mesh.
     let spec = ClusterSpec::corner_heavy(16.0, 24, 40, 42);
     let corpus = spec.generate();
     let prev = rayon::set_max_parallelism(1);
@@ -253,24 +162,13 @@ fn main() {
             secs(arm.modeled_s),
             format!("{:.0}", arm.cells_per_sec()),
         ]);
-        bench_entries.push(TessBenchEntry {
-            label: format!("table2_clustered_r8_{label}"),
-            stats: arm.stats,
-            wall_s: arm.modeled_s,
-            ghost_bytes: arm.ghost_bytes,
-            exchange_s: arm.exchange_s,
-            voronoi_s: arm.voronoi_s,
-            output_s: 0.0,
-            decomp: (*label).into(),
-            imbalance: arm.imbalance,
-        });
     }
+    assert!(
+        arms[0].1.mesh == arms[1].1.mesh,
+        "clustered mesh differs between decomposition schemes"
+    );
     println!(
         "\n# Clustered-corpus decomposition A/B (modeled parallel wall: max-over-ranks thread-CPU)"
     );
     ab.print();
-
-    for path in write_bench_tess_json(&bench_entries) {
-        eprintln!("# machine-readable results: {}", path.display());
-    }
 }

@@ -1,7 +1,7 @@
 //! trace_export — flight-recorder smoke: traced run, Chrome-trace export,
 //! overhead gate.
 //!
-//! Runs the perf_smoke workload (np16 evolved particles, 8 blocks on 4
+//! Runs the small Table II workload (np16 evolved particles, 8 blocks on 4
 //! ranks, multi-round adaptive ghost) once untraced and once under
 //! `TESS_TRACE=full`, best-of-3 wall each, then asserts:
 //!

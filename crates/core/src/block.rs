@@ -22,7 +22,7 @@ use rayon::prelude::*;
 use crate::cell::{compute_cell, CellContext, CellScratch, ComputedCell};
 use crate::grid::CandidateGrid;
 use crate::model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
-use crate::params::{HullMode, TessParams};
+use crate::params::TessParams;
 use crate::stats::TessStats;
 
 /// Per-block certification summary for the adaptive ghost loop.
@@ -415,14 +415,8 @@ fn record_of(
             };
         }
     }
-    // Volume / area: native clip path or the paper's Qhull path.
-    let (volume, area) = match params.hull_mode {
-        HullMode::Clip => (poly.volume(), poly.surface_area()),
-        HullMode::Quickhull => match geometry::convex_hull(&poly.verts, params.eps) {
-            Ok(h) => (h.volume(), h.surface_area()),
-            Err(_) => (poly.volume(), poly.surface_area()),
-        },
-    };
+    // Volume / area straight from the clipped polyhedron's ordered faces.
+    let (volume, area) = (poly.volume(), poly.surface_area());
     // Exact cull after the volume is known.
     if let Some(minv) = params.min_volume {
         if volume < minv {
@@ -738,26 +732,24 @@ mod tests {
         let n = 5;
         let own = lattice_particles(n, 1.0);
         let bounds = Aabb::cube(n as f64);
-        let base = TessParams::default().with_ghost(2.0);
-        let clip = TessParams {
-            hull_mode: HullMode::Clip,
-            ..base
-        };
-        let hull = TessParams {
-            hull_mode: HullMode::Quickhull,
-            ..base
-        };
-        let (b1, _) = tessellate_block(0, bounds, &own, &[], 2.0, &clip);
-        let (b2, _) = tessellate_block(0, bounds, &own, &[], 2.0, &hull);
-        assert_eq!(b1.cells.len(), b2.cells.len());
-        for (c1, c2) in b1.cells.iter().zip(&b2.cells) {
+        let params = TessParams::default().with_ghost(2.0);
+        let (block, _) = tessellate_block(0, bounds, &own, &[], 2.0, &params);
+        assert!(!block.cells.is_empty());
+        // The paper's path (§III-C, Qhull): the convex hull of the cell's
+        // vertices orders them into faces and yields volume and area.
+        for c in &block.cells {
+            let mut idx: Vec<u32> = c.faces.iter().flat_map(|f| f.verts.clone()).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            let verts: Vec<Vec3> = idx.iter().map(|&i| block.verts[i as usize]).collect();
+            let hull = geometry::convex_hull(&verts, params.eps).expect("cell hull");
             assert!(
-                (c1.volume - c2.volume).abs() < 1e-9,
+                (c.volume - hull.volume()).abs() < 1e-9,
                 "{} vs {}",
-                c1.volume,
-                c2.volume
+                c.volume,
+                hull.volume()
             );
-            assert!((c1.area - c2.area).abs() < 1e-9);
+            assert!((c.area - hull.surface_area()).abs() < 1e-9);
         }
     }
 

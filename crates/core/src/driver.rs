@@ -242,8 +242,6 @@ struct Pending {
     /// The latest pass, resumable: the next round recomputes only the
     /// cells this one could not certify.
     session: Option<BlockSession>,
-    /// Counters of the latest pass (cumulative over the block's rounds).
-    work: TessStats,
 }
 
 /// Wave slots a round runs: the most requested blocks any one rank owns.
@@ -360,11 +358,9 @@ fn run_rounds(
                 }
                 let _span = metrics.phase(PHASE_VORONOI);
                 let (block, s, cert) = match &mut state.session {
-                    Some(session) if params.incremental_retess => {
-                        session.retessellate(own, &state.halo, &new, r, params)
-                    }
+                    Some(session) => session.retessellate(own, &state.halo, &new, r, params),
                     session => {
-                        let (block, mut s, cert, fresh_session) = tessellate_block_session(
+                        let (block, s, cert, fresh_session) = tessellate_block_session(
                             gid,
                             dec.block_bounds(gid),
                             own,
@@ -372,14 +368,6 @@ fn run_rounds(
                             r,
                             params,
                         );
-                        // keep the work counters cumulative across rounds in
-                        // full (non-incremental) mode too, so the two modes'
-                        // counters measure the same thing
-                        let prev = state.work;
-                        s.candidates_tested =
-                            s.candidates_tested.saturating_add(prev.candidates_tested);
-                        s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
-                        s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
                         *session = Some(fresh_session);
                         (block, s, cert)
                     }
@@ -395,7 +383,6 @@ fn run_rounds(
                     (cert.uncertified > 0 && cert.needed_ghost > 0.0).then_some(cert.needed_ghost);
                 match need.and_then(|need| schedule.next(round, r, need)) {
                     Some(next) => {
-                        state.work = s;
                         my_requests.push((gid, next));
                         None
                     }

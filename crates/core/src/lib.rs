@@ -47,7 +47,7 @@ pub use driver::{
 };
 pub use io::{StreamWriteSummary, TessStreamWriter};
 pub use model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
-pub use params::{GhostSpec, HullMode, TessParams, AUTO_GHOST_FACTOR};
+pub use params::{GhostSpec, TessParams, AUTO_GHOST_FACTOR};
 pub use service::{
     Answer, CellSummary, MeshService, MeshSnapshot, ParticleStore, Pending, PointHit, Query,
     RegionSummary, Response, ServiceClosed, ServiceConfig, ServiceHists, ServiceStats, Update,

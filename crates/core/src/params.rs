@@ -48,20 +48,6 @@ impl GhostSpec {
     }
 }
 
-/// How cell volumes and areas are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HullMode {
-    /// Directly from the clipped polyhedron's ordered faces (this
-    /// implementation's native path).
-    Clip,
-    /// Via a convex hull of the cell's vertices, as the paper does with
-    /// Qhull (§III-C: "compute the convex hull of the vertices in the
-    /// Voronoi cell … orders the vertices into faces and computes the
-    /// volume and surface area"). Kept for cross-validation and the
-    /// ablation benchmark.
-    Quickhull,
-}
-
 /// Parameters for a tessellation pass.
 #[derive(Debug, Clone, Copy)]
 pub struct TessParams {
@@ -77,13 +63,6 @@ pub struct TessParams {
     /// Absolute tolerance for plane-side classification during clipping,
     /// in domain units.
     pub eps: f64,
-    pub hull_mode: HullMode,
-    /// Re-tessellate only uncertified cells in adaptive ghost rounds after
-    /// the first, reusing certified cells verbatim. Off, every round
-    /// recomputes every cell of a requesting block (the pre-incremental
-    /// behaviour, kept for A/B determinism tests and the perf baseline);
-    /// the output is bit-identical either way.
-    pub incremental_retess: bool,
     /// Half-extent of the canonical start cube centered on each site. The
     /// distributed driver fills it from the decomposition's *domain* (never
     /// from a block), which is what makes certified cell bits independent
@@ -99,8 +78,6 @@ impl Default for TessParams {
             min_volume: None,
             keep_incomplete: false,
             eps: 1e-9,
-            hull_mode: HullMode::Clip,
-            incremental_retess: true,
             canon_extent: None,
         }
     }

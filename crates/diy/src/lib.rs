@@ -33,7 +33,7 @@ pub mod trace;
 
 /// Every binary linking `diy` counts allocations through [`mem`]; the
 /// wrapper forwards to the system allocator and keeps a few relaxed
-/// atomics (gated under 5% overhead by the `bench_memory` CI stage).
+/// atomics.
 #[global_allocator]
 static GLOBAL_ALLOCATOR: mem::CountingAlloc = mem::CountingAlloc;
 

@@ -5,28 +5,17 @@
 //! `#[global_allocator]` (see the crate root), so every binary and test
 //! linking `diy` gets allocation counters for free. The counters are
 //! process-global relaxed atomics — a handful of uncontended atomic ops
-//! per allocation, which the `bench_memory` gate holds under 5% of the
-//! tessellation workload. Because the accounting is process-wide, the
-//! per-rank values sampled into [`crate::metrics::MemStats`] are merged
-//! across ranks with an elementwise *max*, not a sum.
-//!
-//! `set_enabled(false)` turns the wrapper into a plain pass-through (one
-//! relaxed load per call), which is how the accounting overhead is
-//! A/B-measured in-process: a global allocator cannot be uninstalled, but
-//! its counting can. Toggling mid-run lets `live_bytes` drift (frees of
-//! blocks allocated while disabled are not symmetric), so the gauge is
-//! clamped at zero on read and [`reset_peak`] re-bases the high-water
-//! mark; the monotonic totals (`alloc_count`, `alloc_bytes_total`) are
-//! unaffected.
+//! per allocation. Because the accounting is process-wide, the per-rank
+//! values sampled into [`crate::metrics::MemStats`] are merged across
+//! ranks with an elementwise *max*, not a sum. [`reset_peak`] re-bases the
+//! high-water mark so one phase's peak can be read in isolation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-// Signed: toggling `ENABLED` makes alloc/free accounting asymmetric, so
-// the live gauge may transiently go negative; reads clamp at zero.
+// Signed so the live gauge can never wrap; reads clamp at zero.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_LIVE: AtomicI64 = AtomicI64::new(0);
 
@@ -45,7 +34,7 @@ fn on_alloc(size: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
-        if !p.is_null() && ENABLED.load(Relaxed) {
+        if !p.is_null() {
             on_alloc(layout.size());
         }
         p
@@ -53,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
-        if !p.is_null() && ENABLED.load(Relaxed) {
+        if !p.is_null() {
             on_alloc(layout.size());
         }
         p
@@ -61,14 +50,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if ENABLED.load(Relaxed) {
-            LIVE_BYTES.fetch_sub(layout.size() as i64, Relaxed);
-        }
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() && ENABLED.load(Relaxed) {
+        if !p.is_null() {
             ALLOC_COUNT.fetch_add(1, Relaxed);
             let grown = new_size.saturating_sub(layout.size());
             ALLOC_BYTES.fetch_add(grown as u64, Relaxed);
@@ -87,7 +74,7 @@ pub struct AllocStats {
     pub alloc_count: u64,
     /// Cumulative bytes allocated since process start.
     pub alloc_bytes_total: u64,
-    /// Bytes currently live (clamped at zero; see module docs).
+    /// Bytes currently live (clamped at zero).
     pub live_bytes: u64,
     /// High-water mark of `live_bytes` since process start or the last
     /// [`reset_peak`].
@@ -108,14 +95,6 @@ pub fn stats() -> AllocStats {
 /// subsequent [`stats`] measures the peak of one phase in isolation.
 pub fn reset_peak() {
     PEAK_LIVE.store(LIVE_BYTES.load(Relaxed), Relaxed);
-}
-
-/// Enable or disable counting (the allocator always forwards to the
-/// system allocator either way). Returns the previous setting. Intended
-/// for in-process overhead A/B measurement only; see the module docs for
-/// the `live_bytes` drift caveat.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Relaxed)
 }
 
 /// `(VmRSS, VmHWM)` in kilobytes from `/proc/self/status`, or `(0, 0)`
@@ -175,23 +154,6 @@ mod tests {
         assert!(
             rebased + (16 << 20) <= spike,
             "reset_peak left the mark at {rebased} (spike was {spike})"
-        );
-    }
-
-    #[test]
-    fn disabled_counting_freezes_the_totals() {
-        let _guard = SERIAL.lock().unwrap();
-        let was = set_enabled(false);
-        let before = stats();
-        let v: Vec<u8> = std::hint::black_box(vec![3u8; 8 << 20]);
-        let during = stats();
-        drop(v);
-        set_enabled(was);
-        // concurrent test threads may record their own small allocations,
-        // but this thread's 8 MiB must be invisible
-        assert!(
-            during.alloc_bytes_total < before.alloc_bytes_total + (4 << 20),
-            "disabled counting still recorded bytes"
         );
     }
 

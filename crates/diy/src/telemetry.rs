@@ -37,8 +37,7 @@
 //! `_sum`). Metric names are sanitized for Prometheus ([`prom_name`]);
 //! [`parse_exposition`] parses the format back for round-trip gates.
 //! [`render_json`] emits the same snapshot as a JSON document with raw
-//! (unsanitized) names; `bench_harness::json::escape` delegates to this
-//! module's [`json_escape`], so both documents share one escaper.
+//! (unsanitized) names, escaped by [`json_escape`].
 //!
 //! Both renderers sample the allocator ([`crate::mem`]) into built-in
 //! `mem.*` / `proc.*` series at snapshot time, so a scrape always carries
@@ -438,8 +437,8 @@ pub fn snapshot() -> Vec<MetricSample> {
 // ---------------------------------------------------------------------------
 
 /// Escape a string for embedding in a JSON string literal (no surrounding
-/// quotes). This is the one escaper shared by the telemetry JSON renderer,
-/// the structured log mode, and `bench_harness::json::escape`.
+/// quotes). This is the one escaper shared by the telemetry JSON renderer
+/// and the structured log mode.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -836,6 +835,39 @@ mod tests {
         assert_eq!(find("test_expo_hist_sum", &[("kind", "x")]), 5050.0);
         let p50 = find("test_expo_hist", &[("kind", "x"), ("quantile", "0.5")]);
         assert!(p50 > 0.0);
+    }
+
+    #[test]
+    fn every_scalar_series_of_a_snapshot_survives_the_exposition() {
+        // One snapshot of the whole registry (whatever other tests have
+        // registered by now, plus the sampled `mem.*` / `proc.*` gauges):
+        // rendering and re-parsing it must keep every counter and gauge
+        // with its exact value.
+        counter("test.all.counter", &[]).inc();
+        let samples = snapshot();
+        let parsed = parse_exposition(&render_prometheus_from(&samples)).expect("parses");
+        let mut scalars = 0;
+        for s in &samples {
+            let want = match s.value {
+                MetricValue::Counter(v) => v as f64,
+                MetricValue::Gauge(v) => v,
+                MetricValue::Hist(_) => continue,
+            };
+            let (name, labels) = (
+                prom_name(&s.name),
+                s.labels
+                    .iter()
+                    .map(|(k, v)| (prom_name(k), v.clone()))
+                    .collect::<LabelSet>(),
+            );
+            let hit = parsed
+                .iter()
+                .find(|p| p.name == name && p.labels == labels)
+                .unwrap_or_else(|| panic!("series {name} {labels:?} lost in the exposition"));
+            assert_eq!(hit.value, want, "series {name} value drifted");
+            scalars += 1;
+        }
+        assert!(scalars > 0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Quantile-accuracy contract for `LogHistogram`: on realistic sample
 //! shapes, p50/p99 must land within one log2 bucket of the exact sorted
 //! quantile, and merging histograms must commute with quantile-taking
-//! bucket-wise. These bounds are what `bench_obs` and the telemetry
-//! rolling-window summaries rely on.
+//! bucket-wise. The telemetry rolling-window summaries rely on these
+//! bounds, and the last test holds a `WindowedHistogram` to them while its
+//! window fills and after it rotates.
 
 use diy::hist::LogHistogram;
+use diy::telemetry::WindowedHistogram;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -22,8 +24,7 @@ fn bucket_of(v: f64) -> i32 {
     v.log2().floor() as i32
 }
 
-/// Exact quantile by sorting (nearest-rank on the scaled index, the same
-/// convention the bench harnesses use).
+/// Exact quantile by sorting (nearest-rank on the scaled index).
 fn exact_quantile(samples: &[f64], q: f64) -> f64 {
     let mut v = samples.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -148,4 +149,57 @@ fn zeros_and_negatives_do_not_shift_positive_quantiles_up() {
         (bucket_of(p999) - bucket_of(exact)).abs() <= 1,
         "tail quantile over zero-heavy stream drifted: {p999} vs {exact}"
     );
+}
+
+#[test]
+fn windowed_rolling_quantiles_track_the_window() {
+    let mut rng = ChaCha8Rng::seed_from_u64(37);
+    let check = |hist: &WindowedHistogram, live: &[f64], what: &str| {
+        let rolling = hist.rolling();
+        for q in [0.5, 0.99] {
+            let approx = rolling.quantile(q);
+            let exact = exact_quantile(live, q);
+            let err = (bucket_of(approx) - bucket_of(exact)).abs();
+            assert!(
+                err <= 1,
+                "{what}: rolling q{q} = {approx} is {err} log2 buckets from exact {exact}"
+            );
+        }
+        assert_eq!(
+            rolling.n(),
+            live.len() as u64,
+            "{what}: window sample count"
+        );
+    };
+
+    // Filling: four epochs, each five decades of log2 above the last, all
+    // still inside the 8-epoch window — the rolling view must see them all.
+    let mut hist = WindowedHistogram::new(8);
+    let mut live = Vec::new();
+    for epoch in 0..4 {
+        if epoch > 0 {
+            hist.advance();
+        }
+        let lo = 5.0 * epoch as f64;
+        for _ in 0..2000 {
+            let v = 2f64.powf(rng.gen_range(lo..lo + 5.0));
+            hist.observe(v);
+            live.push(v);
+        }
+    }
+    check(&hist, &live, "filling");
+
+    // Rotation: eight epochs of a much faster distribution push every slow
+    // sample out of the window; only the cumulative total remembers them.
+    live.clear();
+    for _ in 0..8 {
+        hist.advance();
+        for _ in 0..2000 {
+            let v = rng.gen_range(8.0..72.0);
+            hist.observe(v);
+            live.push(v);
+        }
+    }
+    check(&hist, &live, "rotated");
+    assert_eq!(hist.total().n(), 12 * 2000);
 }

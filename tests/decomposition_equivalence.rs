@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use bench_harness::corpus::ClusterSpec;
 use meshing_universe::diy::comm::Runtime;
-use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
+use meshing_universe::diy::decomposition::{Assignment, BalanceStats, DecompScheme, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
 use meshing_universe::tess::{self, GhostSpec, TessParams};
 
@@ -187,7 +187,6 @@ fn kd_matches_regular_across_ranks_kernels_and_ghost_modes() {
     ] {
         let params = TessParams {
             ghost,
-            incremental_retess: true,
             ..TessParams::default()
         };
         let reference = mesh_bits(
@@ -208,6 +207,27 @@ fn kd_matches_regular_across_ranks_kernels_and_ghost_modes() {
         let reg8 = mesh_bits(&particles, side, DecompScheme::Regular, 8, &params, &label);
         assert_same_mesh(&reference, &reg8, &label);
     }
+}
+
+/// The corpus is adversarial for the regular grid — one octant holds most
+/// of the mass — and the k-d cut with its weighted assignment evens it out.
+/// Particle counts are deterministic, so this needs no tessellation.
+#[test]
+fn kd_balances_the_corpus_the_regular_grid_cannot() {
+    let (particles, side) = corpus();
+    let positions: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
+    let imbalance = |scheme: DecompScheme| {
+        let dec = scheme.build(Aabb::cube(side), 8, [true; 3], &positions);
+        let asn = assignment_for(scheme, &dec, &particles, 8);
+        BalanceStats::measure(&dec, &asn, &positions).rank_imbalance()
+    };
+    let regular = imbalance(DecompScheme::Regular);
+    let kd = imbalance(KD);
+    assert!(
+        regular >= 3.0,
+        "corpus is not adversarial enough: regular imbalance {regular:.2} (need >= 3)"
+    );
+    assert!(kd <= 1.25, "k-d left imbalance {kd:.2} (need <= 1.25)");
 }
 
 /// The weighted assignment is part of the scheme A/B, but must never leak

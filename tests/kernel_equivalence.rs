@@ -7,9 +7,9 @@
 //! here has none of that — the site-centered start cube clipped by *every*
 //! other particle and periodic image, sorted the same way — so the merged
 //! mesh must be **bit-identical** to it across rank counts, pool widths,
-//! incremental-vs-full re-tessellation and explicit and adaptive ghost
-//! protocols, on jittered points and on the exact lattice where tie order
-//! decides the bits. Any divergence is a kernel bug by definition; these
+//! incremental re-tessellation over adaptive ghost rounds and explicit and
+//! adaptive ghost protocols, on jittered points and on the exact lattice
+//! where tie order decides the bits. Any divergence is a kernel bug by definition; these
 //! tests are the oracle that pins it. The oracle runs the same clip as the
 //! kernel, so one more test pins the encoded mesh bytes themselves to a
 //! recorded digest.
@@ -275,18 +275,17 @@ fn kernels_agree_for_incremental_and_full_retessellation() {
         max_rounds: 8,
     };
     let oracle = brute_force_mesh(&particles, n as f64, TessParams::default().eps);
-    with_pool_width(2, || {
-        for incremental in [false, true] {
-            let params = TessParams {
-                ghost,
-                incremental_retess: incremental,
-                ..TessParams::default()
-            };
-            let (mesh, stats) = mesh_and_stats(&particles, &dec, 4, &params);
-            assert!(stats.ghost_rounds >= 2, "need a multi-round run");
-            assert_same_mesh(&mesh, &oracle, &format!("incremental={incremental}"));
-        }
-    });
+    let params = TessParams {
+        ghost,
+        ..TessParams::default()
+    };
+    let (mesh, stats) = with_pool_width(2, || mesh_and_stats(&particles, &dec, 4, &params));
+    assert!(stats.ghost_rounds >= 2, "need a multi-round run");
+    assert!(
+        stats.cells_reused > 0,
+        "later rounds must reuse certified cells"
+    );
+    assert_same_mesh(&mesh, &oracle, "incremental");
 }
 
 #[test]
@@ -400,7 +399,8 @@ fn candidates_per_cell_stay_within_the_pinned_budget() {
     // computation on two fixed-seed periodic corpora. A regression in the
     // ordered stream, the support reject, the early stop, or the capped
     // first pass moves these counts, not the clock. Budgets sit ~5 % above
-    // the measured counts.
+    // the measured counts. The support-function and `f32` rejects must
+    // fire on both.
     let per_cell = |particles: &[(u64, Vec3)], side: f64, ghost: GhostSpec| {
         let dec = decomp(side, true, particles);
         let params = TessParams {
@@ -408,6 +408,7 @@ fn candidates_per_cell_stay_within_the_pinned_budget() {
             ..TessParams::default()
         };
         let (_, stats) = with_pool_width(2, || mesh_and_stats(particles, &dec, 4, &params));
+        assert!(stats.prefilter_skipped > 0, "candidate rejects never fired");
         stats.candidates_tested as f64 / stats.cells_computed as f64
     };
     let kd = matches!(DecompScheme::from_env(), DecompScheme::Kd { .. });

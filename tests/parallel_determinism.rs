@@ -6,10 +6,10 @@
 //!
 //! * **Thread invariance** — the merged mesh is bit-identical whether the
 //!   pool runs 1, 2, or 8 ways (chunks are collected in index order).
-//! * **Mode invariance** — incremental re-tessellation (recompute only
-//!   uncertified cells each adaptive round) matches the full per-round
-//!   recompute bit for bit at 1, 2, 4, and 8 ranks, for explicit and
-//!   adaptive ghost modes.
+//! * **Rank invariance** — incremental re-tessellation (recompute only
+//!   uncertified cells each adaptive round) gives the 1-rank mesh bit for
+//!   bit at 2, 4, and 8 ranks, for explicit and adaptive ghost modes; the
+//!   brute-force oracle in `kernel_equivalence` pins those bits.
 //! * **Metrics invariants survive the pool** — per-tag transport
 //!   conservation and span tiling still hold when pool workers burn CPU on
 //!   behalf of a rank (their time is credited to the enclosing span).
@@ -155,30 +155,20 @@ fn incremental_retess_matches_full_recompute_at_every_rank_count() {
     let n = 6;
     let particles = jittered(n, 23, 0.48);
     let dec = Decomposition::regular(Aabb::cube(n as f64), 8, [true; 3]);
-    // width 2 so the pool is actually in the loop while modes are compared
+    // width 2 so the pool is actually in the loop while ranks are compared
     with_pool_width(2, || {
         for (label, ghost) in ghost_modes() {
-            let incremental = TessParams {
+            let params = TessParams {
                 ghost,
-                incremental_retess: true,
                 ..TessParams::default()
             };
-            let full = TessParams {
-                incremental_retess: false,
-                ..incremental
-            };
-            let reference = mesh_bits(&particles, &dec, 1, &full);
+            let reference = mesh_bits(&particles, &dec, 1, &params);
             assert_eq!(reference.len(), n * n * n, "{label}: all cells certified");
-            for nranks in [1usize, 2, 4, 8] {
-                let inc = mesh_bits(&particles, &dec, nranks, &incremental);
+            for nranks in [2usize, 4, 8] {
+                let mesh = mesh_bits(&particles, &dec, nranks, &params);
                 assert_eq!(
-                    inc, reference,
-                    "{label}: incremental mesh at {nranks} ranks differs from full"
-                );
-                let f = mesh_bits(&particles, &dec, nranks, &full);
-                assert_eq!(
-                    f, reference,
-                    "{label}: full mesh at {nranks} ranks differs from 1 rank"
+                    mesh, reference,
+                    "{label}: mesh at {nranks} ranks differs from 1 rank"
                 );
             }
         }
@@ -195,47 +185,24 @@ fn adaptive_rounds_after_the_first_recompute_only_uncertified_cells() {
         initial_factor: 0.75,
         max_rounds: 8,
     };
-    let run = |incremental: bool| -> tess::TessStats {
-        let particles = &particles;
-        let dec = &dec;
-        let stats = Runtime::run(4, move |world| {
+    let stats = with_pool_width(2, || {
+        Runtime::run(4, |world| {
             let asn = Assignment::new(8, world.nranks());
-            let local = partition(particles, dec, &asn, world.rank());
+            let local = partition(&particles, &dec, &asn, world.rank());
             let params = TessParams {
                 ghost,
-                incremental_retess: incremental,
                 ..TessParams::default()
             };
-            let r = tess::tessellate(world, dec, &asn, &local, &params);
+            let r = tess::tessellate(world, &dec, &asn, &local, &params);
             tess::driver::global_stats(world, r.stats)
-        });
-        stats[0]
-    };
-    let inc = with_pool_width(2, || run(true));
-    let full = with_pool_width(2, || run(false));
-    assert!(inc.ghost_rounds >= 2, "rounds {}", inc.ghost_rounds);
-    assert_eq!(inc.ghost_rounds, full.ghost_rounds);
-    assert_eq!(inc.cells, full.cells);
-
-    let sites = (n * n * n) as u64;
-    // Round 1 computes every cell once; each later round may only touch
-    // the cells the previous round could not certify — strictly fewer
-    // than a full per-round recompute.
-    assert_eq!(inc.cells_computed + inc.cells_reused, full.cells_computed);
-    assert!(inc.cells_reused > 0, "no cells were reused");
-    assert!(
-        inc.cells_computed < full.cells_computed,
-        "incremental ({}) must recompute fewer cells than full ({})",
-        inc.cells_computed,
-        full.cells_computed
-    );
-    assert!(inc.cells_computed >= sites);
-    assert!(
-        inc.candidates_tested < full.candidates_tested,
-        "incremental ({}) must test fewer candidates than full ({})",
-        inc.candidates_tested,
-        full.candidates_tested
-    );
+        })[0]
+    });
+    assert!(stats.ghost_rounds >= 2, "rounds {}", stats.ghost_rounds);
+    assert_eq!(stats.cells, (n * n * n) as u64);
+    // Round 1 computes every cell once; each later round touches only the
+    // cells the previous round could not certify and reuses the rest.
+    assert!(stats.cells_reused > 0, "no cells were reused");
+    assert!(stats.cells_computed >= stats.cells);
 }
 
 #[test]

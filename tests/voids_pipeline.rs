@@ -124,8 +124,10 @@ fn parallel_component_labeling_matches_serial() {
     assert_eq!(counts[0], 1, "everything percolates");
     assert!(counts[2] >= 5, "many small components: {counts:?}");
 
-    let serial_oracle: Vec<_> =
-        thresholds.iter().map(|&t| label_components_serial(&blocks_serial, t)).collect();
+    let serial_oracle: Vec<_> = thresholds
+        .iter()
+        .map(|&t| label_components_serial(&blocks_serial, t))
+        .collect();
 
     let positions: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
     let fixed = TessParams::default().with_ghost(6.0);
