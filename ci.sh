@@ -152,7 +152,7 @@ stage_obs() {
     # Histogram quantile contracts (one log2 bucket of exact, for the
     # rolling window too, while it fills and after it rotates), the
     # service's live instruments and request-scoped tracing, and the
-    # telemetry-on / traced mesh bit-identical to a plain run. The
+    # traced mesh bit-identical to a plain run. The
     # Prometheus exposition round-trip is a diy unit test (test stage).
     cargo test --release -q -p diy --test hist_quantiles &&
         cargo test --release -q -p meshing-universe --test service_telemetry &&

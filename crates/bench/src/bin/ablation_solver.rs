@@ -8,7 +8,7 @@
 
 use bench_harness::{max_over_ranks, secs, Table};
 use diy::comm::Runtime;
-use diy::timing::ThreadTimer;
+use diy::timing::thread_cpu_time;
 use hacc::sim::SolverKind;
 use hacc::{SimParams, Simulation};
 
@@ -21,11 +21,9 @@ fn step_time(np: usize, nranks: usize, solver: SolverKind, nsteps: usize) -> f64
         let mut sim = Simulation::init(world, params, nranks.max(2));
         // warm-up step excluded from timing
         sim.step(world);
-        let mut t = ThreadTimer::new();
-        t.start();
+        let t0 = thread_cpu_time();
         sim.run_steps(world, nsteps);
-        t.stop();
-        max_over_ranks(world, t.seconds() / nsteps as f64)
+        max_over_ranks(world, (thread_cpu_time() - t0) / nsteps as f64)
     });
     times[0]
 }

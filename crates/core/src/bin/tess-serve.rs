@@ -37,6 +37,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 use diy::codec::Decode;
+use diy::telemetry::Registry;
 use diy::{log_error, log_info};
 use geometry::{Aabb, Vec3};
 use tess::{Answer, MeshService, Query, ServiceConfig, TessParams, Update};
@@ -190,7 +191,7 @@ fn run_command(svc: &MeshService, line: &str) -> Result<Option<String>, String> 
             )))
         }
         "stats" => Ok(Some(stats_table(svc))),
-        "metrics" => Ok(Some(diy::telemetry::render_prometheus())),
+        "metrics" => Ok(Some(svc.telemetry().render_prometheus())),
         other => Err(format!(
             "unknown command '{other}' (point|box|region|move|remove|stats|metrics|quit)"
         )),
@@ -202,9 +203,15 @@ fn run_command(svc: &MeshService, line: &str) -> Result<Option<String>, String> 
 fn stats_table(svc: &MeshService) -> String {
     let snap = svc.snapshot();
     let s = svc.stats();
-    let h = svc.hists();
-    let imbalance = diy::telemetry::gauge("service.rank_imbalance", &[]).get();
-    let queue_depth = diy::telemetry::gauge("service.queue_depth", &[]).get();
+    let reg = svc.telemetry();
+    let imbalance = reg.gauge("service.rank_imbalance", &[]).get();
+    let queue_depth = reg.gauge("service.queue_depth", &[]).get();
+    let batch_size = reg.histogram("service.batch_size", &[]).read();
+    let mut latency_ns = diy::LogHistogram::new();
+    for kind in ["point", "box", "region"] {
+        let h = reg.histogram("service.latency_ns", &[("kind", kind)]);
+        latency_ns.merge(h.read().total());
+    }
     let rate = if s.answered > 0 {
         s.coalesced as f64 / s.answered as f64
     } else {
@@ -229,16 +236,16 @@ fn stats_table(svc: &MeshService) -> String {
             "batch size p50/p99",
             format!(
                 "{:.0} / {:.0}",
-                h.batch_size.quantile(0.5),
-                h.batch_size.quantile(0.99)
+                batch_size.total().quantile(0.5),
+                batch_size.total().quantile(0.99)
             ),
         ),
         (
             "latency p50/p99",
             format!(
                 "{:.3}ms / {:.3}ms",
-                h.latency_ns.quantile(0.5) / 1e6,
-                h.latency_ns.quantile(0.99) / 1e6
+                latency_ns.quantile(0.5) / 1e6,
+                latency_ns.quantile(0.99) / 1e6
             ),
         ),
     ];
@@ -254,37 +261,39 @@ fn stats_table(svc: &MeshService) -> String {
 /// rewrites `path` with the Prometheus exposition. A final export runs on
 /// [`TelemetryExporter::stop`] so short runs still leave a scrape behind.
 struct TelemetryExporter {
+    registry: Registry,
     path: String,
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TelemetryExporter {
-    fn export(path: &str) {
-        diy::telemetry::advance_epoch();
-        if let Err(e) = std::fs::write(path, diy::telemetry::render_prometheus()) {
+    fn export(registry: &Registry, path: &str) {
+        registry.advance_epoch();
+        if let Err(e) = std::fs::write(path, registry.render_prometheus()) {
             log_error!("telemetry export to {path}: {e}");
         }
     }
 
-    fn start(path: String, interval_s: f64) -> TelemetryExporter {
+    fn start(registry: Registry, path: String, interval_s: f64) -> TelemetryExporter {
         use std::sync::atomic::{AtomicBool, Ordering};
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
-        let p = path.clone();
+        let (reg, p) = (registry.clone(), path.clone());
         let handle = std::thread::spawn(move || {
             let tick = std::time::Duration::from_millis(50);
             let mut next =
                 std::time::Instant::now() + std::time::Duration::from_secs_f64(interval_s);
             while !flag.load(Ordering::Relaxed) {
                 if std::time::Instant::now() >= next {
-                    TelemetryExporter::export(&p);
+                    TelemetryExporter::export(&reg, &p);
                     next += std::time::Duration::from_secs_f64(interval_s);
                 }
                 std::thread::sleep(tick);
             }
         });
         TelemetryExporter {
+            registry,
             path,
             stop,
             handle: Some(handle),
@@ -296,7 +305,7 @@ impl TelemetryExporter {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        TelemetryExporter::export(&self.path);
+        TelemetryExporter::export(&self.registry, &self.path);
         log_info!("telemetry exposition written to {}", self.path);
     }
 }
@@ -428,7 +437,7 @@ fn run(args: &Args) -> Result<(), String> {
     let exporter = args.get::<String>("telemetry")?.map(|raw| {
         let (path, interval_s) = parse_telemetry_flag(&raw);
         log_info!("telemetry exposition -> {path} every {interval_s}s");
-        TelemetryExporter::start(path, interval_s)
+        TelemetryExporter::start(svc.telemetry().clone(), path, interval_s)
     });
 
     if args.flags.contains_key("demo") {

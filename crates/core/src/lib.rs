@@ -50,7 +50,7 @@ pub use model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
 pub use params::{GhostSpec, TessParams, AUTO_GHOST_FACTOR};
 pub use service::{
     Answer, CellSummary, MeshService, MeshSnapshot, ParticleStore, Pending, PointHit, Query,
-    RegionSummary, Response, ServiceClosed, ServiceConfig, ServiceHists, ServiceStats, Update,
-    UpdateReport, SERVICE_TRACE_PID,
+    RegionSummary, Response, ServiceClosed, ServiceConfig, ServiceStats, Update, UpdateReport,
+    SERVICE_TRACE_PID,
 };
 pub use stats::TessStats;

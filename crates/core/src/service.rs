@@ -31,6 +31,14 @@
 //! duplicate queries within a batch are coalesced: computed once, answered
 //! to every requester.
 //!
+//! ## Telemetry
+//!
+//! Each service owns a [`diy::telemetry::Registry`]
+//! ([`MeshService::telemetry`]) and records every event once, into its
+//! `service.*` series: [`MeshService::stats`], the `tess-serve` table and
+//! the Prometheus scrape are all views of that one record. Two services in
+//! one process never share a series.
+//!
 //! ## Exactness
 //!
 //! Point lookup is the exact argmin-distance seed. The snapshot's lookup
@@ -48,8 +56,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use diy::comm::ResidentRuntime;
 use diy::decomposition::{Assignment, BalanceStats, DecompScheme, Decomposition};
-use diy::hist::LogHistogram;
-use diy::telemetry;
+use diy::telemetry::{self, Registry};
+pub use diy::trace::SERVICE_TRACE_PID;
 use diy::trace::{monotonic_ns, trace_mode, Event, EventKind, RankTrace, TraceMode, TraceState};
 use geometry::{Aabb, Vec3};
 
@@ -538,9 +546,10 @@ impl ParticleStore {
     }
 }
 
-/// Running counters. `enqueued == answered` once the queue is drained
-/// (shutdown drains before exiting); `rejected` counts submissions after
-/// shutdown, which never enter the queue.
+/// Running counters, read from the service's `service.*` telemetry
+/// counters. `enqueued == answered` once the queue is drained (shutdown
+/// drains before exiting); `rejected` counts submissions after shutdown,
+/// which never enter the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     pub enqueued: u64,
@@ -553,26 +562,11 @@ pub struct ServiceStats {
     pub epochs_published: u64,
 }
 
-/// Queue/batch/latency distributions (log2-bucketed, mergeable).
-#[derive(Debug, Clone, Default)]
-pub struct ServiceHists {
-    pub queue_depth: LogHistogram,
-    pub batch_size: LogHistogram,
-    pub latency_ns: LogHistogram,
-}
-
-struct Counters {
-    enqueued: AtomicU64,
-    answered: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    coalesced: AtomicU64,
-    epochs: AtomicU64,
-}
-
-/// Live [`diy::telemetry`] handles for this service. Registered once at
-/// spawn under `service.*`; updates are relaxed atomics (counters/gauges)
-/// or a short mutex (histograms), cheap enough for the hot query path.
+/// Live [`diy::telemetry`] handles for this service, registered once at
+/// spawn under `service.*` on the service's own [`Registry`]. Each event
+/// updates exactly one of them; updates are relaxed atomics
+/// (counters/gauges) or a short mutex (histograms), cheap enough for the
+/// hot query path.
 struct ServiceTelemetry {
     queue_depth: telemetry::Gauge,
     epoch: telemetry::Gauge,
@@ -596,22 +590,22 @@ struct ServiceTelemetry {
 }
 
 impl ServiceTelemetry {
-    fn register() -> ServiceTelemetry {
-        let lat = |kind: &str| telemetry::histogram("service.latency_ns", &[("kind", kind)]);
+    fn register(reg: &Registry) -> ServiceTelemetry {
+        let lat = |kind: &str| reg.histogram("service.latency_ns", &[("kind", kind)]);
         ServiceTelemetry {
-            queue_depth: telemetry::gauge("service.queue_depth", &[]),
-            epoch: telemetry::gauge("service.epoch", &[]),
-            particles: telemetry::gauge("service.particles", &[]),
-            cells: telemetry::gauge("service.cells", &[]),
-            rank_imbalance: telemetry::gauge("service.rank_imbalance", &[]),
-            coalesce_rate: telemetry::gauge("service.coalesce_rate", &[]),
-            enqueued: telemetry::counter("service.enqueued", &[]),
-            answered: telemetry::counter("service.answered", &[]),
-            rejected: telemetry::counter("service.rejected", &[]),
-            batches: telemetry::counter("service.batches", &[]),
-            coalesced: telemetry::counter("service.coalesced", &[]),
-            epochs_published: telemetry::counter("service.epochs_published", &[]),
-            batch_size: telemetry::histogram("service.batch_size", &[]),
+            queue_depth: reg.gauge("service.queue_depth", &[]),
+            epoch: reg.gauge("service.epoch", &[]),
+            particles: reg.gauge("service.particles", &[]),
+            cells: reg.gauge("service.cells", &[]),
+            rank_imbalance: reg.gauge("service.rank_imbalance", &[]),
+            coalesce_rate: reg.gauge("service.coalesce_rate", &[]),
+            enqueued: reg.counter("service.enqueued", &[]),
+            answered: reg.counter("service.answered", &[]),
+            rejected: reg.counter("service.rejected", &[]),
+            batches: reg.counter("service.batches", &[]),
+            coalesced: reg.counter("service.coalesced", &[]),
+            epochs_published: reg.counter("service.epochs_published", &[]),
+            batch_size: reg.histogram("service.batch_size", &[]),
             latency_point: lat("point"),
             latency_box: lat("box"),
             latency_region: lat("region"),
@@ -626,10 +620,6 @@ impl ServiceTelemetry {
         }
     }
 }
-
-/// Chrome-trace pid the service's request timeline exports under (the
-/// resident ranks own pids `0..nranks`; this sits far above them).
-pub const SERVICE_TRACE_PID: u64 = 1000;
 
 fn query_span_name(q: &Query) -> &'static str {
     match q {
@@ -664,9 +654,9 @@ struct Shared {
     cv: Condvar,
     snap: RwLock<Arc<MeshSnapshot>>,
     next_id: AtomicU64,
-    counters: Counters,
-    hists: Mutex<ServiceHists>,
     batch_max: usize,
+    /// The service's own series; `tele` holds the handles registered on it.
+    registry: Registry,
     tele: ServiceTelemetry,
     /// Request-scoped flight recorder: every event for request `id` lands
     /// on tid `id`, so one query's enqueue→batch→block→reply renders as a
@@ -763,6 +753,7 @@ impl MeshService {
         for &(id, p) in particles {
             store.upsert(id, p);
         }
+        let registry = Registry::new();
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -771,17 +762,9 @@ impl MeshService {
             cv: Condvar::new(),
             snap: RwLock::new(Arc::new(MeshSnapshot::empty(dec.clone()))),
             next_id: AtomicU64::new(1),
-            counters: Counters {
-                enqueued: AtomicU64::new(0),
-                answered: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
-                epochs: AtomicU64::new(0),
-            },
-            hists: Mutex::new(ServiceHists::default()),
             batch_max: cfg.batch_max.max(1),
-            tele: ServiceTelemetry::register(),
+            tele: ServiceTelemetry::register(&registry),
+            registry,
             trace: Mutex::new(TraceState::new()),
         });
         let mut workers = Vec::with_capacity(cfg.workers.max(1));
@@ -827,10 +810,6 @@ impl MeshService {
         {
             let mut st = self.shared.queue.lock().unwrap();
             if st.shutdown {
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
                 self.shared.tele.rejected.inc();
                 return Err(ServiceClosed);
             }
@@ -845,10 +824,6 @@ impl MeshService {
                 query,
                 reply: tx,
             });
-            self.shared
-                .counters
-                .enqueued
-                .fetch_add(1, Ordering::Relaxed);
             self.shared.tele.enqueued.inc();
             self.shared.tele.queue_depth.set_u64(st.queue.len() as u64);
         }
@@ -886,20 +861,22 @@ impl MeshService {
 
     /// Current counter values.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.shared.counters;
+        let t = &self.shared.tele;
         ServiceStats {
-            enqueued: c.enqueued.load(Ordering::Relaxed),
-            answered: c.answered.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            coalesced: c.coalesced.load(Ordering::Relaxed),
-            epochs_published: c.epochs.load(Ordering::Relaxed),
+            enqueued: t.enqueued.get(),
+            answered: t.answered.get(),
+            rejected: t.rejected.get(),
+            batches: t.batches.get(),
+            coalesced: t.coalesced.get(),
+            epochs_published: t.epochs_published.get(),
         }
     }
 
-    /// Queue-depth / batch-size / request-latency histograms.
-    pub fn hists(&self) -> ServiceHists {
-        self.shared.hists.lock().unwrap().clone()
+    /// This service's live series (`service.*`, plus the `mem.*` /
+    /// `proc.*` gauges sampled at snapshot time): the one record behind
+    /// [`stats`](Self::stats) and every scrape.
+    pub fn telemetry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// Snapshot the request-scoped flight recorder (empty unless
@@ -968,7 +945,6 @@ impl MeshService {
             tess_wall_s,
         };
         *self.shared.snap.write().unwrap() = snap;
-        self.shared.counters.epochs.fetch_add(1, Ordering::Relaxed);
 
         // Live publish-side telemetry: epoch, sizes, and rank balance of
         // the particle placement the next update will compute under.
@@ -1014,7 +990,7 @@ fn query_key(q: &Query) -> QueryKey {
 fn worker_loop(shared: Arc<Shared>) {
     let mut scratch = StreamScratch::default();
     loop {
-        let (depth, batch) = {
+        let batch = {
             let mut st = shared.queue.lock().unwrap();
             while st.queue.is_empty() && !st.shutdown {
                 st = shared.cv.wait(st).unwrap();
@@ -1023,20 +999,13 @@ fn worker_loop(shared: Arc<Shared>) {
                 // shutdown with an empty queue: drained, exit
                 return;
             }
-            let depth = st.queue.len();
-            let take = depth.min(shared.batch_max);
+            let take = st.queue.len().min(shared.batch_max);
             let batch: Vec<Request> = st.queue.drain(..take).collect();
             shared.tele.queue_depth.set_u64(st.queue.len() as u64);
-            (depth, batch)
+            batch
         };
-        shared.counters.batches.fetch_add(1, Ordering::Relaxed);
         shared.tele.batches.inc();
         shared.tele.batch_size.observe_u64(batch.len() as u64);
-        {
-            let mut h = shared.hists.lock().unwrap();
-            h.queue_depth.observe_u64(depth as u64);
-            h.batch_size.observe_u64(batch.len() as u64);
-        }
         process_batch(&shared, batch, &mut scratch);
     }
 }
@@ -1074,22 +1043,15 @@ fn process_batch(shared: &Shared, batch: Vec<Request>, scratch: &mut StreamScrat
         }
     }
 
-    let mut coalesced = 0u64;
-    let mut answered = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    let reply_all = |reqs: Vec<Request>,
-                     answer: Answer,
-                     coalesced: &mut u64,
-                     answered: &mut u64,
-                     latencies: &mut Vec<u64>| {
-        *coalesced += (reqs.len() as u64).saturating_sub(1);
+    let (mut coalesced, mut answered) = (0u64, 0u64);
+    let mut reply_all = |reqs: Vec<Request>, answer: Answer| {
+        coalesced += (reqs.len() as u64).saturating_sub(1);
+        answered += reqs.len() as u64;
         let lat_hist = shared.tele.latency_for(&answer);
         let span = answer_span_name(&answer);
         for req in reqs {
             let latency_ns = monotonic_ns().saturating_sub(req.enq_ns);
-            latencies.push(latency_ns);
             lat_hist.observe_u64(latency_ns);
-            *answered += 1;
             // Close the request's span (`b` = latency) BEFORE sending the
             // reply: a client that snapshots the recorder after `wait()`
             // returns must always see its track complete.
@@ -1118,37 +1080,23 @@ fn process_batch(shared: &Shared, batch: Vec<Request>, scratch: &mut StreamScrat
                 shared.trace_request(EventKind::Mark, "block", req.id, gid, 0);
             }
             let answer = Answer::Point(snap.lookup_point(p, scratch));
-            reply_all(reqs, answer, &mut coalesced, &mut answered, &mut latencies);
+            reply_all(reqs, answer);
         }
     }
     for (key, reqs) in others {
         let q = &reqs[0].query;
         debug_assert_eq!(query_key(q), key);
         let answer = snap.answer(&q.clone(), scratch);
-        reply_all(reqs, answer, &mut coalesced, &mut answered, &mut latencies);
+        reply_all(reqs, answer);
     }
 
-    shared
-        .counters
-        .coalesced
-        .fetch_add(coalesced, Ordering::Relaxed);
-    shared
-        .counters
-        .answered
-        .fetch_add(answered, Ordering::Relaxed);
-    shared.tele.coalesced.add(coalesced);
-    shared.tele.answered.add(answered);
-    let total_answered = shared.counters.answered.load(Ordering::Relaxed);
+    let tele = &shared.tele;
+    tele.coalesced.add(coalesced);
+    tele.answered.add(answered);
+    let total_answered = tele.answered.get();
     if total_answered > 0 {
-        let total_coalesced = shared.counters.coalesced.load(Ordering::Relaxed);
-        shared
-            .tele
-            .coalesce_rate
-            .set(total_coalesced as f64 / total_answered as f64);
-    }
-    let mut h = shared.hists.lock().unwrap();
-    for ns in latencies {
-        h.latency_ns.observe_u64(ns);
+        tele.coalesce_rate
+            .set(tele.coalesced.get() as f64 / total_answered as f64);
     }
 }
 
@@ -1270,9 +1218,20 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         assert!(svc.submit(Query::Point(Vec3::new(0.1, 0.1, 0.1))).is_err());
         assert_eq!(svc.stats().rejected, 1);
-        let h = svc.hists();
-        assert_eq!(h.latency_ns.n(), stats.answered);
-        assert!(h.batch_size.n() >= 1);
+        // one latency sample per answer, split across the three kinds
+        let reg = svc.telemetry();
+        let latencies: u64 = ["point", "box", "region"]
+            .map(|kind| {
+                let h = reg.histogram("service.latency_ns", &[("kind", kind)]);
+                h.read().total().n()
+            })
+            .iter()
+            .sum();
+        assert_eq!(latencies, stats.answered);
+        assert_eq!(
+            reg.histogram("service.batch_size", &[]).read().total().n(),
+            stats.batches
+        );
     }
 
     #[test]

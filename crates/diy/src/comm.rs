@@ -593,8 +593,8 @@ mod tests {
         });
         for s in &snaps {
             // all traffic charged to tag 42, none to a collective tag
-            assert_eq!(s.sent_by_tag.keys().copied().collect::<Vec<_>>(), vec![42]);
-            assert_eq!(s.sent_by_tag[&42].0, 6, "3 dests × 2 rounds");
+            assert_eq!(s.tags.iter().map(|t| t.tag).collect::<Vec<_>>(), vec![42]);
+            assert_eq!(s.tags[0].msgs_sent, 6, "3 dests × 2 rounds");
         }
     }
 
@@ -618,12 +618,10 @@ mod tests {
             }
             w.metrics().snapshot()
         });
-        let sent = snaps[0].totals();
-        let recv = snaps[1].totals();
-        assert_eq!(sent.msgs_sent, 1);
-        assert_eq!(sent.bytes_sent, 108); // 8-byte length prefix + 100 payload
-        assert_eq!(recv.msgs_recv, 1);
-        assert_eq!(recv.bytes_recv, 108);
+        // (messages sent, bytes sent, messages received, bytes received);
+        // 108 bytes = 8-byte length prefix + 100 payload
+        assert_eq!(snaps[0].traffic_totals(), (1, 108, 0, 0));
+        assert_eq!(snaps[1].traffic_totals(), (0, 0, 1, 108));
     }
 
     #[test]

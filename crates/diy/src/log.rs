@@ -13,7 +13,7 @@
 //! (`text` | `json`, default `text`) and overridable with [`set_format`]:
 //! `json` emits one structured object per line
 //! (`{"ts_s":…,"level":…,"rank":…,"msg":…}`, escaped via
-//! [`crate::telemetry::json_escape`]) for machine ingestion.
+//! [`crate::metrics::json_string`]) for machine ingestion.
 //!
 //! Use the [`log_error!`](crate::log_error), [`log_info!`](crate::log_info)
 //! and [`log_debug!`](crate::log_debug) macros; they skip formatting
@@ -183,9 +183,9 @@ pub fn format_line(fmt: Format, l: Level, rank: i64, ts_s: f64, msg: &str) -> St
                 "null".to_string()
             };
             format!(
-                "{{\"ts_s\":{ts_s:.6},\"level\":\"{}\",\"rank\":{rank_json},\"msg\":\"{}\"}}",
+                "{{\"ts_s\":{ts_s:.6},\"level\":\"{}\",\"rank\":{rank_json},\"msg\":{}}}",
                 l.tag(),
-                crate::telemetry::json_escape(msg)
+                crate::metrics::json_string(msg)
             )
         }
     }

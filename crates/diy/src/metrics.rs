@@ -16,11 +16,16 @@
 //!   open phase of the rank doing the sending or receiving, and against the
 //!   message tag. The local self-delivery inside `all_to_all` is counted on
 //!   both sides so global send/receive totals stay conserved.
-//! * **Reduction** — [`collect_report`] snapshots each rank and merges the
-//!   snapshots up the existing reduction tree into one [`RunReport`]:
+//! * **Reduction** — a rank's snapshot ([`MetricsHandle::snapshot`]) is
+//!   already a one-rank [`RunReport`]; [`collect_report`] merges every
+//!   rank's snapshot up the existing reduction tree into one report:
 //!   per-phase CPU max (the critical path) and sum, message/byte totals,
 //!   and per-tag traffic. The report is [`Encode`]/[`Decode`]
 //!   round-trippable and serializes to JSON ([`RunReport::to_json`]).
+//!
+//! Per-tag traffic lives only here, exact and per run; the live registry
+//! of [`crate::telemetry`] belongs to a resident service and mirrors none
+//! of it.
 //!
 //! ## Invariants the report exposes
 //!
@@ -69,29 +74,6 @@ pub struct Counters {
     pub collectives: u64,
 }
 
-/// Per-tag live telemetry mirror: one counter quartet per message tag,
-/// created lazily on first traffic (active only while
-/// [`crate::telemetry::enabled`] says so, keeping batch runs free).
-struct TagTele {
-    sent_msgs: crate::telemetry::Counter,
-    sent_bytes: crate::telemetry::Counter,
-    recv_msgs: crate::telemetry::Counter,
-    recv_bytes: crate::telemetry::Counter,
-}
-
-impl TagTele {
-    fn new(tag: u64) -> TagTele {
-        let hex = format!("0x{tag:x}");
-        let labels: [(&str, &str); 1] = [("tag", hex.as_str())];
-        TagTele {
-            sent_msgs: crate::telemetry::counter("comm.sent_msgs", &labels),
-            sent_bytes: crate::telemetry::counter("comm.sent_bytes", &labels),
-            recv_msgs: crate::telemetry::counter("comm.recv_msgs", &labels),
-            recv_bytes: crate::telemetry::counter("comm.recv_bytes", &labels),
-        }
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     /// Rank this handle belongs to (0 until `Runtime::run` wires it).
@@ -112,9 +94,6 @@ struct Inner {
     msg_bytes: LogHistogram,
     /// Slowest cells seen by this rank, descending, ≤ [`TOP_SLOW_CELLS`].
     slow: Vec<SlowCell>,
-    /// Per-tag live telemetry counters (see [`TagTele`]); process-global
-    /// cells, so all ranks' traffic sums into one series per tag.
-    tele_tags: BTreeMap<u64, TagTele>,
 }
 
 impl Inner {
@@ -190,11 +169,6 @@ impl MetricsHandle {
         e.0 += 1;
         e.1 += len as u64;
         m.msg_bytes.observe_u64(len as u64);
-        if crate::telemetry::enabled() {
-            let t = m.tele_tags.entry(tag).or_insert_with(|| TagTele::new(tag));
-            t.sent_msgs.inc();
-            t.sent_bytes.add(len as u64);
-        }
         if trace_mode() == TraceMode::Full {
             m.trace.push(Event {
                 t_ns: monotonic_ns(),
@@ -215,11 +189,6 @@ impl MetricsHandle {
         let e = m.recv_by_tag.entry(tag).or_default();
         e.0 += 1;
         e.1 += len as u64;
-        if crate::telemetry::enabled() {
-            let t = m.tele_tags.entry(tag).or_insert_with(|| TagTele::new(tag));
-            t.recv_msgs.inc();
-            t.recv_bytes.add(len as u64);
-        }
         if trace_mode() == TraceMode::Full {
             m.trace.push(Event {
                 t_ns: monotonic_ns(),
@@ -329,9 +298,10 @@ impl MetricsHandle {
         self.0.borrow().trace.snapshot(rank)
     }
 
-    /// Copy of this rank's accumulated metrics. Open spans contribute only
-    /// activity recorded so far (their CPU time lands when they close).
-    pub fn snapshot(&self) -> RankMetrics {
+    /// This rank's accumulated metrics as a one-rank [`RunReport`] (max =
+    /// sum = this rank's time). Open spans contribute only activity
+    /// recorded so far (their CPU time lands when they close).
+    pub fn snapshot(&self) -> RunReport {
         let m = self.0.borrow();
         let mut hists = m.hists.clone();
         if m.msg_bytes != LogHistogram::default() {
@@ -340,14 +310,36 @@ impl MetricsHandle {
                 .or_default()
                 .merge(&m.msg_bytes);
         }
-        RankMetrics {
-            rank: m.rank,
-            phases: m.phases.clone(),
-            sent_by_tag: m.sent_by_tag.clone(),
-            recv_by_tag: m.recv_by_tag.clone(),
-            hists,
-            slow: m.slow.clone(),
-            mem: MemStats::sample(),
+        let mut tag_set: std::collections::BTreeSet<u64> = m.sent_by_tag.keys().copied().collect();
+        tag_set.extend(m.recv_by_tag.keys().copied());
+        let tags = tag_set
+            .into_iter()
+            .map(|tag| {
+                let s = m.sent_by_tag.get(&tag).copied().unwrap_or_default();
+                let r = m.recv_by_tag.get(&tag).copied().unwrap_or_default();
+                TagTraffic {
+                    tag,
+                    msgs_sent: s.0,
+                    bytes_sent: s.1,
+                    msgs_recv: r.0,
+                    bytes_recv: r.1,
+                }
+            })
+            .collect();
+        RunReport {
+            nranks: 1,
+            phases: m
+                .phases
+                .iter()
+                .map(|(name, c)| PhaseReport::of_rank(name, m.rank, c))
+                .collect(),
+            tags,
+            hists: hists
+                .into_iter()
+                .map(|(name, hist)| NamedHist { name, hist })
+                .collect(),
+            slow_cells: m.slow.clone(),
+            memory: MemStats::sample(),
         }
     }
 
@@ -532,40 +524,6 @@ impl Decode for MemStats {
     }
 }
 
-/// One rank's metrics, detached from the live handle.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RankMetrics {
-    pub rank: u64,
-    pub phases: BTreeMap<String, Counters>,
-    pub sent_by_tag: BTreeMap<u64, (u64, u64)>,
-    pub recv_by_tag: BTreeMap<u64, (u64, u64)>,
-    /// Named distributions (includes [`HIST_MSG_BYTES`] when any message
-    /// was sent).
-    pub hists: BTreeMap<String, LogHistogram>,
-    /// Slowest cells, descending, ≤ [`TOP_SLOW_CELLS`].
-    pub slow: Vec<SlowCell>,
-    /// Process-wide memory accounting at snapshot time.
-    pub mem: MemStats,
-}
-
-impl RankMetrics {
-    /// Sum of all per-phase counters (CPU sums are over inclusive spans,
-    /// so nested phases double-count CPU; the transport counters each count
-    /// a message exactly once).
-    pub fn totals(&self) -> Counters {
-        let mut t = Counters::default();
-        for c in self.phases.values() {
-            t.cpu_s += c.cpu_s;
-            t.msgs_sent += c.msgs_sent;
-            t.bytes_sent += c.bytes_sent;
-            t.msgs_recv += c.msgs_recv;
-            t.bytes_recv += c.bytes_recv;
-            t.collectives += c.collectives;
-        }
-        t
-    }
-}
-
 /// Per-phase entry of a merged [`RunReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseReport {
@@ -584,6 +542,21 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
+    /// One rank's counters for phase `name` (max = sum = its time).
+    fn of_rank(name: &str, rank: u64, c: &Counters) -> PhaseReport {
+        PhaseReport {
+            name: name.to_string(),
+            cpu_max_s: c.cpu_s,
+            cpu_sum_s: c.cpu_s,
+            slowest_rank: rank,
+            msgs_sent: c.msgs_sent,
+            bytes_sent: c.bytes_sent,
+            msgs_recv: c.msgs_recv,
+            bytes_recv: c.bytes_recv,
+            collectives: c.collectives,
+        }
+    }
+
     /// Load imbalance: critical path over mean rank time (1.0 = perfectly
     /// balanced, `nranks` = one rank did everything).
     pub fn imbalance(&self, nranks: u64) -> f64 {
@@ -624,56 +597,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// A single-rank report (max = sum = that rank's time).
-    pub fn from_rank(m: &RankMetrics) -> RunReport {
-        let phases = m
-            .phases
-            .iter()
-            .map(|(name, c)| PhaseReport {
-                name: name.clone(),
-                cpu_max_s: c.cpu_s,
-                cpu_sum_s: c.cpu_s,
-                slowest_rank: m.rank,
-                msgs_sent: c.msgs_sent,
-                bytes_sent: c.bytes_sent,
-                msgs_recv: c.msgs_recv,
-                bytes_recv: c.bytes_recv,
-                collectives: c.collectives,
-            })
-            .collect();
-        let mut tag_set: std::collections::BTreeSet<u64> = m.sent_by_tag.keys().copied().collect();
-        tag_set.extend(m.recv_by_tag.keys().copied());
-        let tags = tag_set
-            .into_iter()
-            .map(|tag| {
-                let s = m.sent_by_tag.get(&tag).copied().unwrap_or_default();
-                let r = m.recv_by_tag.get(&tag).copied().unwrap_or_default();
-                TagTraffic {
-                    tag,
-                    msgs_sent: s.0,
-                    bytes_sent: s.1,
-                    msgs_recv: r.0,
-                    bytes_recv: r.1,
-                }
-            })
-            .collect();
-        RunReport {
-            nranks: 1,
-            phases,
-            tags,
-            hists: m
-                .hists
-                .iter()
-                .map(|(name, hist)| NamedHist {
-                    name: name.clone(),
-                    hist: hist.clone(),
-                })
-                .collect(),
-            slow_cells: m.slow.clone(),
-            memory: m.mem,
-        }
-    }
-
     /// Associative merge (both operands keep their lists sorted).
     pub fn merge(self, o: RunReport) -> RunReport {
         let mut phases: BTreeMap<String, PhaseReport> = self
@@ -906,8 +829,8 @@ impl RunReport {
     }
 }
 
-/// Escape a string as a JSON token (shared by the report and histogram
-/// renderers).
+/// Escape a string as a JSON token: the one escaper of the report,
+/// histogram, Chrome-trace and structured-log renderers.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -917,6 +840,7 @@ pub fn json_string(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -940,7 +864,7 @@ pub fn json_f64(v: f64) -> String {
 /// (collective). The merge's own messages are recorded *after* the
 /// snapshot, so the returned report does not observe itself.
 pub fn collect_report(world: &mut World) -> RunReport {
-    let local = RunReport::from_rank(&world.metrics().snapshot());
+    let local = world.metrics().snapshot();
     crate::reduce::all_reduce_merge(world, local, RunReport::merge)
 }
 
@@ -1043,8 +967,8 @@ mod tests {
             std::hint::black_box(x);
         }
         let s = m.snapshot();
-        let outer = s.phases["outer"].cpu_s;
-        let inner = s.phases["inner"].cpu_s;
+        let outer = s.cpu_max("outer");
+        let inner = s.cpu_max("inner");
         assert!(outer > 0.0);
         assert!(inner > 0.0);
         assert!(inner <= outer, "inclusive: inner {inner} <= outer {outer}");
@@ -1063,8 +987,8 @@ mod tests {
         let s = m.snapshot();
         // Inclusive semantics: the credit shows up in the inner span AND
         // bubbles into the outer one, so tiling (children <= parent) holds.
-        assert!(s.phases["inner"].cpu_s >= 2.0);
-        assert!(s.phases["outer"].cpu_s >= s.phases["inner"].cpu_s);
+        assert!(s.cpu_max("inner") >= 2.0);
+        assert!(s.cpu_max("outer") >= s.cpu_max("inner"));
     }
 
     #[test]
@@ -1073,7 +997,7 @@ mod tests {
         m.add_external_cpu(1.5);
         m.add_external_cpu(-3.0); // ignored: defensive against clock skew
         let s = m.snapshot();
-        assert!((s.phases[UNPHASED].cpu_s - 1.5).abs() < 1e-12);
+        assert!((s.cpu_max(UNPHASED) - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1089,20 +1013,38 @@ mod tests {
             }
         }
         let s = m.snapshot();
-        assert_eq!(s.phases[UNPHASED].msgs_sent, 1);
-        assert_eq!(s.phases[UNPHASED].bytes_sent, 10);
-        assert_eq!(s.phases["a"].bytes_sent, 20);
-        assert_eq!(s.phases["b"].msgs_recv, 1);
-        assert_eq!(s.phases["b"].bytes_recv, 30);
-        assert_eq!(s.sent_by_tag[&7], (2, 30));
-        assert_eq!(s.recv_by_tag[&7], (1, 30));
+        let p = |name: &str| s.phase(name).unwrap();
+        assert_eq!(p(UNPHASED).msgs_sent, 1);
+        assert_eq!(p(UNPHASED).bytes_sent, 10);
+        assert_eq!(p("a").bytes_sent, 20);
+        assert_eq!(p("b").msgs_recv, 1);
+        assert_eq!(p("b").bytes_recv, 30);
+        assert_eq!(
+            s.tags,
+            vec![TagTraffic {
+                tag: 7,
+                msgs_sent: 2,
+                bytes_sent: 30,
+                msgs_recv: 1,
+                bytes_recv: 30
+            }]
+        );
+    }
+
+    /// A one-rank report holding one phase.
+    fn rank_report(rank: u64, phase: &str, c: Counters) -> RunReport {
+        RunReport {
+            nranks: 1,
+            phases: vec![PhaseReport::of_rank(phase, rank, &c)],
+            ..Default::default()
+        }
     }
 
     #[test]
     fn merge_takes_max_and_sum() {
-        let mut a = RankMetrics::default();
-        a.phases.insert(
-            "p".into(),
+        let a = rank_report(
+            0,
+            "p",
             Counters {
                 cpu_s: 2.0,
                 msgs_sent: 3,
@@ -1110,9 +1052,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut b = RankMetrics::default();
-        b.phases.insert(
-            "p".into(),
+        let b = rank_report(
+            0,
+            "p",
             Counters {
                 cpu_s: 5.0,
                 msgs_recv: 3,
@@ -1120,7 +1062,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = RunReport::from_rank(&a).merge(RunReport::from_rank(&b));
+        let r = a.merge(b);
         assert_eq!(r.nranks, 2);
         let p = r.phase("p").unwrap();
         assert_eq!(p.cpu_max_s, 5.0);
@@ -1133,20 +1075,20 @@ mod tests {
     #[test]
     fn memory_is_sampled_max_merged_and_stripped_by_normalized() {
         let m = MetricsHandle::new();
-        let s = m.snapshot();
+        let s = m.snapshot().memory;
         // the allocator wrapper is live in every test binary
-        assert!(s.mem.alloc_count > 0);
-        assert!(s.mem.alloc_bytes_total > 0);
+        assert!(s.alloc_count > 0);
+        assert!(s.alloc_bytes_total > 0);
         #[cfg(target_os = "linux")]
-        assert!(s.mem.peak_rss_kb >= s.mem.rss_kb);
+        assert!(s.peak_rss_kb >= s.rss_kb);
 
-        let mut a = RankMetrics::default();
-        a.mem.peak_live_bytes = 100;
-        a.mem.rss_kb = 7;
-        let mut b = RankMetrics::default();
-        b.mem.peak_live_bytes = 40;
-        b.mem.rss_kb = 90;
-        let r = RunReport::from_rank(&a).merge(RunReport::from_rank(&b));
+        let mut a = RunReport::default();
+        a.memory.peak_live_bytes = 100;
+        a.memory.rss_kb = 7;
+        let mut b = RunReport::default();
+        b.memory.peak_live_bytes = 40;
+        b.memory.rss_kb = 90;
+        let r = a.merge(b);
         assert_eq!(r.memory.peak_live_bytes, 100);
         assert_eq!(r.memory.rss_kb, 90);
         // survives the codec, renders into JSON, and normalizes away
@@ -1208,14 +1150,20 @@ mod tests {
 
     #[test]
     fn prefix_and_tag_queries_select_subsets() {
-        let mut m = RankMetrics::default();
-        for name in ["ghost_round:0", "ghost_round:1", "voronoi"] {
-            m.phases.insert(name.into(), Counters::default());
-        }
-        m.sent_by_tag.insert(10, (2, 100));
-        m.sent_by_tag.insert(11, (1, 50));
-        m.sent_by_tag.insert(99, (5, 999));
-        let r = RunReport::from_rank(&m);
+        let sent = |tag, msgs_sent, bytes_sent| TagTraffic {
+            tag,
+            msgs_sent,
+            bytes_sent,
+            ..Default::default()
+        };
+        let r = RunReport {
+            nranks: 1,
+            phases: ["ghost_round:0", "ghost_round:1", "voronoi"]
+                .map(|name| PhaseReport::of_rank(name, 0, &Counters::default()))
+                .to_vec(),
+            tags: vec![sent(10, 2, 100), sent(11, 1, 50), sent(99, 5, 999)],
+            ..Default::default()
+        };
         let rounds: Vec<&str> = r
             .phases_with_prefix("ghost_round:")
             .map(|p| p.name.as_str())
@@ -1253,11 +1201,10 @@ mod tests {
         m.note_slow_cells(9, &[(500, 1), (9000, 2), (100, 3)]);
         m.on_send(1, 64);
         let s = m.snapshot();
-        assert_eq!(s.rank, 2);
-        assert_eq!(s.hists["tess.candidates_per_cell"].n(), 2);
-        assert_eq!(s.hists[HIST_MSG_BYTES].n(), 1);
+        assert_eq!(s.hist("tess.candidates_per_cell").unwrap().n(), 2);
+        assert_eq!(s.hist(HIST_MSG_BYTES).unwrap().n(), 1);
         assert_eq!(
-            s.slow[0],
+            s.slow_cells[0],
             SlowCell {
                 ns: 9000,
                 gid: 9,
@@ -1270,7 +1217,7 @@ mod tests {
         other.set_rank(5);
         other.observe("tess.candidates_per_cell", 33.0);
         other.note_slow_cells(4, &[(70_000, 8)]);
-        let r = RunReport::from_rank(&s).merge(RunReport::from_rank(&other.snapshot()));
+        let r = s.merge(other.snapshot());
         assert_eq!(r.hist("tess.candidates_per_cell").unwrap().n(), 3);
         assert_eq!(r.slow_cells[0].ns, 70_000);
         assert_eq!(r.slow_cells[0].rank, 5);
@@ -1296,7 +1243,7 @@ mod tests {
             m.set_rank(rank);
             let cells: Vec<(u64, u64)> = (0..12).map(|i| (base + 17 * i, 100 * rank + i)).collect();
             m.note_slow_cells(rank, &cells);
-            RunReport::from_rank(&m.snapshot())
+            m.snapshot()
         };
         let (a, b, c) = (mk(0, 50), mk(1, 55), mk(2, 60));
         let left = a.clone().merge(b.clone()).merge(c.clone());
@@ -1311,31 +1258,15 @@ mod tests {
 
     #[test]
     fn slowest_rank_attributes_the_max() {
-        let mut a = RankMetrics {
-            rank: 3,
+        let cpu = |cpu_s| Counters {
+            cpu_s,
             ..Default::default()
         };
-        a.phases.insert(
-            "p".into(),
-            Counters {
-                cpu_s: 9.0,
-                ..Default::default()
-            },
-        );
-        let mut b = RankMetrics {
-            rank: 7,
-            ..Default::default()
-        };
-        b.phases.insert(
-            "p".into(),
-            Counters {
-                cpu_s: 2.0,
-                ..Default::default()
-            },
-        );
-        let r = RunReport::from_rank(&a).merge(RunReport::from_rank(&b));
+        let a = rank_report(3, "p", cpu(9.0));
+        let b = rank_report(7, "p", cpu(2.0));
+        let r = a.clone().merge(b.clone());
         assert_eq!(r.phase("p").unwrap().slowest_rank, 3);
-        let r = RunReport::from_rank(&b).merge(RunReport::from_rank(&a));
+        let r = b.merge(a);
         assert_eq!(r.phase("p").unwrap().slowest_rank, 3);
     }
 
@@ -1345,5 +1276,12 @@ mod tests {
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+    }
+
+    #[test]
+    fn json_string_escapes_controls() {
+        assert_eq!(json_string("\n\t\r"), "\"\\n\\t\\r\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("plain"), "\"plain\"");
     }
 }

@@ -1,13 +1,17 @@
-//! Live, process-wide telemetry: a label-aware metric registry with
-//! Prometheus-style text exposition and a JSON snapshot renderer.
+//! Live telemetry: a label-aware metric registry with Prometheus-style
+//! text exposition.
 //!
 //! Everything else in `diy::metrics` is *post-hoc*: `RunReport`s
 //! materialize after a batch run ends. This module is the *live* side — a
-//! resident service ([`tess::MeshService`]-style) registers counters,
-//! gauges, and windowed histograms here, updates them on its hot paths
-//! (handles are `Arc`s over relaxed atomics; histograms take a short
-//! mutex), and a scraper renders the whole registry at any moment without
-//! stopping the service.
+//! resident service ([`tess::MeshService`]-style) owns a [`Registry`],
+//! registers counters, gauges, and windowed histograms on it, updates them
+//! on its hot paths (handles are `Arc`s over relaxed atomics; histograms
+//! take a short mutex), and a scraper renders the whole registry at any
+//! moment without stopping the service.
+//!
+//! A registry is a value, not a process global: two services in one
+//! process each own one, so each series counts exactly one service's
+//! events and the service needs no private copy of its own counters.
 //!
 //! ## Model
 //!
@@ -22,66 +26,35 @@
 //!   [`LogHistogram`] plus a ring of per-epoch windows. Rolling quantiles
 //!   (p50/p99 over the last `window` epochs) answer "how slow is it *right
 //!   now*", while the cumulative histogram answers "since start".
-//!   [`advance_epoch`] rotates every registered ring (the exporter's
-//!   scrape interval is the natural epoch).
+//!   [`Registry::advance_epoch`] rotates every registered ring (the
+//!   exporter's scrape interval is the natural epoch).
 //!
-//! Registering the same `(name, labels)` twice returns a handle to the
-//! same underlying instrument; registering it as a *different kind*
-//! panics (a programming error, caught loudly).
+//! Registering the same `(name, labels)` twice on one registry returns a
+//! handle to the same underlying instrument; registering it as a
+//! *different kind* panics (a programming error, caught loudly).
 //!
-//! ## Renderers
+//! ## Exposition
 //!
-//! [`render_prometheus`] emits the classic text exposition (`# TYPE`
-//! comments, `name{label="value"} value` samples; histograms as summaries
-//! with rolling `quantile="0.5"`/`"0.99"` rows plus cumulative `_count` /
-//! `_sum`). Metric names are sanitized for Prometheus ([`prom_name`]);
-//! [`parse_exposition`] parses the format back for round-trip gates.
-//! [`render_json`] emits the same snapshot as a JSON document with raw
-//! (unsanitized) names, escaped by [`json_escape`].
+//! [`Registry::render_prometheus`] emits the classic text exposition
+//! (`# TYPE` comments, `name{label="value"} value` samples; histograms as
+//! summaries with rolling `quantile="0.5"`/`"0.99"` rows plus cumulative
+//! `_count` / `_sum`). Metric names are sanitized for Prometheus
+//! ([`prom_name`]); [`parse_exposition`] parses the format back for
+//! round-trip gates.
 //!
-//! Both renderers sample the allocator ([`crate::mem`]) into built-in
-//! `mem.*` / `proc.*` series at snapshot time, so a scrape always carries
-//! live/peak allocation without anyone having to update them.
+//! [`Registry::snapshot`] samples the allocator ([`crate::mem`]) into
+//! built-in `mem.*` / `proc.*` series of the registry it snapshots, so a
+//! scrape always carries live/peak allocation without anyone having to
+//! update them.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::hist::LogHistogram;
 
-/// Environment variable gating the hot-path mirrors (`on`/`1` to enable).
-/// The registry itself always works; this flag only gates *optional*
-/// instrumentation like the per-tag transport mirror in `diy::metrics`,
-/// so batch runs pay nothing unless asked.
-pub const TELEMETRY_ENV: &str = "TESS_TELEMETRY";
-
 /// Default ring length for windowed histograms (epochs of rolling view).
 pub const DEFAULT_WINDOW: usize = 8;
-
-const UNRESOLVED: u8 = u8::MAX;
-static ENABLED: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-/// Is hot-path telemetry mirroring enabled? Resolves [`TELEMETRY_ENV`]
-/// lazily on first call; [`set_enabled`] overrides at runtime.
-pub fn enabled() -> bool {
-    let v = ENABLED.load(Ordering::Relaxed);
-    if v != UNRESOLVED {
-        return v != 0;
-    }
-    let on = matches!(
-        std::env::var(TELEMETRY_ENV).ok().as_deref(),
-        Some("on") | Some("1") | Some("true")
-    );
-    let _ = ENABLED.compare_exchange(UNRESOLVED, on as u8, Ordering::Relaxed, Ordering::Relaxed);
-    ENABLED.load(Ordering::Relaxed) != 0
-}
-
-/// Enable/disable hot-path mirroring process-wide; returns the previous
-/// state.
-pub fn set_enabled(on: bool) -> bool {
-    let prev = ENABLED.swap(on as u8, Ordering::Relaxed);
-    prev != UNRESOLVED && prev != 0
-}
 
 // ---------------------------------------------------------------------------
 // Instruments
@@ -211,6 +184,7 @@ impl Hist {
 
 type LabelSet = Vec<(String, String)>;
 
+#[derive(Clone)]
 enum Instrument {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -227,18 +201,17 @@ impl Instrument {
     }
 }
 
-struct Registry {
-    metrics: BTreeMap<(String, LabelSet), Instrument>,
+#[derive(Default)]
+struct RegistryInner {
+    metrics: Mutex<BTreeMap<(String, LabelSet), Instrument>>,
+    /// [`Registry::advance_epoch`] calls so far.
+    epoch: AtomicU64,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            metrics: BTreeMap::new(),
-        })
-    })
-}
+/// A set of named series. Cheap to clone: all clones share one registry,
+/// like the instrument handles it hands out.
+#[derive(Clone, Default)]
+pub struct Registry(Arc<RegistryInner>);
 
 /// Non-poisoning lock: telemetry must keep working after an unrelated
 /// panic on some other thread (a `#[should_panic]` test, a dying worker).
@@ -256,81 +229,118 @@ fn canonical_labels(labels: &[(&str, &str)]) -> LabelSet {
     v
 }
 
-/// Register (or look up) a counter series.
-pub fn counter(name: &str, labels: &[(&str, &str)]) -> Counter {
-    let key = (name.to_string(), canonical_labels(labels));
-    let mut reg = lock(registry());
-    match reg
-        .metrics
-        .entry(key)
-        .or_insert_with(|| Instrument::Counter(Arc::new(AtomicU64::new(0))))
-    {
-        Instrument::Counter(c) => Counter(Arc::clone(c)),
-        other => panic!(
-            "telemetry metric {name:?} already registered as {}",
-            other.kind()
-        ),
+fn kind_mismatch(name: &str, found: &Instrument) -> ! {
+    panic!(
+        "telemetry metric {name:?} already registered as {}",
+        found.kind()
+    )
+}
+
+impl Registry {
+    pub fn new() -> Registry {
+        Registry::default()
     }
-}
 
-/// Register (or look up) a gauge series.
-pub fn gauge(name: &str, labels: &[(&str, &str)]) -> Gauge {
-    let key = (name.to_string(), canonical_labels(labels));
-    let mut reg = lock(registry());
-    match reg
-        .metrics
-        .entry(key)
-        .or_insert_with(|| Instrument::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-    {
-        Instrument::Gauge(g) => Gauge(Arc::clone(g)),
-        other => panic!(
-            "telemetry metric {name:?} already registered as {}",
-            other.kind()
-        ),
+    /// Look up `(name, labels)`, inserting `make()` on first registration.
+    fn register(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Instrument,
+    ) -> Instrument {
+        let key = (name.to_string(), canonical_labels(labels));
+        lock(&self.0.metrics)
+            .entry(key)
+            .or_insert_with(make)
+            .clone()
     }
-}
 
-/// Register (or look up) a windowed-histogram series with
-/// [`DEFAULT_WINDOW`] epochs of rolling view.
-pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Hist {
-    histogram_windowed(name, labels, DEFAULT_WINDOW)
-}
-
-/// Register (or look up) a windowed-histogram series. The `window` applies
-/// only on first registration; later lookups return the existing ring.
-pub fn histogram_windowed(name: &str, labels: &[(&str, &str)], window: usize) -> Hist {
-    let key = (name.to_string(), canonical_labels(labels));
-    let mut reg = lock(registry());
-    match reg
-        .metrics
-        .entry(key)
-        .or_insert_with(|| Instrument::Hist(Arc::new(Mutex::new(WindowedHistogram::new(window)))))
-    {
-        Instrument::Hist(h) => Hist(Arc::clone(h)),
-        other => panic!(
-            "telemetry metric {name:?} already registered as {}",
-            other.kind()
-        ),
-    }
-}
-
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Rotate every registered windowed histogram to its next epoch and bump
-/// the global telemetry epoch (exposed as `telemetry.epoch`).
-pub fn advance_epoch() -> u64 {
-    let reg = lock(registry());
-    for inst in reg.metrics.values() {
-        if let Instrument::Hist(h) = inst {
-            lock(h).advance();
+    /// Register (or look up) a counter series.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        match self.register(name, labels, || Instrument::Counter(Arc::default())) {
+            Instrument::Counter(c) => Counter(c),
+            other => kind_mismatch(name, &other),
         }
     }
-    EPOCH.fetch_add(1, Ordering::Relaxed) + 1
-}
 
-/// Global telemetry epoch ([`advance_epoch`] calls so far).
-pub fn epoch() -> u64 {
-    EPOCH.load(Ordering::Relaxed)
+    /// Register (or look up) a gauge series (starts at `0.0`).
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        match self.register(name, labels, || Instrument::Gauge(Arc::default())) {
+            Instrument::Gauge(g) => Gauge(g),
+            other => kind_mismatch(name, &other),
+        }
+    }
+
+    /// Register (or look up) a windowed-histogram series with
+    /// [`DEFAULT_WINDOW`] epochs of rolling view.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Hist {
+        let make =
+            || Instrument::Hist(Arc::new(Mutex::new(WindowedHistogram::new(DEFAULT_WINDOW))));
+        match self.register(name, labels, make) {
+            Instrument::Hist(h) => Hist(h),
+            other => kind_mismatch(name, &other),
+        }
+    }
+
+    /// Rotate every registered windowed histogram to its next epoch and
+    /// bump the registry epoch (exposed as `telemetry.epoch`).
+    pub fn advance_epoch(&self) -> u64 {
+        for inst in lock(&self.0.metrics).values() {
+            if let Instrument::Hist(h) = inst {
+                lock(h).advance();
+            }
+        }
+        self.0.epoch.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// [`advance_epoch`](Self::advance_epoch) calls so far.
+    pub fn epoch(&self) -> u64 {
+        self.0.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Sample the allocator and process into the built-in series, so every
+    /// snapshot carries live memory telemetry (`diy::mem` is the source).
+    fn sample_process(&self) {
+        let m = crate::mem::stats();
+        let (rss_kb, hwm_kb) = crate::mem::proc_status_kb();
+        for (name, v) in [
+            ("mem.live_bytes", m.live_bytes),
+            ("mem.peak_live_bytes", m.peak_live_bytes),
+            ("mem.alloc_bytes_total", m.alloc_bytes_total),
+            ("mem.alloc_count", m.alloc_count),
+            ("proc.vm_rss_kb", rss_kb),
+            ("proc.vm_hwm_kb", hwm_kb),
+            ("telemetry.epoch", self.epoch()),
+        ] {
+            self.gauge(name, &[]).set_u64(v);
+        }
+    }
+
+    /// Snapshot every registered series (sorted by name, then labels).
+    /// Samples the built-in `mem.*` / `proc.*` gauges first so they are
+    /// always fresh.
+    pub fn snapshot(&self) -> Vec<MetricSample> {
+        self.sample_process();
+        lock(&self.0.metrics)
+            .iter()
+            .map(|((name, labels), inst)| MetricSample {
+                name: name.clone(),
+                labels: labels.clone(),
+                value: match inst {
+                    Instrument::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
+                    Instrument::Gauge(g) => {
+                        MetricValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed)))
+                    }
+                    Instrument::Hist(h) => MetricValue::Hist(hist_snapshot(&lock(h))),
+                },
+            })
+            .collect()
+    }
+
+    /// Snapshot the registry and render Prometheus text exposition.
+    pub fn render_prometheus(&self) -> String {
+        render_prometheus_from(&self.snapshot())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -397,68 +407,13 @@ fn hist_snapshot(w: &WindowedHistogram) -> HistSnapshot {
     }
 }
 
-/// Sample the allocator and process into the built-in series, so every
-/// snapshot carries live memory telemetry (`diy::mem` is the source).
-fn sample_process() {
-    let m = crate::mem::stats();
-    gauge("mem.live_bytes", &[]).set_u64(m.live_bytes);
-    gauge("mem.peak_live_bytes", &[]).set_u64(m.peak_live_bytes);
-    gauge("mem.alloc_bytes_total", &[]).set_u64(m.alloc_bytes_total);
-    gauge("mem.alloc_count", &[]).set_u64(m.alloc_count);
-    let (rss_kb, hwm_kb) = crate::mem::proc_status_kb();
-    gauge("proc.vm_rss_kb", &[]).set_u64(rss_kb);
-    gauge("proc.vm_hwm_kb", &[]).set_u64(hwm_kb);
-    gauge("telemetry.epoch", &[]).set_u64(epoch());
-}
-
-/// Snapshot every registered series (sorted by name, then labels). Samples
-/// the built-in `mem.*` / `proc.*` gauges first so they are always fresh.
-pub fn snapshot() -> Vec<MetricSample> {
-    sample_process();
-    let reg = lock(registry());
-    reg.metrics
-        .iter()
-        .map(|((name, labels), inst)| MetricSample {
-            name: name.clone(),
-            labels: labels.clone(),
-            value: match inst {
-                Instrument::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                Instrument::Gauge(g) => {
-                    MetricValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed)))
-                }
-                Instrument::Hist(h) => MetricValue::Hist(hist_snapshot(&lock(h))),
-            },
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
-// Renderers
+// Renderer
 // ---------------------------------------------------------------------------
-
-/// Escape a string for embedding in a JSON string literal (no surrounding
-/// quotes). This is the one escaper shared by the telemetry JSON renderer
-/// and the structured log mode.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Sanitize a metric name for the Prometheus exposition charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other byte becomes `_` and a
-/// leading digit gains a `_` prefix. Raw names (with dots) stay in the
-/// JSON snapshot.
+/// leading digit gains a `_` prefix.
 pub fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
@@ -573,74 +528,6 @@ pub fn render_prometheus_from(samples: &[MetricSample]) -> String {
     out
 }
 
-/// Snapshot the registry and render Prometheus text exposition.
-pub fn render_prometheus() -> String {
-    render_prometheus_from(&snapshot())
-}
-
-fn json_labels(labels: &LabelSet) -> String {
-    let pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    format!("{{{}}}", pairs.join(","))
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        fmt_f64(v)
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Render a snapshot as a JSON document:
-/// `{"epoch":N,"metrics":[{"name":...,"labels":{...},"kind":...,...}]}`.
-/// Counters carry `"value"` (integer), gauges `"value"` (number),
-/// histograms the full [`HistSnapshot`] field set.
-pub fn render_json_from(samples: &[MetricSample]) -> String {
-    let mut rows: Vec<String> = Vec::with_capacity(samples.len());
-    for s in samples {
-        let head = format!(
-            "{{\"name\":\"{}\",\"labels\":{},",
-            json_escape(&s.name),
-            json_labels(&s.labels)
-        );
-        let body = match &s.value {
-            MetricValue::Counter(v) => format!("\"kind\":\"counter\",\"value\":{v}}}"),
-            MetricValue::Gauge(v) => {
-                format!("\"kind\":\"gauge\",\"value\":{}}}", json_num(*v))
-            }
-            MetricValue::Hist(h) => format!(
-                "\"kind\":\"histogram\",\"n\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p99\":{},\"rolling_n\":{},\"rolling_p50\":{},\
-                 \"rolling_p99\":{},\"window\":{}}}",
-                h.n,
-                json_num(h.sum),
-                json_num(h.min),
-                json_num(h.max),
-                json_num(h.p50),
-                json_num(h.p99),
-                h.rolling_n,
-                json_num(h.rolling_p50),
-                json_num(h.rolling_p99),
-                h.window
-            ),
-        };
-        rows.push(format!("    {head}{body}"));
-    }
-    format!(
-        "{{\n  \"epoch\": {},\n  \"metrics\": [\n{}\n  ]\n}}\n",
-        epoch(),
-        rows.join(",\n")
-    )
-}
-
-/// Snapshot the registry and render the JSON document.
-pub fn render_json() -> String {
-    render_json_from(&snapshot())
-}
-
 // ---------------------------------------------------------------------------
 // Exposition parser (round-trip gate)
 // ---------------------------------------------------------------------------
@@ -655,7 +542,7 @@ pub struct ExpoSample {
 
 /// Parse Prometheus text exposition back into samples. Comment (`#`) and
 /// blank lines are skipped; malformed lines are errors. This is the gate
-/// that proves [`render_prometheus`] emits the format it claims to.
+/// that proves [`Registry::render_prometheus`] emits the format it claims to.
 pub fn parse_exposition(text: &str) -> Result<Vec<ExpoSample>, String> {
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -756,19 +643,21 @@ fn parse_labels(body: &str) -> Result<LabelSet, String> {
 mod tests {
     use super::*;
 
-    // Unit tests share the process-global registry with every other test
-    // in this binary, so each uses its own `test.*`-prefixed names and
-    // never asserts on the registry as a whole.
-
     #[test]
     fn counter_and_gauge_roundtrip() {
-        let c = counter("test.unit.counter", &[("k", "v")]);
+        let reg = Registry::new();
+        let c = reg.counter("unit.counter", &[("k", "v")]);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        // same (name, labels) → same cell
-        assert_eq!(counter("test.unit.counter", &[("k", "v")]).get(), 5);
-        let g = gauge("test.unit.gauge", &[]);
+        // same (name, labels) → same cell, through any clone of the registry
+        assert_eq!(reg.clone().counter("unit.counter", &[("k", "v")]).get(), 5);
+        // another registry is another set of series
+        assert_eq!(
+            Registry::new().counter("unit.counter", &[("k", "v")]).get(),
+            0
+        );
+        let g = reg.gauge("unit.gauge", &[]);
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
         g.set_u64(7);
@@ -777,12 +666,21 @@ mod tests {
 
     #[test]
     fn labels_are_canonicalized() {
-        let a = counter("test.unit.lbl", &[("b", "2"), ("a", "1")]);
+        let reg = Registry::new();
+        let a = reg.counter("lbl", &[("b", "2"), ("a", "1")]);
         a.add(3);
-        let b = counter("test.unit.lbl", &[("a", "1"), ("b", "2")]);
+        let b = reg.counter("lbl", &[("a", "1"), ("b", "2")]);
         assert_eq!(b.get(), 3, "label order must not split the series");
-        let other = counter("test.unit.lbl", &[("a", "1"), ("b", "9")]);
+        let other = reg.counter("lbl", &[("a", "1"), ("b", "9")]);
         assert_eq!(other.get(), 0, "different values are a different series");
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as counter")]
+    fn kind_mismatch_panics() {
+        let reg = Registry::new();
+        reg.counter("x", &[]);
+        reg.gauge("x", &[]);
     }
 
     #[test]
@@ -804,19 +702,14 @@ mod tests {
 
     #[test]
     fn exposition_roundtrips_counters_gauges_hists() {
-        let c = counter("test.expo.counter", &[("kind", "a b")]);
-        c.add(42);
-        let g = gauge("test.expo.gauge", &[]);
-        g.set(1.5);
-        let h = histogram("test.expo.hist", &[("kind", "x")]);
+        let reg = Registry::new();
+        reg.counter("expo.counter", &[("kind", "a b")]).add(42);
+        reg.gauge("expo.gauge", &[]).set(1.5);
+        let h = reg.histogram("expo.hist", &[("kind", "x")]);
         for i in 1..=100 {
             h.observe(i as f64);
         }
-        let samples: Vec<MetricSample> = snapshot()
-            .into_iter()
-            .filter(|s| s.name.starts_with("test.expo."))
-            .collect();
-        let text = render_prometheus_from(&samples);
+        let text = reg.render_prometheus();
         let parsed = parse_exposition(&text).expect("exposition parses");
         let find = |name: &str, labels: &[(&str, &str)]| -> f64 {
             let want: LabelSet = labels
@@ -829,22 +722,26 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} {labels:?} in {text}"))
                 .value
         };
-        assert_eq!(find("test_expo_counter", &[("kind", "a b")]), 42.0);
-        assert_eq!(find("test_expo_gauge", &[]), 1.5);
-        assert_eq!(find("test_expo_hist_count", &[("kind", "x")]), 100.0);
-        assert_eq!(find("test_expo_hist_sum", &[("kind", "x")]), 5050.0);
-        let p50 = find("test_expo_hist", &[("kind", "x"), ("quantile", "0.5")]);
+        assert_eq!(find("expo_counter", &[("kind", "a b")]), 42.0);
+        assert_eq!(find("expo_gauge", &[]), 1.5);
+        assert_eq!(find("expo_hist_count", &[("kind", "x")]), 100.0);
+        assert_eq!(find("expo_hist_sum", &[("kind", "x")]), 5050.0);
+        let p50 = find("expo_hist", &[("kind", "x"), ("quantile", "0.5")]);
         assert!(p50 > 0.0);
     }
 
     #[test]
     fn every_scalar_series_of_a_snapshot_survives_the_exposition() {
-        // One snapshot of the whole registry (whatever other tests have
-        // registered by now, plus the sampled `mem.*` / `proc.*` gauges):
-        // rendering and re-parsing it must keep every counter and gauge
-        // with its exact value.
-        counter("test.all.counter", &[]).inc();
-        let samples = snapshot();
+        // One snapshot of the whole registry (its own series plus the
+        // sampled `mem.*` / `proc.*` gauges): rendering and re-parsing it
+        // must keep every counter and gauge with its exact value.
+        let reg = Registry::new();
+        reg.counter("all.counter", &[]).inc();
+        reg.advance_epoch();
+        let samples = reg.snapshot();
+        for builtin in ["mem.live_bytes", "mem.peak_live_bytes", "telemetry.epoch"] {
+            assert!(samples.iter().any(|s| s.name == builtin), "{builtin}");
+        }
         let parsed = parse_exposition(&render_prometheus_from(&samples)).expect("parses");
         let mut scalars = 0;
         for s in &samples {
@@ -868,15 +765,18 @@ mod tests {
             scalars += 1;
         }
         assert!(scalars > 0);
+        let epoch = parsed.iter().find(|p| p.name == "telemetry_epoch");
+        assert_eq!(epoch.map(|p| p.value), Some(1.0));
     }
 
     #[test]
     fn exposition_escapes_label_values() {
-        let c = counter("test.esc.counter", &[("path", "a\\b\"c\nd")]);
-        c.inc();
-        let samples: Vec<MetricSample> = snapshot()
+        let reg = Registry::new();
+        reg.counter("esc.counter", &[("path", "a\\b\"c\nd")]).inc();
+        let samples: Vec<MetricSample> = reg
+            .snapshot()
             .into_iter()
-            .filter(|s| s.name.starts_with("test.esc."))
+            .filter(|s| s.name == "esc.counter")
             .collect();
         let text = render_prometheus_from(&samples);
         let parsed = parse_exposition(&text).expect("escaped exposition parses");
@@ -910,39 +810,14 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_covers_controls() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("\n\t\r"), "\\n\\t\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn json_snapshot_contains_mem_gauges() {
-        let _keep = vec![0u8; 1 << 16];
-        let doc = render_json();
-        assert!(doc.contains("\"name\":\"mem.live_bytes\""));
-        assert!(doc.contains("\"name\":\"mem.peak_live_bytes\""));
-        assert!(doc.contains("\"name\":\"telemetry.epoch\""));
-    }
-
-    #[test]
-    fn enabled_toggle_roundtrips() {
-        let prev = set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(prev);
-    }
-
-    #[test]
     fn advance_epoch_rotates_registered_hists() {
-        let h = histogram_windowed("test.adv.hist", &[], 2);
+        let reg = Registry::new();
+        let h = reg.histogram("adv.hist", &[]);
         h.observe(4.0);
-        let before = epoch();
-        advance_epoch();
-        advance_epoch();
-        assert_eq!(epoch(), before + 2);
+        for _ in 0..DEFAULT_WINDOW {
+            reg.advance_epoch();
+        }
+        assert_eq!(reg.epoch(), DEFAULT_WINDOW as u64);
         let w = h.read();
         assert_eq!(w.rolling().n(), 0, "sample aged out after window epochs");
         assert_eq!(w.total().n(), 1);

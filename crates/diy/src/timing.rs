@@ -22,44 +22,6 @@ pub fn thread_cpu_time() -> f64 {
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
-/// A stopwatch accumulating the calling thread's CPU time across intervals.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadTimer {
-    started: Option<f64>,
-    accumulated: f64,
-}
-
-impl ThreadTimer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start (or restart) an interval.
-    pub fn start(&mut self) {
-        self.started = Some(thread_cpu_time());
-    }
-
-    /// End the current interval, adding it to the accumulated total.
-    pub fn stop(&mut self) {
-        if let Some(s) = self.started.take() {
-            self.accumulated += thread_cpu_time() - s;
-        }
-    }
-
-    /// Accumulated CPU seconds over all completed intervals.
-    pub fn seconds(&self) -> f64 {
-        self.accumulated
-    }
-
-    /// Time a closure, accumulating its thread CPU cost.
-    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.start();
-        let r = f();
-        self.stop();
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,34 +37,5 @@ mod tests {
         std::hint::black_box(x);
         let b = thread_cpu_time();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn timer_accumulates_work_not_sleep() {
-        let mut t = ThreadTimer::new();
-        t.time(|| {
-            let mut x = 1u64;
-            for i in 1..2_000_000u64 {
-                x = x.wrapping_mul(i) ^ (x >> 7);
-            }
-            std::hint::black_box(x);
-        });
-        let busy = t.seconds();
-        assert!(busy > 0.0);
-        // sleeping does not consume thread CPU time
-        let mut s = ThreadTimer::new();
-        s.time(|| std::thread::sleep(std::time::Duration::from_millis(30)));
-        assert!(s.seconds() < 0.02, "sleep measured {}", s.seconds());
-    }
-
-    #[test]
-    fn unbalanced_stop_is_harmless() {
-        let mut t = ThreadTimer::new();
-        t.stop(); // no interval open
-        assert_eq!(t.seconds(), 0.0);
-        t.start();
-        t.start(); // restart discards the first interval
-        t.stop();
-        assert!(t.seconds() >= 0.0);
     }
 }

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
 use crate::comm::World;
+use crate::metrics::json_string;
 use crate::reduce::reduce_merge;
 
 /// Environment variable selecting the trace mode (`off|spans|full`).
@@ -356,30 +357,26 @@ pub fn collect_traces(world: &mut World) -> Option<Vec<RankTrace>> {
     })
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn ts_us(t_ns: u64, t0: u64) -> String {
     format!("{:.3}", t_ns.saturating_sub(t0) as f64 / 1000.0)
 }
 
-fn thread_label(tid: u32) -> String {
+/// Chrome-trace pid of a resident service's request timeline (the ranks
+/// own pids `0..nranks`; this sits far above them). Its tids are request
+/// ids, one track per request.
+pub const SERVICE_TRACE_PID: u64 = 1000;
+
+fn process_label(pid: u64) -> String {
+    if pid == SERVICE_TRACE_PID {
+        "mesh service".to_string()
+    } else {
+        format!("rank {pid}")
+    }
+}
+
+fn thread_label(pid: u64, tid: u32) -> String {
     match tid {
+        _ if pid == SERVICE_TRACE_PID => format!("request {tid}"),
         TID_MAIN => "main".to_string(),
         1 => "pool submitter".to_string(),
         n => format!("pool worker {}", n - 2),
@@ -389,9 +386,10 @@ fn thread_label(tid: u32) -> String {
 /// Export merged rank traces as Chrome-tracing / Perfetto JSON.
 ///
 /// One pid per rank, tid 0 the rank's main thread, tid `1 + worker` per
-/// pool worker. Span begin/end become `B`/`E` duration events, messages and
-/// markers become `i` instants, counters become `C` samples, pool tasks
-/// become `X` complete events. Timestamps are microseconds relative to the
+/// pool worker; under [`SERVICE_TRACE_PID`] one tid per request. Span
+/// begin/end become `B`/`E` duration events, messages and markers become
+/// `i` instants, counters become `C` samples, pool tasks become `X`
+/// complete events. Timestamps are microseconds relative to the
 /// earliest event across all ranks. Spans still open at snapshot time (or
 /// whose end was lost to overflow) are closed synthetically at the rank's
 /// last timestamp so the stream always balances.
@@ -407,7 +405,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
         out.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
              \"args\":{{\"name\":{}}}}}",
-            json_escape(&format!("rank {pid}"))
+            json_string(&process_label(pid))
         ));
         let mut tids: Vec<u32> = t.events.iter().map(|e| e.tid).collect();
         tids.sort_unstable();
@@ -416,7 +414,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
             out.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
                  \"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                json_escape(&thread_label(tid))
+                json_string(&thread_label(pid, tid))
             ));
         }
         let t_last = t.events.iter().map(|e| e.t_ns).max().unwrap_or(t0);
@@ -432,7 +430,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                         out.push(format!(
                             "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\
                              \"ts\":{ts},\"name\":{}}}",
-                            json_escape(t.name(e.name))
+                            json_string(t.name(e.name))
                         ));
                     }
                     EventKind::SpanEnd => {
@@ -443,7 +441,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                             out.push(format!(
                                 "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\
                                  \"ts\":{ts},\"name\":{}}}",
-                                json_escape(t.name(e.name))
+                                json_string(t.name(e.name))
                             ));
                         }
                     }
@@ -465,7 +463,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\
                              \"ts\":{ts},\"s\":\"t\",\"name\":{},\
                              \"args\":{{\"value\":{}}}}}",
-                            json_escape(t.name(e.name)),
+                            json_string(t.name(e.name)),
                             e.a
                         ));
                     }
@@ -474,7 +472,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                             "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\
                              \"ts\":{ts},\"name\":{},\
                              \"args\":{{\"value\":{}}}}}",
-                            json_escape(t.name(e.name)),
+                            json_string(t.name(e.name)),
                             e.a
                         ));
                     }
@@ -495,7 +493,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                     "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\
                      \"ts\":{},\"name\":{}}}",
                     ts_us(t_last, t0),
-                    json_escape(t.name(name))
+                    json_string(t.name(name))
                 ));
             }
         }

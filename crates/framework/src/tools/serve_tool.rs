@@ -156,8 +156,8 @@ impl AnalysisTool for ServeTool {
             } else {
                 ctx.output_dir.join(rel)
             };
-            diy::telemetry::advance_epoch();
-            match std::fs::write(&path, diy::telemetry::render_prometheus()) {
+            svc.telemetry().advance_epoch();
+            match std::fs::write(&path, svc.telemetry().render_prometheus()) {
                 Ok(()) => artifacts.push(path),
                 Err(e) => diy::log_error!("serve: telemetry export {}: {e}", path.display()),
             }

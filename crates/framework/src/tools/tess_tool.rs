@@ -94,19 +94,12 @@ impl AnalysisTool for TessTool {
         let result = tessellate(world, &sim.dec, &sim.asn, &local, &self.params);
         let stats = tess::driver::global_stats(world, result.stats);
 
-        // Global candidates-per-cell distribution: merge every rank's
-        // log-bucket histogram (collective — each rank gets the sum).
-        let cand = world
-            .metrics()
-            .snapshot()
-            .hists
-            .get(tess::driver::HIST_CANDIDATES)
+        // Global candidates-per-cell distribution: every rank's log-bucket
+        // histogram, merged by the report collective (each rank gets it).
+        let cand = diy::collect_report(world)
+            .hist(tess::driver::HIST_CANDIDATES)
             .cloned()
             .unwrap_or_default();
-        let cand = diy::reduce::all_reduce_merge(world, cand, |mut a, b| {
-            a.merge(&b);
-            a
-        });
 
         std::fs::create_dir_all(&ctx.output_dir).ok();
         let path = ctx.output_dir.join(format!("tess_step{}.bin", ctx.step));

@@ -230,6 +230,15 @@ fn writer_epochs_race_reader_threads_without_mixing_or_loss() {
     assert_eq!(stats.answered, total);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.epochs_published, EPOCHS);
-    let hists = svc.hists();
-    assert_eq!(hists.latency_ns.n(), total);
+    // One latency sample per answer, split across the three query kinds.
+    let latencies: u64 = ["point", "box", "region"]
+        .iter()
+        .map(|&kind| {
+            let h = svc
+                .telemetry()
+                .histogram("service.latency_ns", &[("kind", kind)]);
+            h.read().total().n()
+        })
+        .sum();
+    assert_eq!(latencies, stats.answered);
 }

@@ -1,16 +1,17 @@
 //! Live-telemetry invariants for the resident service:
 //!
-//! * the `service.*` instruments in the process-global registry move in
-//!   step with the service's own counters (asserted with `>=` deltas —
-//!   the registry is shared by every service in the process);
-//! * the Prometheus exposition of a live service re-parses and carries
-//!   the published epoch;
+//! * the `service.*` instruments of a service's own registry count its
+//!   requests exactly, and two services in one process never share a
+//!   series;
+//! * the Prometheus exposition of a service re-parses and carries the
+//!   published epoch;
 //! * with `TraceMode::Spans` on, every request's enqueue→reply life is
 //!   recorded under its own tid (= request id) in the service flight
-//!   recorder, and the merged export validates as Chrome-trace JSON.
+//!   recorder, and the merged export validates as Chrome-trace JSON, with
+//!   each request track labelled as that request.
 //!
-//! Telemetry and the trace mode are process-wide, so the tests serialize
-//! on one mutex and restore the trace mode before releasing it.
+//! The trace mode is process-wide, so the tests that flip it serialize on
+//! one mutex and restore it before releasing it.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -24,7 +25,7 @@ use meshing_universe::tess::{
     Answer, MeshService, Query, ServiceConfig, TessParams, Update, SERVICE_TRACE_PID,
 };
 
-static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
+static TRACE_MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn jittered(n: usize, seed: u64) -> Vec<(u64, Vec3)> {
     use meshing_universe::rand::{Rng, SeedableRng};
@@ -61,15 +62,6 @@ fn spawn(n: usize, seed: u64) -> MeshService {
 
 #[test]
 fn registry_tracks_service_counters_and_gauges() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let answered_before = telemetry::counter("service.answered", &[]).get();
-    let enqueued_before = telemetry::counter("service.enqueued", &[]).get();
-    let epochs_before = telemetry::counter("service.epochs_published", &[]).get();
-    let point_hist_before = telemetry::histogram("service.latency_ns", &[("kind", "point")])
-        .read()
-        .total()
-        .n();
-
     let svc = spawn(5, 3);
     let n_queries = 12u64;
     for i in 0..n_queries {
@@ -81,50 +73,74 @@ fn registry_tracks_service_counters_and_gauges() {
         upserts: vec![(0, Vec3::new(2.5, 2.5, 2.5))],
         removes: Vec::new(),
     });
+    // Shutdown joins the workers, so every batch has been counted.
+    let stats = svc.shutdown();
 
-    // Counters only ever move up, by at least this service's activity.
-    let answered = telemetry::counter("service.answered", &[]).get();
-    let enqueued = telemetry::counter("service.enqueued", &[]).get();
-    assert!(
-        answered >= answered_before + n_queries,
-        "answered: {answered}"
-    );
-    assert!(
-        enqueued >= enqueued_before + n_queries,
-        "enqueued: {enqueued}"
-    );
-    assert!(telemetry::counter("service.epochs_published", &[]).get() >= epochs_before + 2);
-    let point_hist = telemetry::histogram("service.latency_ns", &[("kind", "point")]).read();
-    assert!(point_hist.total().n() >= point_hist_before + n_queries);
+    // The registry is this service's own: its counters are exact.
+    let reg = svc.telemetry();
+    assert_eq!(reg.counter("service.answered", &[]).get(), n_queries);
+    assert_eq!(reg.counter("service.enqueued", &[]).get(), n_queries);
+    assert_eq!(reg.counter("service.epochs_published", &[]).get(), 2);
+    assert_eq!(reg.counter("service.batches", &[]).get(), stats.batches);
+    let point_hist = reg
+        .histogram("service.latency_ns", &[("kind", "point")])
+        .read();
+    assert_eq!(point_hist.total().n(), n_queries);
     assert!(point_hist.rolling().quantile(0.99) > 0.0);
 
-    // Gauges reflect the most recent publish — ours, under the lock.
-    assert_eq!(telemetry::gauge("service.epoch", &[]).get(), 2.0);
+    // Gauges reflect the most recent publish.
+    assert_eq!(reg.gauge("service.epoch", &[]).get(), 2.0);
     assert_eq!(
-        telemetry::gauge("service.particles", &[]).get(),
+        reg.gauge("service.particles", &[]).get(),
         125.0,
         "particle gauge"
     );
-    assert!(telemetry::gauge("service.cells", &[]).get() > 0.0);
-    assert!(telemetry::gauge("service.rank_imbalance", &[]).get() >= 1.0);
-    let rate = telemetry::gauge("service.coalesce_rate", &[]).get();
+    assert!(reg.gauge("service.cells", &[]).get() > 0.0);
+    assert!(reg.gauge("service.rank_imbalance", &[]).get() >= 1.0);
+    let rate = reg.gauge("service.coalesce_rate", &[]).get();
     assert!((0.0..=1.0).contains(&rate), "coalesce rate {rate}");
 
-    // The exposition of the live registry re-parses and carries the epoch.
+    // The exposition of the registry re-parses and carries the epoch.
     let samples =
-        telemetry::parse_exposition(&telemetry::render_prometheus()).expect("exposition re-parses");
-    let epoch = samples
-        .iter()
-        .find(|s| s.name == "service_epoch")
-        .expect("service_epoch series");
-    assert_eq!(epoch.value, 2.0);
+        telemetry::parse_exposition(&reg.render_prometheus()).expect("exposition re-parses");
+    let series = |name: &str| {
+        samples
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{name} series"))
+            .value
+    };
+    assert_eq!(series("service_epoch"), 2.0);
+    assert_eq!(series("service_answered"), n_queries as f64);
+}
 
-    svc.shutdown();
+#[test]
+fn concurrent_services_each_count_only_their_own_requests() {
+    let (a, b) = (spawn(4, 5), spawn(4, 6));
+    let run = |svc: &MeshService, n: usize| {
+        for i in 0..n {
+            let p = Vec3::new(0.2 + 0.3 * i as f64, 1.5, 2.5);
+            svc.query(Query::Point(p)).expect("service open");
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| run(&a, 7));
+        s.spawn(|| run(&b, 19));
+    });
+    for (svc, n) in [(&a, 7u64), (&b, 19)] {
+        let stats = svc.shutdown();
+        assert_eq!(stats.answered, n);
+        assert_eq!(
+            svc.telemetry().counter("service.answered", &[]).get(),
+            stats.answered,
+            "a service's scrape counts another service's answers"
+        );
+    }
 }
 
 #[test]
 fn requests_trace_as_one_track_each() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TRACE_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = set_trace_mode(TraceMode::Spans);
 
     let svc = spawn(4, 9);
@@ -175,7 +191,8 @@ fn requests_trace_as_one_track_each() {
     }
 
     // The merged export is well-formed Chrome-trace JSON with at least
-    // one record per request.
+    // one record per request, and its metadata names the service process
+    // and each request's track.
     let json = chrome_trace_json(&[snap]);
     let n = validate_chrome_trace(&json).expect("chrome trace validates");
     assert!(
@@ -183,6 +200,22 @@ fn requests_trace_as_one_track_each() {
         "{n} records for {} requests",
         expected.len()
     );
+    let pid = SERVICE_TRACE_PID;
+    assert!(
+        json.contains(&format!(
+            "\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"mesh service\"}}"
+        )),
+        "service process label missing"
+    );
+    for &id in expected.keys() {
+        assert!(
+            json.contains(&format!(
+                "\"pid\":{pid},\"tid\":{id},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":\"request {id}\"}}"
+            )),
+            "request {id}: track label missing"
+        );
+    }
 
     set_trace_mode(prev);
     svc.shutdown();
@@ -190,7 +223,7 @@ fn requests_trace_as_one_track_each() {
 
 #[test]
 fn tracing_off_records_nothing() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TRACE_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = set_trace_mode(TraceMode::Off);
     let svc = spawn(4, 17);
     svc.query(Query::Point(Vec3::new(1.0, 1.0, 1.0)))
