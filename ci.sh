@@ -104,10 +104,13 @@ stage_service() {
     # nearest-seed oracle (exact f64, canonical tie-breaks, periodic images),
     # box/region extraction vs full-cell filters with 1e-9 volume conservation,
     # raced queries matching exactly one epoch's oracle mesh, and writer-epoch
-    # × reader-thread stress with exactly-once request-id accounting.
+    # × reader-thread stress with exactly-once request-id accounting, and
+    # incremental epochs (cells carried from the previous snapshot) encoding
+    # byte-identical to a from-scratch tessellation after every update.
     cargo test --release -q -p meshing-universe --test service_oracle &&
         cargo test --release -q -p meshing-universe --test service_property &&
         cargo test --release -q -p meshing-universe --test service_stress &&
+        cargo test --release -q -p meshing-universe --test service_epochs &&
         # End-to-end smoke of the tess-serve binary's scripted query/update loop.
         cargo run --release -q -p tess --bin tess-serve -- --box 8 --n 200 --demo
 }
@@ -118,8 +121,10 @@ stage_decomp() {
     # matrix proves the merged mesh is bit-identical between the regular grid
     # and the particle-balanced k-d tree across 1/2/4/8 ranks and
     # explicit+adaptive ghosts; (2) the rank-determinism, kernel-oracle,
-    # and service-oracle suites rerun with every decomposition built as a k-d
-    # tree, so all of their invariants hold on irregular block geometry too;
+    # service-oracle and service-epoch suites rerun with every decomposition
+    # built as a k-d tree (its cuts are fixed at spawn, so incremental
+    # epochs must carry cells the same way), so all of their invariants hold
+    # on irregular block geometry too;
     # (3) distributed void labeling equals the serial union-find at
     # 1/2/3/4/8 ranks on regular and k-d blocks. The equivalence suite also
     # pins rank imbalance on the clustered corpus at 8 ranks: regular >=3.0,
@@ -128,7 +133,8 @@ stage_decomp() {
         cargo test --release -q -p meshing-universe --test voids_pipeline &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
-        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle
+        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle &&
+        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_epochs
 }
 
 stage_memory() {

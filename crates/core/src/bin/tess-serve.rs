@@ -40,7 +40,7 @@ use diy::codec::Decode;
 use diy::telemetry::Registry;
 use diy::{log_error, log_info};
 use geometry::{Aabb, Vec3};
-use tess::{Answer, MeshService, Query, ServiceConfig, TessParams, Update};
+use tess::{Answer, MeshService, Query, ServiceConfig, TessParams, Update, UpdateReport};
 
 struct Args {
     flags: BTreeMap<String, String>,
@@ -151,6 +151,21 @@ fn parse_aabb(w: &[&str]) -> Result<Aabb, String> {
     Ok(Aabb::new(parse_vec3(&w[..3])?, parse_vec3(&w[3..])?))
 }
 
+/// The reply to an update: the epoch, its size, and how many of the cells
+/// considered were carried from the previous epoch.
+fn published_line(rep: &UpdateReport) -> String {
+    let s = rep.stats;
+    format!(
+        "epoch {} published: {} particles, {} cells, reused {} of {} cells ({:.2}s)",
+        rep.epoch,
+        rep.particles,
+        rep.cells,
+        s.cells_reused,
+        s.cells_reused + s.cells_computed,
+        rep.tess_wall_s
+    )
+}
+
 fn run_command(svc: &MeshService, line: &str) -> Result<Option<String>, String> {
     let words: Vec<&str> = line.split_whitespace().collect();
     let Some((cmd, rest)) = words.split_first() else {
@@ -171,10 +186,7 @@ fn run_command(svc: &MeshService, line: &str) -> Result<Option<String>, String> 
                 upserts: vec![(id, pos)],
                 removes: Vec::new(),
             });
-            Ok(Some(format!(
-                "epoch {} published: {} particles, {} cells ({:.2}s)",
-                rep.epoch, rep.particles, rep.cells, rep.tess_wall_s
-            )))
+            Ok(Some(published_line(&rep)))
         }
         "remove" => {
             let id: u64 = rest
@@ -185,10 +197,7 @@ fn run_command(svc: &MeshService, line: &str) -> Result<Option<String>, String> 
                 upserts: Vec::new(),
                 removes: vec![id],
             });
-            Ok(Some(format!(
-                "epoch {} published: {} particles, {} cells ({:.2}s)",
-                rep.epoch, rep.particles, rep.cells, rep.tess_wall_s
-            )))
+            Ok(Some(published_line(&rep)))
         }
         "stats" => Ok(Some(stats_table(svc))),
         "metrics" => Ok(Some(svc.telemetry().render_prometheus())),

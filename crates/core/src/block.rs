@@ -9,6 +9,12 @@
 //! security ball fits inside the previous ghost region, so particles
 //! arriving from outside it provably cannot cut the cell (asserted in debug
 //! builds).
+//!
+//! The same argument carries cells across service epochs ([`PrevBlock`]):
+//! a cell the canonical pass certified is copied from the previous epoch's
+//! published block when its site did not move, no moved particle lies in
+//! its security ball, and the ball still certifies against this epoch's
+//! region. Every other cell is recomputed.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -19,7 +25,7 @@ use diy::trace::{monotonic_ns, trace_mode, TraceMode};
 use geometry::{Aabb, Vec3};
 use rayon::prelude::*;
 
-use crate::cell::{compute_cell, CellContext, CellScratch, ComputedCell};
+use crate::cell::{canonical_fit, certified, compute_cell, CellContext, CellScratch, ComputedCell};
 use crate::grid::CandidateGrid;
 use crate::model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
 use crate::params::TessParams;
@@ -40,13 +46,167 @@ pub struct BlockCertification {
     pub uncertified: u64,
 }
 
+/// What a kept cell carries into the next service epoch beside its
+/// published geometry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellCarry {
+    /// Security-ball diameter squared.
+    pub sec2: f64,
+    /// Certified by the canonical first pass: the cell's bits are then a
+    /// function of the particles in its security ball alone.
+    pub canonical: bool,
+}
+
+/// One block of the previous epoch, as an incremental pass reads it.
+pub struct PrevBlock<'p> {
+    /// The block as it was published.
+    pub mesh: &'p MeshBlock,
+    /// One entry per cell of `mesh`.
+    pub carry: &'p [CellCarry],
+    /// Every position that changed since.
+    pub moved: &'p MovedSet,
+}
+
+/// The old and new positions of every particle an update moved, inserted
+/// or removed, binned in a uniform grid over the domain (wrapped on
+/// periodic axes, clamped on the others) so that a security ball tests
+/// only the bins it overlaps.
+pub struct MovedSet {
+    domain: Aabb,
+    periodic: [bool; 3],
+    /// Bins per axis.
+    side: usize,
+    bin: Vec3,
+    /// Bin `b` holds `points[start[b]..start[b + 1]]`.
+    start: Vec<u32>,
+    points: Vec<Vec3>,
+}
+
+impl MovedSet {
+    /// Bin `points`, which must be finite.
+    pub fn new(domain: Aabb, periodic: [bool; 3], points: &[Vec3]) -> MovedSet {
+        assert!(
+            points.iter().all(|p| p.is_finite()),
+            "a moved position is not finite"
+        );
+        let side = ((points.len() as f64).cbrt().ceil() as usize).clamp(1, 32);
+        let e = domain.extent();
+        let mut set = MovedSet {
+            domain,
+            periodic,
+            side,
+            bin: Vec3::new(e.x / side as f64, e.y / side as f64, e.z / side as f64),
+            start: vec![0; side * side * side + 1],
+            points: Vec::with_capacity(points.len()),
+        };
+        let bins: Vec<usize> = points
+            .iter()
+            .map(|&p| {
+                let c = [0, 1, 2].map(|a| set.bin_index(a, p[a]));
+                (c[2] * side + c[1]) * side + c[0]
+            })
+            .collect();
+        for &b in &bins {
+            set.start[b + 1] += 1;
+        }
+        for b in 1..set.start.len() {
+            set.start[b] += set.start[b - 1];
+        }
+        let mut fill = set.start.clone();
+        set.points.resize(points.len(), Vec3::ZERO);
+        for (&b, &p) in bins.iter().zip(points) {
+            set.points[fill[b] as usize] = p;
+            fill[b] += 1;
+        }
+        set
+    }
+
+    /// Bin coordinate of `x` on axis `a`: wrapped on a periodic axis,
+    /// clamped on the others.
+    fn bin_index(&self, a: usize, x: f64) -> usize {
+        let (c, n) = (self.raw_bin(a, x), self.side as i64);
+        if self.periodic[a] {
+            c.rem_euclid(n) as usize
+        } else {
+            c.clamp(0, n - 1) as usize
+        }
+    }
+
+    /// Unwrapped bin coordinate of `x` on axis `a`.
+    fn raw_bin(&self, a: usize, x: f64) -> i64 {
+        if self.bin[a] > 0.0 {
+            ((x - self.domain.min[a]) / self.bin[a]).floor() as i64
+        } else {
+            0
+        }
+    }
+
+    /// `true` unless every moved position lies provably outside the
+    /// security ball (diameter² `sec2`) of `site`: distances are taken to
+    /// the nearest periodic image on periodic axes, with the slack of the
+    /// debug ghost check turned conservative.
+    pub fn touches(&self, site: Vec3, sec2: f64) -> bool {
+        if self.points.is_empty() {
+            return false;
+        }
+        let reach2 = sec2 * (1.0 + 1e-9) + 1e-12;
+        let reach = reach2.sqrt();
+        let ext = self.domain.extent();
+        // One bin of margin each side: a point's bin and its image's may
+        // round apart at a bin wall.
+        let span = |a: usize| -> Vec<usize> {
+            let n = self.side as i64;
+            let lo = self.raw_bin(a, site[a] - reach) - 1;
+            let hi = self.raw_bin(a, site[a] + reach) + 1;
+            if !self.periodic[a] {
+                (lo.clamp(0, n - 1)..=hi.clamp(0, n - 1))
+                    .map(|c| c as usize)
+                    .collect()
+            } else if hi - lo + 1 >= n {
+                (0..n as usize).collect()
+            } else {
+                (lo..=hi).map(|c| c.rem_euclid(n) as usize).collect()
+            }
+        };
+        let (xs, ys, zs) = (span(0), span(1), span(2));
+        let d2 = |p: Vec3| -> f64 {
+            (0..3)
+                .map(|a| {
+                    let mut d = p[a] - site[a];
+                    if self.periodic[a] && ext[a] > 0.0 {
+                        d -= ext[a] * (d / ext[a]).round();
+                    }
+                    d * d
+                })
+                .sum()
+        };
+        let side = self.side;
+        zs.iter().any(|&z| {
+            ys.iter().any(|&y| {
+                xs.iter().any(|&x| {
+                    let b = (z * side + y) * side + x;
+                    let bin = &self.points[self.start[b] as usize..self.start[b + 1] as usize];
+                    bin.iter().any(|&p| d2(p) <= reach2)
+                })
+            })
+        })
+    }
+}
+
+/// Exact equality of two positions, bit for bit.
+pub(crate) fn same_bits(a: Vec3, b: Vec3) -> bool {
+    (0..3).all(|k| a[k].to_bits() == b[k].to_bits())
+}
+
 struct Kept {
     site_idx: u32,
     volume: f64,
     area: f64,
     complete: bool,
+    /// Certified by the canonical first pass ([`CellCarry::canonical`]).
+    canonical: bool,
     /// Security-ball diameter squared at compute time; debug builds check
-    /// later ghost rounds against it.
+    /// later ghost rounds against it, and the next epoch's carry keeps it.
     sec2: f64,
     /// Per face: the neighbor's global id and the loop length; the loops'
     /// points are back to back in `points`.
@@ -56,9 +216,18 @@ struct Kept {
 
 enum Outcome {
     Kept(Box<Kept>),
+    /// Cell `cell` of the previous epoch's block, unchanged.
+    Reused {
+        cell: u32,
+        sec2: f64,
+    },
     Incomplete,
-    CulledEarly { certified: bool },
-    CulledLate { certified: bool },
+    CulledEarly {
+        certified: bool,
+    },
+    CulledLate {
+        certified: bool,
+    },
 }
 
 impl Outcome {
@@ -71,8 +240,18 @@ impl Outcome {
     fn certified(&self) -> bool {
         match self {
             Outcome::Kept(k) => k.complete,
+            Outcome::Reused { .. } => true,
             Outcome::Incomplete => false,
             Outcome::CulledEarly { certified } | Outcome::CulledLate { certified } => *certified,
+        }
+    }
+
+    /// Security-ball diameter squared of a certified kept cell.
+    fn certified_ball(&self) -> Option<f64> {
+        match self {
+            Outcome::Kept(k) if k.complete => Some(k.sec2),
+            Outcome::Reused { sec2, .. } => Some(*sec2),
+            _ => None,
         }
     }
 }
@@ -82,6 +261,12 @@ struct CellRecord {
     /// Ghost radius this cell would need to certify (0 when certified).
     needed: f64,
 }
+
+/// A record to compute: not certified, so every pass recomputes it.
+const TO_COMPUTE: CellRecord = CellRecord {
+    outcome: Outcome::Incomplete,
+    needed: 0.0,
+};
 
 /// Per-cell observability accumulated alongside a block's records:
 /// distribution of candidate-test counts (always on — counting is free),
@@ -119,13 +304,32 @@ impl CellObs {
     }
 }
 
+/// One pass over a block: its mesh, what the kept cells carry into the
+/// next epoch (one entry per cell of `block`), the block's counters and
+/// its certification summary.
+pub struct BlockPass {
+    pub block: MeshBlock,
+    pub carry: Vec<CellCarry>,
+    pub stats: TessStats,
+    pub cert: BlockCertification,
+}
+
+/// The previous epoch's block a session copies cells from.
+struct Carried<'p> {
+    prev: PrevBlock<'p>,
+    /// Per vertex of `prev.mesh`: the first cell whose loops reference it —
+    /// the cell whose raw loop point the vertex dedup stored.
+    owner: Vec<u32>,
+}
+
 /// Resumable per-block tessellation state for the adaptive ghost loop.
-pub struct BlockSession {
+pub struct BlockSession<'p> {
     gid: u64,
     bounds: Aabb,
     /// Ghosted region of the most recent pass.
     region: Aabb,
     records: Vec<CellRecord>,
+    carried: Option<Carried<'p>>,
     cells_computed: u64,
     cells_reused: u64,
     candidates_tested: u64,
@@ -165,55 +369,104 @@ pub fn tessellate_block_certified(
     ghost_size: f64,
     params: &TessParams,
 ) -> (MeshBlock, TessStats, BlockCertification) {
-    let (block, stats, cert, _) =
-        tessellate_block_session(gid, bounds, own, ghosts, ghost_size, params);
-    (block, stats, cert)
+    let (pass, _) = tessellate_block_session(gid, bounds, own, ghosts, ghost_size, params, None);
+    (pass.block, pass.stats, pass.cert)
 }
 
-/// Full tessellation pass that also returns the [`BlockSession`] later
-/// rounds can resume from.
-pub fn tessellate_block_session(
+/// First pass over a block, which also returns the [`BlockSession`] later
+/// rounds can resume from. With `prev`, the cells the reuse rule admits
+/// are copied from the previous epoch and only the rest are computed;
+/// `own` must then be sorted by id, as the previous block's were.
+pub fn tessellate_block_session<'p>(
     gid: u64,
     bounds: Aabb,
     own: &[(u64, Vec3)],
     ghosts: &[(u64, Vec3)],
     ghost_size: f64,
     params: &TessParams,
-) -> (MeshBlock, TessStats, BlockCertification, BlockSession) {
+    prev: Option<PrevBlock<'p>>,
+) -> (BlockPass, BlockSession<'p>) {
     let region = bounds.grown(ghost_size);
+    let carried = prev.map(|prev| {
+        let mut owner = vec![u32::MAX; prev.mesh.verts.len()];
+        for (c, cell) in prev.mesh.cells.iter().enumerate() {
+            for &v in cell.faces.iter().flat_map(|f| &f.verts) {
+                if owner[v as usize] == u32::MAX {
+                    owner[v as usize] = c as u32;
+                }
+            }
+        }
+        Carried { prev, owner }
+    });
+    let records = match &carried {
+        Some(c) => carried_records(&c.prev, own, &bounds, &region, params),
+        None => own.iter().map(|_| TO_COMPUTE).collect(),
+    };
     let mut session = BlockSession {
         gid,
         bounds,
         region,
-        records: Vec::new(),
+        records,
+        carried,
         cells_computed: 0,
         cells_reused: 0,
         candidates_tested: 0,
         prefilter_skipped: 0,
         obs: CellObs::default(),
     };
-    let (pts, ids) = flatten(own, ghosts);
-    let indices: Vec<usize> = (0..own.len()).collect();
-    let records = compute_records(&session, &pts, &ids, &indices, &region, params);
-    session.cells_computed = indices.len() as u64;
-    let mut obs = std::mem::take(&mut session.obs);
-    session.records = records
-        .into_iter()
-        .enumerate()
-        .map(|(i, (record, tested, skipped, ns))| {
-            session.candidates_tested = session.candidates_tested.saturating_add(tested);
-            session.prefilter_skipped = session.prefilter_skipped.saturating_add(skipped);
-            obs.note(tested, ns);
-            obs.note_slow(ns, own[i].0);
-            record
-        })
-        .collect();
-    session.obs = obs;
-    let (block, stats, cert) = assemble(&session, &pts, &ids, ghosts.len());
-    (block, stats, cert, session)
+    let pass = session.pass(own, ghosts, params);
+    (pass, session)
 }
 
-impl BlockSession {
+/// The records of `own` an incremental pass copies from `prev`: a cell is
+/// carried iff (a) the previous block kept a cell for its id at the
+/// bit-identical position, (b) the canonical first pass certified it,
+/// (c) no moved position lies in its security ball, and (d) the ball still
+/// certifies against `region`. Its bits are then exactly what the kernel
+/// would compute: the same candidates, clipped in the same order, from the
+/// same start box. Every other record is left to compute.
+fn carried_records(
+    prev: &PrevBlock,
+    own: &[(u64, Vec3)],
+    bounds: &Aabb,
+    region: &Aabb,
+    params: &TessParams,
+) -> Vec<CellRecord> {
+    let mesh = prev.mesh;
+    let clip_box = canonical_clip_box(bounds);
+    let mut cells = mesh.cells.iter().enumerate().peekable();
+    debug_assert!(
+        own.windows(2).all(|w| w[0].0 < w[1].0),
+        "own not sorted by id"
+    );
+    own.iter()
+        .map(|&(id, site)| {
+            while cells.next_if(|(_, c)| mesh.site_id_of(c) < id).is_some() {}
+            let Some((c, cell)) = cells.next_if(|(_, c)| mesh.site_id_of(c) == id) else {
+                return TO_COMPUTE;
+            };
+            let CellCarry { sec2, canonical } = prev.carry[c];
+            let fit = canonical_fit(params.canon_extent, &clip_box, site);
+            if same_bits(mesh.site_of(cell), site)
+                && canonical
+                && !prev.moved.touches(site, sec2)
+                && certified(region, params.eps, site, sec2, fit)
+            {
+                CellRecord {
+                    outcome: Outcome::Reused {
+                        cell: c as u32,
+                        sec2,
+                    },
+                    needed: 0.0,
+                }
+            } else {
+                TO_COMPUTE
+            }
+        })
+        .collect()
+}
+
+impl BlockSession<'_> {
     /// Incremental re-tessellation against a grown ghost set: recompute
     /// only the cells whose previous outcome was not certified-final.
     /// `ghosts` is the full cumulative ghost set, `new_ghosts` just the
@@ -228,36 +481,61 @@ impl BlockSession {
         new_ghosts: &[(u64, Vec3)],
         ghost_size: f64,
         params: &TessParams,
-    ) -> (MeshBlock, TessStats, BlockCertification) {
+    ) -> BlockPass {
         assert_eq!(
             self.records.len(),
             own.len(),
             "session resumed with a different particle set"
         );
         self.debug_check_new_ghosts(own, new_ghosts);
-        let region = self.bounds.grown(ghost_size);
-        self.region = region;
+        self.region = self.bounds.grown(ghost_size);
+        self.pass(own, ghosts, params)
+    }
+
+    /// Compute every record that is not certified-final and assemble the
+    /// block. A carried cell the vertex dedup cannot place exactly (see
+    /// [`assemble`]) is computed too, and the block assembled again.
+    fn pass(
+        &mut self,
+        own: &[(u64, Vec3)],
+        ghosts: &[(u64, Vec3)],
+        params: &TessParams,
+    ) -> BlockPass {
         let (pts, ids) = flatten(own, ghosts);
-        let indices: Vec<usize> = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.outcome.certified())
-            .map(|(i, _)| i)
+        let mut indices: Vec<usize> = (0..self.records.len())
+            .filter(|&i| !self.records[i].outcome.certified())
             .collect();
         self.cells_reused += (self.records.len() - indices.len()) as u64;
+        loop {
+            self.compute(own, &pts, &ids, &indices, params);
+            match assemble(self, &pts, &ids, ghosts.len()) {
+                Ok(pass) => return pass,
+                Err(stale) => {
+                    self.cells_reused -= stale.len() as u64;
+                    indices = stale;
+                }
+            }
+        }
+    }
+
+    /// Compute the records at `indices` and fold their counters in.
+    fn compute(
+        &mut self,
+        own: &[(u64, Vec3)],
+        pts: &[Vec3],
+        ids: &[u64],
+        indices: &[usize],
+        params: &TessParams,
+    ) {
         self.cells_computed += indices.len() as u64;
-        let recomputed = compute_records(self, &pts, &ids, &indices, &region, params);
-        let mut obs = std::mem::take(&mut self.obs);
-        for (i, (record, tested, skipped, ns)) in indices.into_iter().zip(recomputed) {
+        let computed = compute_records(&self.bounds, pts, ids, indices, &self.region, params);
+        for (&i, (record, tested, skipped, ns)) in indices.iter().zip(computed) {
             self.candidates_tested = self.candidates_tested.saturating_add(tested);
             self.prefilter_skipped = self.prefilter_skipped.saturating_add(skipped);
-            obs.note(tested, ns);
-            obs.note_slow(ns, own[i].0);
+            self.obs.note(tested, ns);
+            self.obs.note_slow(ns, own[i].0);
             self.records[i] = record;
         }
-        self.obs = obs;
-        assemble(self, &pts, &ids, ghosts.len())
     }
 
     /// Drain the per-cell observability accumulated since the last call
@@ -278,16 +556,13 @@ impl BlockSession {
     fn debug_check_new_ghosts(&self, own: &[(u64, Vec3)], new_ghosts: &[(u64, Vec3)]) {
         if cfg!(debug_assertions) {
             for (i, record) in self.records.iter().enumerate() {
-                let Outcome::Kept(kept) = &record.outcome else {
+                let Some(sec2) = record.outcome.certified_ball() else {
                     continue;
                 };
-                if !kept.complete {
-                    continue;
-                }
                 let site = own[i].1;
                 for &(gidg, g) in new_ghosts {
                     debug_assert!(
-                        g.dist2(site) >= kept.sec2 * (1.0 - 1e-9) - 1e-12,
+                        g.dist2(site) >= sec2 * (1.0 - 1e-9) - 1e-12,
                         "block {}: new ghost {gidg} at {g} inside the security \
                          ball of certified cell {} (site {site})",
                         self.gid,
@@ -311,26 +586,34 @@ fn flatten(own: &[(u64, Vec3)], ghosts: &[(u64, Vec3)]) -> (Vec<Vec3>, Vec<u64>)
     (pts, ids)
 }
 
+/// Canonical start box for the kernel when the driver gives no domain
+/// extent: a function of the block alone (largest ghost radius the
+/// adaptive schedule can reach), never of the current round's radius — see
+/// `cell::CellContext::clip_box`.
+fn canonical_clip_box(bounds: &Aabb) -> Aabb {
+    let e = bounds.extent();
+    bounds.grown(e.x.min(e.y).min(e.z))
+}
+
 /// Compute the cells at `indices` in parallel; the result vector is in
 /// `indices` order (the pool collects chunk results by position). Each
 /// element carries the candidate-test count, prefilter-skip count, and
 /// wall nanoseconds (0 when tracing is off — the clock is only read under
-/// a trace mode) alongside the record.
+/// a trace mode) alongside the record. Builds no grid when there is
+/// nothing to compute.
 fn compute_records(
-    session: &BlockSession,
+    bounds: &Aabb,
     pts: &[Vec3],
     ids: &[u64],
     indices: &[usize],
     region: &Aabb,
     params: &TessParams,
 ) -> Vec<(CellRecord, u64, u64, u64)> {
-    let bounds = session.bounds;
+    if indices.is_empty() {
+        return Vec::new();
+    }
     let grid = CandidateGrid::build(*region, pts, 2.0);
-    // Canonical start box for the kernel: a function of the block alone
-    // (largest ghost radius the adaptive schedule can reach), never of the
-    // current round's radius — see `cell::CellContext::clip_box`.
-    let e = bounds.extent();
-    let clip_box = bounds.grown(e.x.min(e.y).min(e.z));
+    let clip_box = canonical_clip_box(bounds);
     let ctx = CellContext {
         points: pts,
         ids,
@@ -349,7 +632,7 @@ fn compute_records(
         .into_par_iter()
         .map(|i| {
             let t0 = if timed { monotonic_ns() } else { 0 };
-            let (record, tested, skipped) = compute_one(&ctx, &bounds, params, cull_diam2, i);
+            let (record, tested, skipped) = compute_one(&ctx, bounds, params, cull_diam2, i);
             let ns = if timed {
                 monotonic_ns().saturating_sub(t0).max(1)
             } else {
@@ -445,6 +728,7 @@ fn record_of(
             volume,
             area,
             complete: cell.complete,
+            canonical: cell.canonical,
             sec2: cell.sec2,
             faces,
             points,
@@ -456,12 +740,19 @@ fn record_of(
 /// Assemble the mesh block from the session's records (serial: vertex
 /// dedup is a shared hash map). Runs over *all* records each pass, so a
 /// resumed round rebuilds stats without double counting.
+///
+/// A carried cell's loops come from the previous block's deduplicated
+/// vertices, in the same record order, so the dedup maps them where the
+/// kernel's raw points would go — except when a carried cell is the first
+/// to bring a vertex key and was not the cell whose raw point the previous
+/// block stored for it. Then the exact point is unknown: `Err` lists those
+/// records, which must be computed.
 fn assemble(
     session: &BlockSession,
     pts: &[Vec3],
     ids: &[u64],
     n_ghosts: usize,
-) -> (MeshBlock, TessStats, BlockCertification) {
+) -> Result<BlockPass, Vec<usize>> {
     let mut stats = TessStats {
         sites: session.records.len() as u64,
         ghosts_received: n_ghosts as u64,
@@ -472,6 +763,8 @@ fn assemble(
         ..Default::default()
     };
     let mut block = MeshBlock::empty(session.gid, session.bounds);
+    let mut carry = Vec::new();
+    let mut stale = Vec::new();
     // An interior Voronoi vertex is a corner of three faces in each of four
     // cells; the benchmark's blocks list 9–11 face corners per distinct
     // vertex (5–9 on small blocks, whose wall vertices are shared less).
@@ -481,6 +774,10 @@ fn assemble(
         .iter()
         .map(|r| match &r.outcome {
             Outcome::Kept(k) => k.points.len(),
+            Outcome::Reused { cell, .. } => session.carried.as_ref().map_or(0, |c| {
+                let cell = &c.prev.mesh.cells[*cell as usize];
+                cell.faces.iter().map(|f| f.verts.len()).sum()
+            }),
             _ => 0,
         })
         .sum();
@@ -496,7 +793,7 @@ fn assemble(
     };
 
     let mut cert = BlockCertification::default();
-    for record in &session.records {
+    for (i, record) in session.records.iter().enumerate() {
         match &record.outcome {
             Outcome::Incomplete => {
                 stats.incomplete += 1;
@@ -539,13 +836,71 @@ fn assemble(
                     complete: kept.complete,
                     faces,
                 });
+                carry.push(CellCarry {
+                    sec2: kept.sec2,
+                    canonical: kept.canonical,
+                });
+                stats.cells += 1;
+            }
+            Outcome::Reused { cell, sec2 } => {
+                let carried = session
+                    .carried
+                    .as_ref()
+                    .expect("reused cells come from a previous block");
+                let prev = carried.prev.mesh;
+                let old = &prev.cells[*cell as usize];
+                let site_idx = block.particles.len() as u32;
+                block.particles.push(pts[i]);
+                block.site_ids.push(ids[i]);
+                let mut exact = true;
+                let faces = old
+                    .faces
+                    .iter()
+                    .map(|f| Face {
+                        neighbor: f.neighbor,
+                        verts: f
+                            .verts
+                            .iter()
+                            .map(|&v| {
+                                let p = prev.verts[v as usize];
+                                *vert_index.entry(quant(p)).or_insert_with(|| {
+                                    exact &= carried.owner[v as usize] == *cell;
+                                    block.verts.push(p);
+                                    (block.verts.len() - 1) as u32
+                                })
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                if !exact {
+                    stale.push(i);
+                }
+                block.cells.push(Cell {
+                    site_idx,
+                    volume: old.volume,
+                    area: old.area,
+                    complete: true,
+                    faces,
+                });
+                carry.push(CellCarry {
+                    sec2: *sec2,
+                    canonical: true,
+                });
                 stats.cells += 1;
             }
         }
     }
+    if !stale.is_empty() {
+        return Err(stale);
+    }
     stats.verts = block.verts.len() as u64;
     stats.faces = block.num_faces() as u64;
-    (block, stats, cert)
+    Ok(BlockPass {
+        block,
+        carry,
+        stats,
+        cert,
+    })
 }
 
 /// rustc's FxHash: one rotate, xor and multiply per word. The vertex keys
@@ -846,11 +1201,16 @@ mod tests {
         let params = TessParams::default().with_ghost(r1);
 
         // Round 0 at the small radius, then resume at the large one.
-        let (_, s0, cert0, mut session) =
-            tessellate_block_session(7, bounds, &own, &g0, r0, &params);
+        let (first, mut session) =
+            tessellate_block_session(7, bounds, &own, &g0, r0, &params, None);
+        let (s0, cert0) = (first.stats, first.cert);
         assert!(cert0.uncertified > 0, "first round must leave work");
-        let (inc_block, inc_stats, inc_cert) =
-            session.retessellate(&own, &g1, &new_ghosts, r1, &params);
+        let BlockPass {
+            block: inc_block,
+            stats: inc_stats,
+            cert: inc_cert,
+            ..
+        } = session.retessellate(&own, &g1, &new_ghosts, r1, &params);
 
         // One-shot full pass at the large radius.
         let (full_block, full_stats, full_cert) =
@@ -873,5 +1233,124 @@ mod tests {
         assert!(inc_stats.cells_reused > 0);
         // ... and therefore tested fewer candidates than two full passes.
         assert!(inc_stats.candidates_tested < 2 * full_stats.candidates_tested);
+    }
+
+    #[test]
+    fn carried_cells_match_a_full_pass_when_the_radius_shrinks() {
+        use diy::codec::Encode;
+        // A pass at a large radius certifies every cell; the next, with no
+        // particle moved, runs at a radius too small for the wall layer.
+        // Those cells fail the certification re-check and drop; the layer
+        // behind them is carried, but it shares vertices the dropped cells
+        // had stored first, so the dedup cannot place them exactly and they
+        // are computed as well. The result must equal a full pass.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let n = 6;
+        // jittered, so that cells sharing a vertex compute it to different
+        // bits and the dedup's choice of point shows in the block
+        let all: Vec<(u64, Vec3)> = lattice_particles(2 * n, 1.0)
+            .into_iter()
+            .map(|(id, p)| {
+                let j = Vec3::new(
+                    rng.gen_range(-0.1..0.1),
+                    rng.gen_range(-0.1..0.1),
+                    rng.gen_range(-0.1..0.1),
+                );
+                (id, p + j)
+            })
+            .collect();
+        // the central block of the lattice: a full halo on every side
+        let bounds = Aabb::new(Vec3::splat(3.0), Vec3::splat(9.0));
+        let own: Vec<(u64, Vec3)> = all
+            .iter()
+            .copied()
+            .filter(|(_, p)| bounds.contains(*p))
+            .collect();
+        let ghosts_within = |r: f64| -> Vec<(u64, Vec3)> {
+            let region = bounds.grown(r);
+            all.iter()
+                .copied()
+                .filter(|(_, p)| !bounds.contains(*p) && region.contains_closed(*p))
+                .collect()
+        };
+        let (r1, r0) = (2.6, 1.2);
+        let params = TessParams::default();
+        let (first, _) =
+            tessellate_block_session(3, bounds, &own, &ghosts_within(r1), r1, &params, None);
+        assert_eq!(first.stats.cells, own.len() as u64, "all certified");
+
+        let moved = MovedSet::new(Aabb::cube(2.0 * n as f64), [false; 3], &[]);
+        let prev = PrevBlock {
+            mesh: &first.block,
+            carry: &first.carry,
+            moved: &moved,
+        };
+        let region = bounds.grown(r0);
+        let admitted = carried_records(&prev, &own, &bounds, &region, &params)
+            .iter()
+            .filter(|r| r.outcome.certified())
+            .count() as u64;
+        assert!(admitted > 0 && admitted < own.len() as u64);
+        let g0 = ghosts_within(r0);
+        let (inc, _) = tessellate_block_session(3, bounds, &own, &g0, r0, &params, Some(prev));
+        let (full, _) = tessellate_block_session(3, bounds, &own, &g0, r0, &params, None);
+        assert!(
+            inc.block.to_bytes() == full.block.to_bytes(),
+            "carried block differs from a full pass"
+        );
+        assert_eq!(inc.carry, full.carry);
+        assert_eq!(
+            inc.stats.cells_reused + inc.stats.cells_computed,
+            own.len() as u64
+        );
+        assert!(
+            inc.stats.cells_reused > 0 && inc.stats.cells_reused < admitted,
+            "reused {} of {admitted} admitted",
+            inc.stats.cells_reused
+        );
+    }
+
+    #[test]
+    fn moved_set_finds_every_point_in_a_ball_by_minimum_image() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let domain = Aabb::new(Vec3::new(-1.0, 0.0, 2.0), Vec3::new(7.0, 4.0, 5.0));
+        let periodic = [true, false, true];
+        let ext = domain.extent();
+        let mut point = |spill: f64| {
+            Vec3::new(
+                rng.gen_range(domain.min.x - spill..domain.max.x + spill),
+                rng.gen_range(domain.min.y - spill..domain.max.y + spill),
+                rng.gen_range(domain.min.z - spill..domain.max.z + spill),
+            )
+        };
+        let points: Vec<Vec3> = (0..40).map(|_| point(0.5)).collect();
+        let sites: Vec<Vec3> = (0..400).map(|_| point(1.0)).collect();
+        let set = MovedSet::new(domain, periodic, &points);
+        let (mut hits, mut misses) = (0, 0);
+        for (k, &site) in sites.iter().enumerate() {
+            let sec2 = [0.01, 0.5, 2.0, 9.0, 100.0][k % 5];
+            let brute = points.iter().any(|&p| {
+                let d2: f64 = (0..3)
+                    .map(|a| {
+                        let mut d = p[a] - site[a];
+                        if periodic[a] {
+                            d -= ext[a] * (d / ext[a]).round();
+                        }
+                        d * d
+                    })
+                    .sum();
+                d2 <= sec2
+            });
+            if brute {
+                hits += 1;
+                assert!(set.touches(site, sec2), "site {site} sec2 {sec2}");
+            } else {
+                misses += 1;
+            }
+        }
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
+        assert!(!MovedSet::new(domain, periodic, &[]).touches(sites[0], 1e9));
     }
 }

@@ -24,6 +24,12 @@
 //! incomplete cells (dropped, or kept with the region walls legitimately
 //! part of them) and the rare huge complete ones.
 //!
+//! Both passes end in the one test [`certified`]. A cell the first pass
+//! certified carries its bits across service epochs: while no particle in
+//! its security ball moves and the ball still certifies against the new
+//! region, recomputing it would clip the same candidates in the same order
+//! from the same box.
+//!
 //! All buffers live in a caller-owned [`CellScratch`] so computing millions
 //! of cells allocates nothing in steady state.
 
@@ -47,6 +53,10 @@ pub struct ComputedCell {
     /// Security-ball diameter squared of `poly` (`4 × max site→vertex²`,
     /// 0 for an emptied polyhedron).
     pub(crate) sec2: f64,
+    /// Certified by the first pass, from the canonical start box: the bits
+    /// are then a function of the particles in the security ball alone.
+    /// Cells certified only by the second pass started from the region.
+    pub(crate) canonical: bool,
 }
 
 /// Shared, immutable inputs for every cell of one block pass.
@@ -96,30 +106,35 @@ pub fn compute_cell(
     self_idx: u32,
     scratch: &mut CellScratch,
 ) -> ComputedCell {
-    // Room around the site inside the region all particles are known for:
-    // a cell is complete iff its security ball fits in it — and, when it
-    // started from a box whose walls are not part of the cell, reaches no
-    // farther than `fit` inside that box.
-    let room = ctx.region.interior_distance(site) + ctx.eps;
-    let certified = |cell: &ComputedCell, fit: f64| {
-        let ball = cell.sec2.sqrt();
-        !cell.poly.is_empty() && ball <= room && ball * 0.5 <= fit
-    };
-
+    if !site.is_finite() {
+        // No cell: and as a candidate such a point never enters another
+        // cell's stream, whose distance tests it fails.
+        return ComputedCell {
+            poly: ConvexPolyhedron::default(),
+            complete: false,
+            candidates_tested: 0,
+            prefilter_skipped: 0,
+            sec2: 0.0,
+            canonical: false,
+        };
+    }
     let site_cube;
-    let (start_box, fit) = match ctx.canon_extent {
+    let start_box = match ctx.canon_extent {
         Some(h) => {
             site_cube = Aabb::new(site - Vec3::splat(h), site + Vec3::splat(h));
-            (&site_cube, h)
+            &site_cube
         }
-        None => (ctx.clip_box, ctx.clip_box.interior_distance(site)),
+        None => ctx.clip_box,
     };
-    // No particle beyond `room` can cut a cell that ends up certified, so
-    // the first pass never needs to look past it.
+    let fit = canonical_fit(ctx.canon_extent, ctx.clip_box, site);
+    // No particle beyond the room the site has inside the region can cut a
+    // cell that ends up certified, so the first pass never looks past it.
+    let room = ctx.region.interior_distance(site) + ctx.eps;
     let first = clip_ordered(ctx, site, self_idx, start_box, room * room, scratch);
-    if certified(&first, fit) {
+    if !first.poly.is_empty() && certified(ctx.region, ctx.eps, site, first.sec2, fit) {
         return ComputedCell {
             complete: true,
+            canonical: true,
             ..first
         };
     }
@@ -135,11 +150,31 @@ pub fn compute_cell(
     scratch.recycle(poly);
     let second = clip_ordered(ctx, site, self_idx, ctx.region, f64::INFINITY, scratch);
     ComputedCell {
-        complete: certified(&second, f64::INFINITY),
+        complete: !second.poly.is_empty()
+            && certified(ctx.region, ctx.eps, site, second.sec2, f64::INFINITY),
         candidates_tested: candidates_tested + second.candidates_tested,
         prefilter_skipped: prefilter_skipped + second.prefilter_skipped,
         ..second
     }
+}
+
+/// How far the first pass's cell at `site` may reach inside its canonical
+/// start box: the cube's half-extent, or the site's room inside the
+/// block-derived `clip_box`.
+pub(crate) fn canonical_fit(canon_extent: Option<f64>, clip_box: &Aabb, site: Vec3) -> f64 {
+    canon_extent.unwrap_or_else(|| clip_box.interior_distance(site))
+}
+
+/// The certification test, one function for both callers: [`compute_cell`]
+/// after each pass, and the service's epoch carry for a cell the canonical
+/// pass certified against an earlier region. A non-empty cell with
+/// security-ball diameter² `sec2` is the global Voronoi cell iff the ball
+/// fits in the room the site has inside `region` (every particle there is
+/// known) and reaches no farther than `fit` inside the box the pass started
+/// from (its walls are then not part of the cell).
+pub(crate) fn certified(region: &Aabb, eps: f64, site: Vec3, sec2: f64, fit: f64) -> bool {
+    let ball = sec2.sqrt();
+    ball <= region.interior_distance(site) + eps && ball * 0.5 <= fit
 }
 
 /// Clip `start_box` by the bisectors of the candidates around `site` in
@@ -199,6 +234,7 @@ fn clip_ordered(
         candidates_tested: tested,
         prefilter_skipped: candidates.prefilter_skipped() + cheap_rejects,
         sec2,
+        canonical: false,
     }
 }
 

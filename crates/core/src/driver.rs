@@ -9,7 +9,9 @@ use diy::metrics::MetricsHandle;
 use diy::trace::{trace_mode, TraceMode};
 use geometry::{Aabb, Vec3};
 
-use crate::block::{tessellate_block_session, BlockSession, CellObs};
+use crate::block::{
+    tessellate_block_session, BlockPass, BlockSession, CellCarry, CellObs, MovedSet, PrevBlock,
+};
 use crate::ghost::{exchange_round, sort_ghosts, GhostParticle};
 use crate::model::MeshBlock;
 use crate::params::{GhostSpec, TessParams, AUTO_GHOST_FACTOR};
@@ -236,13 +238,36 @@ impl RadiusSchedule {
 
 /// What the round loop keeps for an owned block until it is final.
 #[derive(Default)]
-struct Pending {
+struct Pending<'p> {
     /// Every ghost received so far, in canonical order.
     halo: Vec<GhostParticle>,
     /// The latest pass, resumable: the next round recomputes only the
     /// cells this one could not certify.
-    session: Option<BlockSession>,
+    session: Option<BlockSession<'p>>,
 }
+
+/// The previous epoch an incremental tessellation reads: the blocks it
+/// published, what their kept cells carry, and every position that changed
+/// since. Round 0 copies each block's provably unchanged cells from it
+/// ([`crate::block::PrevBlock`]).
+pub struct PrevEpoch<'a> {
+    pub blocks: &'a BTreeMap<u64, MeshBlock>,
+    pub carry: &'a BTreeMap<u64, Vec<CellCarry>>,
+    pub moved: &'a MovedSet,
+}
+
+impl PrevEpoch<'_> {
+    fn block(&self, gid: u64) -> Option<PrevBlock<'_>> {
+        Some(PrevBlock {
+            mesh: self.blocks.get(&gid)?,
+            carry: self.carry.get(&gid)?,
+            moved: self.moved,
+        })
+    }
+}
+
+/// A block the round loop finished: its gid, mesh and carry.
+type Finished = (u64, MeshBlock, Vec<CellCarry>);
 
 /// Wave slots a round runs: the most requested blocks any one rank owns.
 /// Derived from the collective request map and the assignment, so every
@@ -269,13 +294,16 @@ fn wave_slots(request: &BTreeMap<u64, f64>, asn: &Assignment) -> usize {
 /// slot; `sink` is called once per slot on every rank — with `None` when
 /// the slot's block is not final or this rank has no block left — so it may
 /// be collective. Returns this rank's stats and the largest radius held.
+/// With `prev`, each block's first pass copies the cells the previous epoch
+/// proves unchanged and computes only the rest.
 fn run_rounds(
     world: &mut World,
     dec: &Decomposition,
     asn: &Assignment,
     local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
     params: &TessParams,
-    mut sink: impl FnMut(&mut World, Option<(u64, MeshBlock)>) -> std::io::Result<()>,
+    prev: Option<&PrevEpoch>,
+    mut sink: impl FnMut(&mut World, Option<Finished>) -> std::io::Result<()>,
 ) -> std::io::Result<(TessStats, f64)> {
     // Pool task events are only worth their mutex traffic under full
     // tracing; flip the pool's recording flag to match before any work.
@@ -357,19 +385,25 @@ fn run_rounds(
                     sort_ghosts(&mut state.halo);
                 }
                 let _span = metrics.phase(PHASE_VORONOI);
-                let (block, s, cert) = match &mut state.session {
+                let BlockPass {
+                    block,
+                    carry,
+                    stats: s,
+                    cert,
+                } = match &mut state.session {
                     Some(session) => session.retessellate(own, &state.halo, &new, r, params),
                     session => {
-                        let (block, s, cert, fresh_session) = tessellate_block_session(
+                        let (pass, fresh_session) = tessellate_block_session(
                             gid,
                             dec.block_bounds(gid),
                             own,
                             &state.halo,
                             r,
                             params,
+                            prev.and_then(|p| p.block(gid)),
                         );
                         *session = Some(fresh_session);
-                        (block, s, cert)
+                        pass
                     }
                 };
                 if let Some(session) = &mut state.session {
@@ -390,7 +424,7 @@ fn run_rounds(
                         // final: free the session and the halo now
                         pending.remove(&gid);
                         stats = stats.merge(s);
-                        Some((gid, block))
+                        Some((gid, block, carry))
                     }
                 }
             });
@@ -427,8 +461,8 @@ pub fn tessellate(
     params: &TessParams,
 ) -> TessResult {
     let mut blocks = BTreeMap::new();
-    let (stats, ghost_used) = run_rounds(world, dec, asn, local, params, |_, finished| {
-        blocks.extend(finished);
+    let (stats, ghost_used) = run_rounds(world, dec, asn, local, params, None, |_, finished| {
+        blocks.extend(finished.map(|(gid, block, _)| (gid, block)));
         Ok(())
     })
     .expect("accumulating blocks cannot fail");
@@ -437,6 +471,36 @@ pub fn tessellate(
         stats,
         ghost_used,
     }
+}
+
+/// [`tessellate`] as the next epoch of `prev`: every block's first pass
+/// copies the cells `prev` proves unchanged and runs the kernel on the
+/// rest, so the mesh is bit-identical to [`tessellate`]'s. `local`'s
+/// particle lists must be sorted by id. Also returns what each block's kept
+/// cells carry into the epoch after.
+pub fn tessellate_incremental(
+    world: &mut World,
+    dec: &Decomposition,
+    asn: &Assignment,
+    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
+    params: &TessParams,
+    prev: Option<&PrevEpoch>,
+) -> (TessResult, BTreeMap<u64, Vec<CellCarry>>) {
+    let (mut blocks, mut carry) = (BTreeMap::new(), BTreeMap::new());
+    let (stats, ghost_used) = run_rounds(world, dec, asn, local, params, prev, |_, finished| {
+        if let Some((gid, block, c)) = finished {
+            blocks.insert(gid, block);
+            carry.insert(gid, c);
+        }
+        Ok(())
+    })
+    .expect("accumulating blocks cannot fail");
+    let result = TessResult {
+        blocks,
+        stats,
+        ghost_used,
+    };
+    (result, carry)
 }
 
 /// Bounded-memory variant of [`tessellate`]: the same loop, but every
@@ -456,12 +520,14 @@ pub fn tessellate_streaming(
     path: &std::path::Path,
 ) -> std::io::Result<StreamSummary> {
     let mut writer = crate::io::TessStreamWriter::create(world, path)?;
-    let (stats, ghost_used) = run_rounds(world, dec, asn, local, params, |world, finished| {
-        let wave: Vec<(u64, &MeshBlock)> = finished.iter().map(|(gid, b)| (*gid, b)).collect();
-        writer.write_wave(world, &wave)?;
-        world.metrics().sample_mem_counters();
-        Ok(())
-    })?;
+    let (stats, ghost_used) =
+        run_rounds(world, dec, asn, local, params, None, |world, finished| {
+            let wave: Vec<(u64, &MeshBlock)> =
+                finished.iter().map(|(gid, b, _)| (*gid, b)).collect();
+            writer.write_wave(world, &wave)?;
+            world.metrics().sample_mem_counters();
+            Ok(())
+        })?;
     let summary = writer.finish(world)?;
     Ok(StreamSummary {
         stats,

@@ -5,21 +5,36 @@
 //! the particle SoA store, and the last certified mesh. Queries — cell-by-
 //! point lookup, bounding-box cell extraction, per-region volume/density
 //! summaries — flow through an async request queue drained by a small pool
-//! of worker threads that batch and coalesce concurrent requests. Updates
-//! (particle deltas or whole new snapshots) re-tessellate on the resident
-//! ranks — internally incremental across adaptive ghost rounds via
-//! `BlockSession` — and atomically publish a new [`MeshSnapshot`] epoch.
+//! of worker threads that batch and coalesce concurrent requests.
+//!
+//! ## Updates
+//!
+//! An update (a particle delta or a whole new snapshot) is reduced to the
+//! set of positions that changed — old and new position of each moved
+//! particle, the new one of an inserted id, the old one of a removed id;
+//! an upsert with identical bits moves nothing. The resident ranks then
+//! tessellate the next epoch incrementally: a cell the canonical pass
+//! certified is copied from the published snapshot when its site did not
+//! move, no changed position lies in its security ball, and the ball still
+//! certifies against this epoch's ghost region; every other cell runs the
+//! kernel. A copied cell's bits are exactly what the kernel would compute,
+//! so every epoch encodes byte-identical to a from-scratch tessellation of
+//! its particle set. A non-finite changed position turns the carry off for
+//! that epoch. Besides the published snapshot, which readers hold anyway,
+//! the carry keeps one security diameter and one flag per cell.
 //!
 //! ## Consistency model
 //!
 //! Published meshes are immutable `Arc<MeshSnapshot>`s behind an rw-lock
 //! cell. A worker pins **one** snapshot per batch (an `Arc` clone — the
 //! epoch pin), answers the whole batch against it, and stamps every
-//! response with that snapshot's epoch. An in-flight update builds the next
-//! snapshot privately and swaps the `Arc` only when fully certified, so a
-//! query observes either the pre-update or the post-update mesh in its
-//! entirety — never a mixture. There is no read barrier during updates:
-//! queries keep draining against the previous certified epoch.
+//! response with that snapshot's epoch. An in-flight update reads the
+//! published snapshot, builds the next one privately and swaps the `Arc`
+//! only when fully certified, so a query observes either the pre-update or
+//! the post-update mesh in its entirety — never a mixture — and an epoch's
+//! mesh never depends on the update history that led to it. There is no
+//! read barrier during updates: queries keep draining against the previous
+//! certified epoch.
 //!
 //! ## Batching and coalescing
 //!
@@ -61,7 +76,8 @@ pub use diy::trace::SERVICE_TRACE_PID;
 use diy::trace::{monotonic_ns, trace_mode, Event, EventKind, RankTrace, TraceMode, TraceState};
 use geometry::{Aabb, Vec3};
 
-use crate::driver::tessellate;
+use crate::block::{same_bits, CellCarry, MovedSet};
+use crate::driver::{tessellate_incremental, PrevEpoch};
 use crate::grid::{CandidateGrid, StreamScratch};
 use crate::model::MeshBlock;
 use crate::params::TessParams;
@@ -481,13 +497,15 @@ impl ParticleStore {
         self.ids.is_empty()
     }
 
-    /// Insert or move a particle.
-    pub fn upsert(&mut self, id: u64, p: Vec3) {
+    /// Insert or move a particle; returns its previous position.
+    pub fn upsert(&mut self, id: u64, p: Vec3) -> Option<Vec3> {
         match self.slot.get(&id) {
             Some(&i) => {
+                let old = Vec3::new(self.xs[i], self.ys[i], self.zs[i]);
                 self.xs[i] = p.x;
                 self.ys[i] = p.y;
                 self.zs[i] = p.z;
+                Some(old)
             }
             None => {
                 self.slot.insert(id, self.ids.len());
@@ -495,6 +513,7 @@ impl ParticleStore {
                 self.xs.push(p.x);
                 self.ys.push(p.y);
                 self.zs.push(p.z);
+                None
             }
         }
     }
@@ -522,9 +541,12 @@ impl ParticleStore {
 
     /// All particle positions in slot order (for balance measurement).
     pub fn positions(&self) -> Vec<Vec3> {
-        (0..self.ids.len())
-            .map(|i| Vec3::new(self.xs[i], self.ys[i], self.zs[i]))
-            .collect()
+        self.iter().map(|(_, p)| p).collect()
+    }
+
+    /// `(id, position)` in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u64, Vec3)> + '_ {
+        (0..self.ids.len()).map(|i| (self.ids[i], Vec3::new(self.xs[i], self.ys[i], self.zs[i])))
     }
 
     /// Partition into per-block particle lists, each sorted by particle id
@@ -583,7 +605,13 @@ struct ServiceTelemetry {
     batches: telemetry::Counter,
     coalesced: telemetry::Counter,
     epochs_published: telemetry::Counter,
+    /// Cells an epoch copied from the one before, and cell computations
+    /// the kernel ran (both summed over epochs).
+    cells_reused: telemetry::Counter,
+    cells_computed: telemetry::Counter,
     batch_size: telemetry::Hist,
+    /// Per update: updater lock taken to the next epoch published.
+    update_ns: telemetry::Hist,
     latency_point: telemetry::Hist,
     latency_box: telemetry::Hist,
     latency_region: telemetry::Hist,
@@ -605,7 +633,10 @@ impl ServiceTelemetry {
             batches: reg.counter("service.batches", &[]),
             coalesced: reg.counter("service.coalesced", &[]),
             epochs_published: reg.counter("service.epochs_published", &[]),
+            cells_reused: reg.counter("service.cells_reused", &[]),
+            cells_computed: reg.counter("service.cells_computed", &[]),
             batch_size: reg.histogram("service.batch_size", &[]),
+            update_ns: reg.histogram("service.update_ns", &[]),
             latency_point: lat("point"),
             latency_box: lat("box"),
             latency_region: lat("region"),
@@ -717,6 +748,18 @@ struct UpdaterState {
     dec: Decomposition,
     asn: Assignment,
     store: ParticleStore,
+    /// What the published epoch's kept cells carry into the next one, per
+    /// block (their geometry is the published snapshot's).
+    carry: Arc<BTreeMap<u64, Vec<CellCarry>>>,
+}
+
+/// Record a particle going from `old` to `new` (`None`: absent) in the
+/// moved set, unless its position bits stay the same.
+fn note_move(moved: &mut Vec<Vec3>, old: Option<Vec3>, new: Option<Vec3>) {
+    match (old, new) {
+        (Some(a), Some(b)) if same_bits(a, b) => {}
+        _ => moved.extend(old.into_iter().chain(new)),
+    }
 }
 
 /// The resident mesh service. See module docs.
@@ -780,13 +823,18 @@ impl MeshService {
         let svc = MeshService {
             shared,
             runtime: ResidentRuntime::spawn(cfg.nranks),
-            updater: Mutex::new(UpdaterState { dec, asn, store }),
+            updater: Mutex::new(UpdaterState {
+                dec,
+                asn,
+                store,
+                carry: Arc::default(),
+            }),
             workers: Mutex::new(workers),
             params: cfg.params,
         };
         {
             let mut upd = svc.updater.lock().unwrap();
-            svc.retessellate_publish(&mut upd);
+            svc.retessellate_publish(&mut upd, None);
         }
         svc
     }
@@ -837,26 +885,49 @@ impl MeshService {
     }
 
     /// Apply an update and publish the next epoch. Updates serialize;
-    /// queries keep draining against the previous epoch throughout.
+    /// queries keep draining against the previous epoch throughout. Both
+    /// kinds reduce to the set of positions that changed: the old and new
+    /// position of every moved particle, the new one of an inserted id and
+    /// the old one of a removed id.
     pub fn update(&self, u: Update) -> UpdateReport {
         let mut upd = self.updater.lock().unwrap();
+        let locked_ns = monotonic_ns();
+        let mut moved = Vec::new();
         match u {
             Update::Delta { upserts, removes } => {
                 for (id, p) in upserts {
-                    upd.store.upsert(id, p);
+                    let old = upd.store.upsert(id, p);
+                    note_move(&mut moved, old, Some(p));
                 }
                 for id in removes {
-                    upd.store.remove(id);
+                    let old = upd.store.get(id);
+                    if upd.store.remove(id) {
+                        note_move(&mut moved, old, None);
+                    }
                 }
             }
             Update::Snapshot(parts) => {
-                upd.store = ParticleStore::new();
+                let mut next = ParticleStore::new();
                 for (id, p) in parts {
-                    upd.store.upsert(id, p);
+                    next.upsert(id, p);
                 }
+                for (id, p) in next.iter() {
+                    note_move(&mut moved, upd.store.get(id), Some(p));
+                }
+                for (id, p) in upd.store.iter() {
+                    if next.get(id).is_none() {
+                        note_move(&mut moved, Some(p), None);
+                    }
+                }
+                upd.store = next;
             }
         }
-        self.retessellate_publish(&mut upd)
+        let report = self.retessellate_publish(&mut upd, Some(moved));
+        self.shared
+            .tele
+            .update_ns
+            .observe_u64(monotonic_ns().saturating_sub(locked_ns));
+        report
     }
 
     /// Current counter values.
@@ -908,28 +979,51 @@ impl MeshService {
     }
 
     /// Re-tessellate the store on the resident ranks and atomically publish
-    /// the next epoch.
-    fn retessellate_publish(&self, upd: &mut UpdaterState) -> UpdateReport {
-        let local_all = Arc::new(upd.store.partition(&upd.dec));
+    /// the next epoch. With `moved` — the positions that changed since the
+    /// published epoch, all finite — every cell the published epoch proves
+    /// unchanged is copied from it and only the rest are computed; without,
+    /// every cell is.
+    fn retessellate_publish(
+        &self,
+        upd: &mut UpdaterState,
+        moved: Option<Vec<Vec3>>,
+    ) -> UpdateReport {
         let dec = upd.dec.clone();
         let asn = upd.asn.clone();
         let params = self.params;
         let t0 = std::time::Instant::now();
+        let moved = moved
+            .filter(|m| m.iter().all(|p| p.is_finite()))
+            .map(|m| MovedSet::new(dec.domain, dec.periodic, &m));
+        // Partition once; each rank borrows its own blocks' particles.
+        let mut parts: Vec<BTreeMap<u64, Vec<(u64, Vec3)>>> = vec![BTreeMap::new(); asn.nranks];
+        for (gid, own) in upd.store.partition(&dec) {
+            parts[asn.rank_of_block(gid)].insert(gid, own);
+        }
+        let parts = Arc::new(parts);
+        let published = self.snapshot();
+        let carry = Arc::clone(&upd.carry);
         let results = self.runtime.run(move |world| {
-            let mine: BTreeMap<u64, Vec<(u64, Vec3)>> = asn
-                .blocks_of_rank(world.rank())
-                .filter_map(|gid| local_all.get(&gid).map(|v| (gid, v.clone())))
-                .collect();
-            let r = tessellate(world, &dec, &asn, &mine, &params);
-            (r.blocks, r.stats)
+            let prev = moved.as_ref().map(|moved| PrevEpoch {
+                blocks: &published.blocks,
+                carry: &carry,
+                moved,
+            });
+            let local = &parts[world.rank()];
+            let (r, carry) =
+                tessellate_incremental(world, &dec, &asn, local, &params, prev.as_ref());
+            (r.blocks, carry, r.stats)
         });
         let tess_wall_s = t0.elapsed().as_secs_f64();
         let mut blocks = BTreeMap::new();
+        let mut carry = BTreeMap::new();
         let mut stats = TessStats::default();
-        for (rank_blocks, rank_stats) in results {
+        for (rank_blocks, rank_carry, rank_stats) in results {
             stats = stats.merge(rank_stats);
             blocks.extend(rank_blocks);
+            carry.extend(rank_carry);
         }
+        upd.carry = Arc::new(carry);
         let prev_epoch = self.shared.snap.read().unwrap().epoch;
         let snap = Arc::new(MeshSnapshot::build(
             prev_epoch + 1,
@@ -946,13 +1040,16 @@ impl MeshService {
         };
         *self.shared.snap.write().unwrap() = snap;
 
-        // Live publish-side telemetry: epoch, sizes, and rank balance of
-        // the particle placement the next update will compute under.
+        // Live publish-side telemetry: epoch, sizes, kernel work, and rank
+        // balance of the particle placement the next update will compute
+        // under.
         let tele = &self.shared.tele;
         tele.epochs_published.inc();
         tele.epoch.set_u64(report.epoch);
         tele.particles.set_u64(report.particles);
         tele.cells.set_u64(report.cells);
+        tele.cells_reused.add(report.stats.cells_reused);
+        tele.cells_computed.add(report.stats.cells_computed);
         let bal = BalanceStats::measure(&upd.dec, &upd.asn, &upd.store.positions());
         tele.rank_imbalance.set(bal.rank_imbalance());
         report

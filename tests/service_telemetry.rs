@@ -115,6 +115,59 @@ fn registry_tracks_service_counters_and_gauges() {
 }
 
 #[test]
+fn updates_record_their_latency_and_carried_cells() {
+    // `Auto` ghosts: one pass per epoch, so every site is either carried
+    // from the previous epoch or computed, exactly once.
+    let particles = jittered(5, 8);
+    let svc = MeshService::spawn(
+        Aabb::cube(5.0),
+        [true; 3],
+        &particles,
+        ServiceConfig::new(2, 4)
+            .with_workers(1)
+            .with_params(TessParams::default()),
+    );
+    let reg = svc.telemetry();
+    let update_ns = reg.histogram("service.update_ns", &[]);
+    let cells = || {
+        (
+            reg.counter("service.cells_reused", &[]).get(),
+            reg.counter("service.cells_computed", &[]).get(),
+        )
+    };
+    assert_eq!(update_ns.read().total().n(), 0, "spawn is not an update");
+    let spawned = cells();
+    assert_eq!(spawned, (0, particles.len() as u64));
+
+    let updates = 4;
+    for k in 0..updates {
+        let (id, p) = particles[31 * k + 7];
+        let before = cells();
+        let rep = svc.update(Update::Delta {
+            upserts: vec![(id, p + Vec3::new(0.05, -0.03, 0.02))],
+            removes: Vec::new(),
+        });
+        let after = cells();
+        let s = rep.stats;
+        // per epoch, not cumulative
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (s.cells_reused, s.cells_computed)
+        );
+        assert_eq!(
+            s.cells_reused + s.cells_computed,
+            s.sites,
+            "epoch {}",
+            rep.epoch
+        );
+        assert!(s.cells_reused > s.cells_computed, "a one-particle move");
+    }
+    let hist = update_ns.read();
+    assert_eq!(hist.total().n(), updates as u64);
+    assert!(hist.total().quantile(0.5) > 0.0);
+}
+
+#[test]
 fn concurrent_services_each_count_only_their_own_requests() {
     let (a, b) = (spawn(4, 5), spawn(4, 6));
     let run = |svc: &MeshService, n: usize| {
