@@ -193,10 +193,97 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
+/// Per-answer cost of the resident service's snapshot, with no queue in
+/// the way: a 32³ jittered lattice tessellated into 8 periodic blocks, asked
+/// the `service_query` mix's shapes (boxes of side 1–4, ½ × ½ × 1 regions).
+fn bench_snapshot(c: &mut Criterion) {
+    use diy::comm::Runtime;
+    use diy::decomposition::{Assignment, Decomposition};
+    use std::collections::BTreeMap;
+    use tess::{MeshSnapshot, TessParams, TessStats};
+
+    const N: usize = 32;
+    const NBLOCKS: usize = 8;
+    let side = N as f64;
+    let dec = Decomposition::regular(Aabb::cube(side), NBLOCKS, [true; 3]);
+    let asn = Assignment::new(NBLOCKS, 2);
+    let particles = jittered_lattice(N, 10);
+    let rows = Runtime::run(asn.nranks, |world| {
+        let mut local: BTreeMap<u64, Vec<(u64, Vec3)>> = asn
+            .blocks_of_rank(world.rank())
+            .map(|g| (g, Vec::new()))
+            .collect();
+        for (id, &p) in particles.iter().enumerate() {
+            if let Some(v) = local.get_mut(&dec.block_of_point(p)) {
+                v.push((id as u64, p));
+            }
+        }
+        let r = tess::tessellate(world, &dec, &asn, &local, &TessParams::default());
+        (r.blocks, r.stats)
+    });
+    let mut blocks = BTreeMap::new();
+    let mut stats = TessStats::default();
+    for (b, s) in rows {
+        blocks.extend(b);
+        stats = stats.merge(s);
+    }
+    let snap = MeshSnapshot::build(1, dec, blocks, stats);
+
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let mut corner = |e: Vec3| {
+        Vec3::new(
+            rng.gen_range(0.0..=side - e.x),
+            rng.gen_range(0.0..=side - e.y),
+            rng.gen_range(0.0..=side - e.z),
+        )
+    };
+    let points: Vec<Vec3> = (0..1024).map(|_| corner(Vec3::ZERO)).collect();
+    let boxes: Vec<Aabb> = (0..256)
+        .map(|i| {
+            let e = Vec3::new(
+                1.0 + (i % 4) as f64,
+                1.0 + (i % 3) as f64,
+                1.0 + (i % 5) as f64 * 0.75,
+            );
+            let lo = corner(e);
+            Aabb::new(lo, lo + e)
+        })
+        .collect();
+    let half = Vec3::new(side / 2.0, side / 2.0, side);
+    let regions: Vec<Aabb> = (0..256)
+        .map(|_| {
+            let lo = corner(half);
+            Aabb::new(lo, lo + half)
+        })
+        .collect();
+
+    let mut scratch = tess::grid::StreamScratch::default();
+    let mut i = 0;
+    c.bench_function("snapshot_point", |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(snap.lookup_point(points[i % points.len()], &mut scratch))
+        })
+    });
+    c.bench_function("snapshot_box_cells", |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(snap.box_cells(boxes[i % boxes.len()]).len())
+        })
+    });
+    c.bench_function("snapshot_region_summary", |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(snap.region_summary(regions[i % regions.len()]))
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_predicates, bench_clipping, bench_hull_ablation, bench_quickhull,
-              bench_fft, bench_cic, bench_delaunay, bench_exchange, bench_histogram
+              bench_fft, bench_cic, bench_delaunay, bench_exchange, bench_histogram,
+              bench_snapshot
 }
 criterion_main!(benches);
