@@ -79,11 +79,15 @@ stage_kernel() {
     # incremental re-tessellation over adaptive rounds and explicit+adaptive
     # ghost modes, on jittered points and the exact lattice — keep
     # kept-incomplete cells bit-stable across rank counts, and stay inside
-    # the pinned candidates/cell budgets (with the support-function / f32
-    # rejects firing) and the mesh digest recorded before the flat cell
-    # storage; the adversarial corpus must agree between 1 and 4 ranks; a
-    # warm kernel must stay inside its allocations-per-cell budget.
-    cargo test --release -q -p meshing-universe --test kernel_equivalence &&
+    # the pinned candidates/cell and sorted/cell budgets (with the
+    # support-function / f32 rejects firing) and the mesh digest recorded
+    # before the flat cell storage; the adversarial corpus must agree
+    # between 1 and 4 ranks; a warm kernel must stay inside its
+    # allocations-per-cell budget. The stream and kernel unit oracles (the
+    # exact emission sequence under shrinking bounds, the 400 wall-hugging
+    # cases) run under optimised codegen too.
+    cargo test --release -q -p tess --lib -- grid:: cell:: &&
+        cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         cargo test --release -q -p meshing-universe --test adversarial_corpus &&
         cargo test --release -q -p meshing-universe --test kernel_allocations
 }

@@ -193,6 +193,44 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
+/// The cell kernel alone, candidate stream included (most of its cost):
+/// `compute_cell` over every site of a clustered corpus held as one block
+/// with no ghosts, so boundary cells take the region pass as well, through
+/// one warm scratch. The same process can time two kernels side by side.
+fn bench_candidate_stream(c: &mut Criterion) {
+    use tess::cell::{compute_cell, CellContext, CellScratch};
+    use tess::grid::CandidateGrid;
+    use tess::TessParams;
+
+    let side = 8.0;
+    let (ids, pts): (Vec<u64>, Vec<Vec3>) = bench_harness::corpus::clustered(side, 16, 60, 200, 7)
+        .into_iter()
+        .unzip();
+    let region = Aabb::cube(side);
+    let grid = CandidateGrid::build(region, &pts, 2.0);
+    let ctx = CellContext {
+        points: &pts,
+        ids: &ids,
+        grid: &grid,
+        region: &region,
+        clip_box: &region,
+        canon_extent: Some(side),
+        eps: TessParams::default().eps,
+    };
+    let mut scratch = CellScratch::default();
+    c.bench_function("candidate_stream_clustered", |b| {
+        b.iter(|| {
+            let mut tested = 0;
+            for (i, &p) in pts.iter().enumerate() {
+                let cell = compute_cell(&ctx, p, i as u32, &mut scratch);
+                tested += cell.candidates_tested;
+                scratch.recycle(cell.poly);
+            }
+            black_box(tested)
+        })
+    });
+}
+
 /// Per-answer cost of the resident service's snapshot, with no queue in
 /// the way: a 32³ jittered lattice tessellated into 8 periodic blocks, asked
 /// the `service_query` mix's shapes (boxes of side 1–4, ½ × ½ × 1 regions).
@@ -284,6 +322,6 @@ criterion_group! {
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_predicates, bench_clipping, bench_hull_ablation, bench_quickhull,
               bench_fft, bench_cic, bench_delaunay, bench_exchange, bench_histogram,
-              bench_snapshot
+              bench_candidate_stream, bench_snapshot
 }
 criterion_main!(benches);

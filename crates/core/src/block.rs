@@ -332,9 +332,24 @@ pub struct BlockSession<'p> {
     carried: Option<Carried<'p>>,
     cells_computed: u64,
     cells_reused: u64,
-    candidates_tested: u64,
-    prefilter_skipped: u64,
+    work: CellWork,
     obs: CellObs,
+}
+
+/// Work counters of cell computations, summed into the block's stats.
+#[derive(Clone, Copy, Default)]
+struct CellWork {
+    tested: u64,
+    skipped: u64,
+    sorted: u64,
+}
+
+impl CellWork {
+    fn add(&mut self, o: CellWork) {
+        self.tested = self.tested.saturating_add(o.tested);
+        self.skipped = self.skipped.saturating_add(o.skipped);
+        self.sorted = self.sorted.saturating_add(o.sorted);
+    }
 }
 
 thread_local! {
@@ -410,8 +425,7 @@ pub fn tessellate_block_session<'p>(
         carried,
         cells_computed: 0,
         cells_reused: 0,
-        candidates_tested: 0,
-        prefilter_skipped: 0,
+        work: CellWork::default(),
         obs: CellObs::default(),
     };
     let pass = session.pass(own, ghosts, params);
@@ -529,10 +543,9 @@ impl BlockSession<'_> {
     ) {
         self.cells_computed += indices.len() as u64;
         let computed = compute_records(&self.bounds, pts, ids, indices, &self.region, params);
-        for (&i, (record, tested, skipped, ns)) in indices.iter().zip(computed) {
-            self.candidates_tested = self.candidates_tested.saturating_add(tested);
-            self.prefilter_skipped = self.prefilter_skipped.saturating_add(skipped);
-            self.obs.note(tested, ns);
+        for (&i, (record, work, ns)) in indices.iter().zip(computed) {
+            self.work.add(work);
+            self.obs.note(work.tested, ns);
             self.obs.note_slow(ns, own[i].0);
             self.records[i] = record;
         }
@@ -597,9 +610,9 @@ fn canonical_clip_box(bounds: &Aabb) -> Aabb {
 
 /// Compute the cells at `indices` in parallel; the result vector is in
 /// `indices` order (the pool collects chunk results by position). Each
-/// element carries the candidate-test count, prefilter-skip count, and
-/// wall nanoseconds (0 when tracing is off — the clock is only read under
-/// a trace mode) alongside the record. Builds no grid when there is
+/// element carries the cell's work counters and wall nanoseconds (0 when
+/// tracing is off — the clock is only read under a trace mode) alongside
+/// the record. Builds no grid when there is
 /// nothing to compute.
 fn compute_records(
     bounds: &Aabb,
@@ -608,7 +621,7 @@ fn compute_records(
     indices: &[usize],
     region: &Aabb,
     params: &TessParams,
-) -> Vec<(CellRecord, u64, u64, u64)> {
+) -> Vec<(CellRecord, CellWork, u64)> {
     if indices.is_empty() {
         return Vec::new();
     }
@@ -632,13 +645,13 @@ fn compute_records(
         .into_par_iter()
         .map(|i| {
             let t0 = if timed { monotonic_ns() } else { 0 };
-            let (record, tested, skipped) = compute_one(&ctx, bounds, params, cull_diam2, i);
+            let (record, work) = compute_one(&ctx, bounds, params, cull_diam2, i);
             let ns = if timed {
                 monotonic_ns().saturating_sub(t0).max(1)
             } else {
                 0
             };
-            (record, tested, skipped, ns)
+            (record, work, ns)
         })
         .collect()
 }
@@ -649,15 +662,19 @@ fn compute_one(
     params: &TessParams,
     cull_diam2: Option<f64>,
     i: usize,
-) -> (CellRecord, u64, u64) {
+) -> (CellRecord, CellWork) {
     SCRATCH.with(|s| {
         let mut scratch = s.borrow_mut();
         let cell = compute_cell(ctx, ctx.points[i], i as u32, &mut scratch);
         let record = record_of(ctx, bounds, params, cull_diam2, i, &cell);
-        let (tested, skipped) = (cell.candidates_tested as u64, cell.prefilter_skipped);
+        let work = CellWork {
+            tested: cell.candidates_tested as u64,
+            skipped: cell.prefilter_skipped,
+            sorted: cell.candidates_sorted,
+        };
         // Everything the block keeps has been copied out of the polyhedron.
         scratch.recycle(cell.poly);
-        (record, tested, skipped)
+        (record, work)
     })
 }
 
@@ -756,8 +773,9 @@ fn assemble(
     let mut stats = TessStats {
         sites: session.records.len() as u64,
         ghosts_received: n_ghosts as u64,
-        candidates_tested: session.candidates_tested,
-        prefilter_skipped: session.prefilter_skipped,
+        candidates_tested: session.work.tested,
+        prefilter_skipped: session.work.skipped,
+        candidates_sorted: session.work.sorted,
         cells_computed: session.cells_computed,
         cells_reused: session.cells_reused,
         ..Default::default()

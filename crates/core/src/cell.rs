@@ -50,6 +50,9 @@ pub struct ComputedCell {
     /// before the exact distance was computed, or by the support-function
     /// test against the cell's bounding box.
     pub prefilter_skipped: u64,
+    /// Candidates the stream sorted into emission order (the ones it
+    /// dropped beyond the shrinking bound are never sorted).
+    pub candidates_sorted: u64,
     /// Security-ball diameter squared of `poly` (`4 × max site→vertex²`,
     /// 0 for an emptied polyhedron).
     pub(crate) sec2: f64,
@@ -114,6 +117,7 @@ pub fn compute_cell(
             complete: false,
             candidates_tested: 0,
             prefilter_skipped: 0,
+            candidates_sorted: 0,
             sec2: 0.0,
             canonical: false,
         };
@@ -145,6 +149,7 @@ pub fn compute_cell(
         poly,
         candidates_tested,
         prefilter_skipped,
+        candidates_sorted,
         ..
     } = first;
     scratch.recycle(poly);
@@ -154,6 +159,7 @@ pub fn compute_cell(
             && certified(ctx.region, ctx.eps, site, second.sec2, f64::INFINITY),
         candidates_tested: candidates_tested + second.candidates_tested,
         prefilter_skipped: prefilter_skipped + second.prefilter_skipped,
+        candidates_sorted: candidates_sorted + second.candidates_sorted,
         ..second
     }
 }
@@ -233,6 +239,7 @@ fn clip_ordered(
         complete: false,
         candidates_tested: tested,
         prefilter_skipped: candidates.prefilter_skipped() + cheap_rejects,
+        candidates_sorted: candidates.sorted(),
         sec2,
         canonical: false,
     }

@@ -9,12 +9,17 @@
 //! used by the termination test.
 //!
 //! The **candidate stream** ([`CandidateGrid::stream`]) sits on top of the
-//! binning: a lazy min-heap merge of the rings that emits candidates one at
-//! a time in the canonical clip order — exact squared distance, then global
-//! id, then position — prefiltered by an SoA `f32` distance test with a
-//! provably conservative slack before the exact `f64` distance is computed.
-//! The order is a function of the point *set* alone: neither the local
-//! index order of the points nor the grid geometry can show in it.
+//! binning and emits candidates one at a time in the canonical clip order —
+//! exact squared distance, then global id, then position. Each fetched ring
+//! is prefiltered by an SoA `f32` distance test with a provably
+//! conservative slack before the exact `f64` distance is computed; the
+//! survivors within the caller's bound wait unsorted in the pending
+//! distance shells. Only the ones that have become emittable — closer than
+//! every unfetched ring — are sorted, on the integer bits of their distance
+//! with id and position read only on an exact tie; the ones the shrinking
+//! bound has passed are dropped unsorted. The order is a function of the
+//! point *set* alone: neither the local index order of the points nor the
+//! grid geometry can show in it.
 
 use geometry::{Aabb, Vec3};
 
@@ -234,12 +239,14 @@ impl CandidateGrid {
         skip: u32,
         scratch: &'a mut StreamScratch,
     ) -> NeighborStream<'a> {
-        scratch.heap.clear();
+        scratch.pending.clear();
+        scratch.ready.clear();
         scratch.ring.clear();
         let rel = center - self.bounds.min;
         NeighborStream {
             grid: self,
-            order: CanonicalOrder { points, ids },
+            points,
+            ids,
             center,
             center_rel32: [rel.x as f32, rel.y as f32, rel.z as f32],
             center_rel: [rel.x, rel.y, rel.z],
@@ -247,18 +254,23 @@ impl CandidateGrid {
             skip,
             next_ring: 0,
             cur_lb2: 0.0,
+            head: 0,
             prefilter_skipped: 0,
+            sorted: 0,
             scratch,
         }
     }
 }
 
-/// Reusable buffers for [`NeighborStream`] (heap + ring scratch), owned by
-/// the caller so streaming millions of cells allocates nothing in steady
-/// state.
+/// Reusable buffers for [`NeighborStream`] (distance shells, ready queue,
+/// ring scratch), owned by the caller so streaming millions of cells
+/// allocates nothing in steady state.
 #[derive(Default)]
 pub struct StreamScratch {
-    heap: Vec<(f64, u32)>,
+    /// Fetched candidates not yet emittable, unsorted: `(d2, index)`.
+    pending: Vec<(f64, u32)>,
+    /// Emittable candidates in canonical order, consumed from `head`.
+    ready: Vec<(f64, u32)>,
     ring: Vec<u32>,
 }
 
@@ -272,16 +284,22 @@ pub struct StreamScratch {
 /// tie in both distance and id); `None` means no remaining candidate lies
 /// within the bound — and since the bound never grows, none ever will.
 ///
-/// Internally: rings are fetched one at a time into a binary min-heap in
-/// that order. The heap top is only emitted once its distance is strictly
-/// below the lower bound of the next unfetched ring — strictly, so an exact
-/// tie straddling two rings is merged in the heap before either side pops —
-/// which is what makes the emission order a function of the point set and
-/// not of the grid; candidates are prefiltered with the `f32` SoA distance
-/// before the exact `f64` distance is computed.
+/// Internally: rings are fetched one at a time; each candidate that passes
+/// the `f32` prefilter and lies within the bound is appended, unsorted, to
+/// the *pending* distance shells. Candidates move to the *ready* queue once
+/// their distance is strictly below the lower bound of the next unfetched
+/// ring — nothing unfetched or still pending can then precede them — and
+/// only then are they sorted: on the bits of `d2` (a non-negative float
+/// sorts like its bit pattern), each run of equal distances then by id and
+/// position. Pending entries beyond the bound are dropped unsorted; the
+/// bound never grows, so they could never be emitted. The strict `<` keeps
+/// an exact tie from straddling ready and pending (both sides compare the
+/// same `d2` against the same bound), which is what makes the emission
+/// order a function of the point set and not of the grid.
 pub struct NeighborStream<'a> {
     grid: &'a CandidateGrid,
-    order: CanonicalOrder<'a>,
+    points: &'a [Vec3],
+    ids: &'a [u64],
     center: Vec3,
     center_rel32: [f32; 3],
     center_rel: [f64; 3],
@@ -292,7 +310,10 @@ pub struct NeighborStream<'a> {
     /// Squared lower bound on every not-yet-fetched candidate
     /// (= ring lower bound of `next_ring`, squared).
     cur_lb2: f64,
+    /// Next entry of `scratch.ready` to emit.
+    head: usize,
     prefilter_skipped: u64,
+    sorted: u64,
     scratch: &'a mut StreamScratch,
 }
 
@@ -301,31 +322,73 @@ impl NeighborStream<'_> {
     /// every remaining candidate provably lies beyond it.
     pub fn next(&mut self, bound2: f64) -> Option<(f64, u32)> {
         loop {
-            if let Some(&(d2, i)) = self.scratch.heap.first() {
-                // safe to emit once nothing unfetched can come before it
-                if d2 < self.cur_lb2 {
-                    if d2 > bound2 {
-                        return None;
-                    }
-                    self.order.heap_pop(&mut self.scratch.heap);
-                    return Some((d2, i));
+            if let Some(&(d2, i)) = self.scratch.ready.get(self.head) {
+                if d2 > bound2 {
+                    return None;
                 }
+                self.head += 1;
+                return Some((d2, i));
             }
+            // `ready` is spent, and every pending entry measures at least
+            // `cur_lb2`: only a fetch that raises it can make one emittable.
             if self.cur_lb2 > bound2 {
                 return None;
             }
             if self.next_ring > self.grid.max_ring() {
-                // rings exhausted with an infinite bound: heap is empty
-                // (any head would have been emitted against cur_lb2 = +∞)
+                // rings exhausted: cur_lb2 = +∞ promoted every finite entry
                 return None;
             }
             self.fetch_next_ring(bound2);
+            self.promote(bound2);
         }
     }
 
     /// Candidates rejected by the `f32` prefilter so far.
     pub fn prefilter_skipped(&self) -> u64 {
         self.prefilter_skipped
+    }
+
+    /// Candidates sorted into emission order so far.
+    pub fn sorted(&self) -> u64 {
+        self.sorted
+    }
+
+    /// One pass over the pending shells, `ready` being spent: drop what
+    /// lies beyond `bound2`, move what lies below `cur_lb2` into `ready`
+    /// and sort it.
+    fn promote(&mut self, bound2: f64) {
+        let StreamScratch { pending, ready, .. } = &mut *self.scratch;
+        ready.clear();
+        self.head = 0;
+        let lb2 = self.cur_lb2;
+        pending.retain(|&(d2, i)| {
+            if d2 > bound2 {
+                return false;
+            }
+            if d2 < lb2 {
+                ready.push((d2, i));
+                return false;
+            }
+            true
+        });
+        self.sorted += ready.len() as u64;
+        ready.sort_unstable_by_key(|&(d2, _)| d2.to_bits());
+        // The one tie-break rule, read only on an exact distance tie:
+        // global id, then position.
+        let (points, ids) = (self.points, self.ids);
+        for run in ready.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                run.sort_unstable_by(|&(_, a), &(_, b)| {
+                    let (a, b) = (a as usize, b as usize);
+                    let (pa, pb) = (points[a], points[b]);
+                    ids[a]
+                        .cmp(&ids[b])
+                        .then_with(|| pa.x.total_cmp(&pb.x))
+                        .then_with(|| pa.y.total_cmp(&pb.y))
+                        .then_with(|| pa.z.total_cmp(&pb.z))
+                });
+            }
+        }
     }
 
     fn fetch_next_ring(&mut self, bound2: f64) {
@@ -342,75 +405,15 @@ impl NeighborStream<'_> {
                 self.prefilter_skipped += 1;
                 continue;
             }
-            let d2 = self.order.points[i as usize].dist2(self.center);
+            let d2 = self.points[i as usize].dist2(self.center);
             if d2 <= bound2 {
-                self.order.heap_push(&mut self.scratch.heap, (d2, i));
+                self.scratch.pending.push((d2, i));
             }
         }
         let lb = self
             .grid
             .ring_lb(self.center_rel, self.coords, self.next_ring);
         self.cur_lb2 = lb * lb;
-    }
-}
-
-/// The one tie-break rule: distance, then global id, then position. Heap
-/// entries stay `(d2, index)`; ids and positions are only read on an exact
-/// distance tie.
-#[derive(Clone, Copy)]
-struct CanonicalOrder<'a> {
-    points: &'a [Vec3],
-    ids: &'a [u64],
-}
-
-impl CanonicalOrder<'_> {
-    #[inline]
-    fn less(&self, a: (f64, u32), b: (f64, u32)) -> bool {
-        let (ia, ib) = (a.1 as usize, b.1 as usize);
-        a.0.total_cmp(&b.0)
-            .then_with(|| self.ids[ia].cmp(&self.ids[ib]))
-            .then_with(|| {
-                let (pa, pb) = (self.points[ia], self.points[ib]);
-                pa.x.total_cmp(&pb.x)
-                    .then_with(|| pa.y.total_cmp(&pb.y))
-                    .then_with(|| pa.z.total_cmp(&pb.z))
-            })
-            .is_lt()
-    }
-
-    fn heap_push(&self, h: &mut Vec<(f64, u32)>, item: (f64, u32)) {
-        h.push(item);
-        let mut i = h.len() - 1;
-        while i > 0 {
-            let p = (i - 1) / 2;
-            if self.less(h[i], h[p]) {
-                h.swap(i, p);
-                i = p;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn heap_pop(&self, h: &mut Vec<(f64, u32)>) -> (f64, u32) {
-        let top = h.swap_remove(0);
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut m = i;
-            if l < h.len() && self.less(h[l], h[m]) {
-                m = l;
-            }
-            if r < h.len() && self.less(h[r], h[m]) {
-                m = r;
-            }
-            if m == i {
-                break;
-            }
-            h.swap(i, m);
-            i = m;
-        }
-        top
     }
 }
 
@@ -674,6 +677,153 @@ mod tests {
                     emitted.contains(&(i as u32)),
                     "candidate {i} inside the final bound was never emitted"
                 );
+            }
+        }
+    }
+
+    /// Canonical entry of point `i` seen from `center`: (d2, id, position).
+    type Entry = (f64, u64, [f64; 3]);
+
+    fn entry(pts: &[Vec3], ids: &[u64], center: Vec3, i: u32) -> Entry {
+        let p = pts[i as usize];
+        (p.dist2(center), ids[i as usize], [p.x, p.y, p.z])
+    }
+
+    fn canonical_cmp(a: &Entry, b: &Entry) -> std::cmp::Ordering {
+        a.0.total_cmp(&b.0)
+            .then(a.1.cmp(&b.1))
+            .then_with(|| a.2[0].total_cmp(&b.2[0]))
+            .then_with(|| a.2[1].total_cmp(&b.2[1]))
+            .then_with(|| a.2[2].total_cmp(&b.2[2]))
+    }
+
+    #[test]
+    fn stream_emits_exactly_the_canonical_sequence_cut_at_the_running_bound() {
+        // Exact-sequence oracle: whatever the point set and whatever
+        // non-increasing bound schedule the caller drives it with, the
+        // stream's k-th answer is the k-th entry of the brute-force
+        // canonical sort when that entry lies within the bound of call k,
+        // and `None` at the first call where it does not. Point sets:
+        // jittered lattices, exact lattices (every shell a set of exact
+        // ties), points within ulps of the bin walls plus their mirror
+        // images, and a lattice holding one particle twice as periodic
+        // images with the same id. Schedules start at +∞ (a point lookup)
+        // or at a finite radius and shrink by random factors or onto the
+        // exact distance of a later candidate.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(37);
+        let mut scratch = StreamScratch::default();
+        for case in 0..400 {
+            let n = rng.gen_range(3..7usize);
+            let side = n as f64;
+            let mut per_bin = rng.gen_range(1.0..4.0);
+            let (mut pts, region) = match case % 4 {
+                0 => (
+                    jittered(n, case, rng.gen_range(0.05..0.5)),
+                    Aabb::cube(side),
+                ),
+                1 => (lattice(n), Aabb::cube(side)),
+                2 => {
+                    // random fill plus points on both sides of every x
+                    // wall, level with a random center, and their mirrors
+                    let region = Aabb::cube(side);
+                    let nfill = rng.gen_range(8..120usize);
+                    let mut pts: Vec<Vec3> = (0..nfill)
+                        .map(|_| {
+                            Vec3::new(
+                                rng.gen_range(0.0..side),
+                                rng.gen_range(0.0..side),
+                                rng.gen_range(0.0..side),
+                            )
+                        })
+                        .collect();
+                    let probe = CandidateGrid::build(region, &pts, 2.0);
+                    let c = pts[0];
+                    for k in 1..probe.dims[0] {
+                        let wall = k as f64 * probe.h[0];
+                        for du in -2i64..=2 {
+                            let x = f64::from_bits((wall.to_bits() as i64 + du) as u64);
+                            let mirror = c.x - (x - c.x);
+                            pts.push(Vec3::new(x, c.y, c.z));
+                            if (0.0..side).contains(&mirror) {
+                                pts.push(Vec3::new(mirror, c.y, c.z));
+                            }
+                        }
+                    }
+                    // same bins as the probe
+                    per_bin = 2.0 * pts.len() as f64 / nfill as f64;
+                    (pts, region)
+                }
+                _ => (lattice(n), Aabb::cube(side).grown(1.0)),
+            };
+            let mut ids: Vec<u64> = (0..pts.len() as u64)
+                .map(|i| (i * 37) % pts.len() as u64)
+                .collect();
+            if case % 4 == 3 {
+                // periodic image of the particle at x = 0.5 across x = n
+                let left = rng.gen_range(0..n * n) * n;
+                pts.push(pts[left] + Vec3::new(side, 0.0, 0.0));
+                ids.push(ids[left]);
+            }
+            let grid = CandidateGrid::build(region, &pts, per_bin);
+            // Own site (skipped) or a free center; on the lattices the free
+            // center sits on half-integers so ties abound.
+            let (center, skip) = match rng.gen_range(0..3) {
+                0 => {
+                    let s = rng.gen_range(0..pts.len());
+                    (pts[s], s as u32)
+                }
+                1 if case % 4 == 1 || case % 4 == 3 => {
+                    let h =
+                        |rng: &mut rand_chacha::ChaCha8Rng| rng.gen_range(0..=2 * n) as f64 * 0.5;
+                    (Vec3::new(h(&mut rng), h(&mut rng), h(&mut rng)), u32::MAX)
+                }
+                _ => (
+                    Vec3::new(
+                        rng.gen_range(0.0..side),
+                        rng.gen_range(0.0..side),
+                        rng.gen_range(0.0..side),
+                    ),
+                    u32::MAX,
+                ),
+            };
+            let mut want: Vec<Entry> = (0..pts.len() as u32)
+                .filter(|&i| i != skip)
+                .map(|i| entry(&pts, &ids, center, i))
+                .collect();
+            want.sort_by(canonical_cmp);
+
+            let mut bound2 = if rng.gen_bool(0.5) {
+                f64::INFINITY
+            } else {
+                want[want.len() / 2].0 * rng.gen_range(0.5..2.0)
+            };
+            let lookup = rng.gen_bool(0.25);
+            let mut stream = grid.stream(&pts, &ids, center, skip, &mut scratch);
+            for k in 0..=want.len() {
+                let expect = want.get(k).filter(|e| e.0 <= bound2).copied();
+                let got = stream
+                    .next(bound2)
+                    .map(|(d2, i)| (d2, entry(&pts, &ids, center, i)));
+                if let Some((d2, e)) = got {
+                    assert_eq!(d2.to_bits(), e.0.to_bits(), "case {case}: d2 not exact");
+                }
+                assert_eq!(
+                    got.map(|g| g.1),
+                    expect,
+                    "case {case}, call {k}, bound2 {bound2}"
+                );
+                if expect.is_none() {
+                    break;
+                }
+                // shrink the bound (never grow it), unless a lookup
+                if !lookup {
+                    bound2 = match rng.gen_range(0..4) {
+                        0 => bound2,
+                        1 => bound2 * rng.gen_range(0.5..1.0),
+                        _ => bound2.min(want[rng.gen_range(k..want.len())].0),
+                    };
+                }
             }
         }
     }

@@ -35,6 +35,10 @@ pub struct TessStats {
     /// before the exact f64 distance was computed, or by the
     /// support-function test against the cell's bounding box.
     pub prefilter_skipped: u64,
+    /// Candidates the stream sorted into emission order, summed like
+    /// `candidates_tested`: fetched candidates wait unsorted and those the
+    /// shrinking security radius passes are dropped without a sort.
+    pub candidates_sorted: u64,
     /// Cell computations actually executed, counting re-runs across
     /// adaptive rounds.
     pub cells_computed: u64,
@@ -58,6 +62,7 @@ impl TessStats {
         self.ghost_rounds = self.ghost_rounds.max(o.ghost_rounds);
         self.candidates_tested = self.candidates_tested.saturating_add(o.candidates_tested);
         self.prefilter_skipped = self.prefilter_skipped.saturating_add(o.prefilter_skipped);
+        self.candidates_sorted = self.candidates_sorted.saturating_add(o.candidates_sorted);
         self.cells_computed = self.cells_computed.saturating_add(o.cells_computed);
         self.cells_reused = self.cells_reused.saturating_add(o.cells_reused);
         self
@@ -79,6 +84,7 @@ impl Encode for TessStats {
             self.ghost_rounds,
             self.candidates_tested,
             self.prefilter_skipped,
+            self.candidates_sorted,
             self.cells_computed,
             self.cells_reused,
         ] {
@@ -102,6 +108,7 @@ impl Decode for TessStats {
             ghost_rounds: u64::decode(r)?,
             candidates_tested: u64::decode(r)?,
             prefilter_skipped: u64::decode(r)?,
+            candidates_sorted: u64::decode(r)?,
             cells_computed: u64::decode(r)?,
             cells_reused: u64::decode(r)?,
         })
@@ -163,6 +170,7 @@ mod tests {
             ghost_rounds: 2,
             candidates_tested: 1234,
             prefilter_skipped: 99,
+            candidates_sorted: 321,
             cells_computed: 11,
             cells_reused: 6,
         };
@@ -174,6 +182,7 @@ mod tests {
         let a = TessStats {
             candidates_tested: u64::MAX - 1,
             prefilter_skipped: u64::MAX - 4,
+            candidates_sorted: u64::MAX - 2,
             cells_computed: 5,
             cells_reused: 2,
             ..Default::default()
@@ -181,6 +190,7 @@ mod tests {
         let b = TessStats {
             candidates_tested: 10,
             prefilter_skipped: 10,
+            candidates_sorted: 10,
             cells_computed: 7,
             cells_reused: 1,
             ..Default::default()
@@ -188,6 +198,7 @@ mod tests {
         let m = a.merge(b);
         assert_eq!(m.candidates_tested, u64::MAX);
         assert_eq!(m.prefilter_skipped, u64::MAX);
+        assert_eq!(m.candidates_sorted, u64::MAX);
         assert_eq!(m.cells_computed, 12);
         assert_eq!(m.cells_reused, 3);
     }

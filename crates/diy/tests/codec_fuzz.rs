@@ -127,7 +127,7 @@ fn arb_report() -> impl Strategy<Value = RunReport> {
 }
 
 fn arb_stats() -> impl Strategy<Value = TessStats> {
-    // 13 fields exceed the shim's widest tuple impl, so nest the work
+    // 15 fields exceed the shim's widest tuple impl, so nest the work
     // counters in a sub-tuple.
     (
         any::<u64>(),
@@ -140,6 +140,7 @@ fn arb_stats() -> impl Strategy<Value = TessStats> {
         any::<u64>(),
         any::<u64>(),
         (
+            any::<u64>(),
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
@@ -158,7 +159,14 @@ fn arb_stats() -> impl Strategy<Value = TessStats> {
                 culled_late,
                 verts,
                 faces,
-                (ghost_rounds, candidates_tested, prefilter_skipped, cells_computed, cells_reused),
+                (
+                    ghost_rounds,
+                    candidates_tested,
+                    prefilter_skipped,
+                    candidates_sorted,
+                    cells_computed,
+                    cells_reused,
+                ),
             )| {
                 TessStats {
                     sites,
@@ -173,6 +181,7 @@ fn arb_stats() -> impl Strategy<Value = TessStats> {
                     ghost_rounds,
                     candidates_tested,
                     prefilter_skipped,
+                    candidates_sorted,
                     cells_computed,
                     cells_reused,
                 }
@@ -267,10 +276,10 @@ proptest! {
     #[test]
     fn tess_stats_roundtrip_and_truncation(
         stats in arb_stats(),
-        cut in 0usize..112,
+        cut in 0usize..120,
     ) {
         let bytes = stats.to_bytes();
-        prop_assert_eq!(bytes.len(), 112); // 14 × u64
+        prop_assert_eq!(bytes.len(), 120); // 15 × u64
         prop_assert_eq!(TessStats::from_bytes(&bytes).unwrap(), stats);
         if cut < bytes.len() {
             prop_assert!(TessStats::from_bytes(&bytes[..cut]).is_err());

@@ -189,6 +189,12 @@ impl ConvexPolyhedron {
         eps: f64,
         scratch: &mut ClipScratch,
     ) -> ClipResult {
+        // Most clips of a converging cell change nothing: decide that with
+        // one read-only pass, the same `> eps` test the classification
+        // makes (a NaN distance fails it and takes the full path, as before).
+        if self.verts.iter().all(|&v| plane.signed_distance(v) <= eps) {
+            return ClipResult::Unchanged;
+        }
         let ClipScratch {
             classes,
             cuts,

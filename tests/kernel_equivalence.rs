@@ -398,9 +398,11 @@ fn candidates_per_cell_stay_within_the_pinned_budget() {
     // Deterministic work counters as a hard gate: bisector clips per cell
     // computation on two fixed-seed periodic corpora. A regression in the
     // ordered stream, the support reject, the early stop, or the capped
-    // first pass moves these counts, not the clock. Budgets sit ~5 % above
-    // the measured counts. The support-function and `f32` rejects must
-    // fire on both.
+    // first pass moves these counts, not the clock. The second counter is
+    // the candidates the stream sorts into emission order: a regression
+    // that sorts the candidates the shrinking bound has already passed
+    // moves it. Budgets sit ~5 % above the measured counts. The
+    // support-function and `f32` rejects must fire on both.
     let per_cell = |particles: &[(u64, Vec3)], side: f64, ghost: GhostSpec| {
         let dec = decomp(side, true, particles);
         let params = TessParams {
@@ -409,25 +411,34 @@ fn candidates_per_cell_stay_within_the_pinned_budget() {
         };
         let (_, stats) = with_pool_width(2, || mesh_and_stats(particles, &dec, 4, &params));
         assert!(stats.prefilter_skipped > 0, "candidate rejects never fired");
-        stats.candidates_tested as f64 / stats.cells_computed as f64
+        let cells = stats.cells_computed as f64;
+        (
+            stats.candidates_tested as f64 / cells,
+            stats.candidates_sorted as f64 / cells,
+        )
     };
     let kd = matches!(DecompScheme::from_env(), DecompScheme::Kd { .. });
 
     // Every cell certifies in the capped first pass: measured 27.23 under
-    // both block schemes (clipping each cell twice costs 54.45).
+    // both block schemes (clipping each cell twice costs 54.45); 50.27
+    // sorted on regular blocks, 49.33 on k-d blocks.
     let n = 8;
-    let cost = per_cell(&jittered(n, 61, 0.45), n as f64, GhostSpec::default());
+    let (cost, sorted) = per_cell(&jittered(n, 61, 0.45), n as f64, GhostSpec::default());
     assert!(
         cost < 28.6,
         "jittered lattice, auto ghosts: {cost:.2} candidates per cell"
+    );
+    assert!(
+        sorted < 52.8,
+        "jittered lattice, auto ghosts: {sorted:.2} candidates sorted per cell"
     );
 
     // Multi-round adaptive run from a tiny radius: most computations are of
     // void and boundary cells that cannot certify yet and pay the capped
     // first pass on top of the region pass. Measured 114.79 on regular
-    // blocks, 121.46 on k-d blocks.
+    // blocks, 121.46 on k-d blocks; 191.29 and 199.68 sorted.
     let side = 12.0;
-    let cost = per_cell(
+    let (cost, sorted) = per_cell(
         &clustered(side, 30, 30, 60, 59),
         side,
         GhostSpec::Adaptive {
@@ -439,5 +450,10 @@ fn candidates_per_cell_stay_within_the_pinned_budget() {
     assert!(
         cost < budget,
         "clustered corpus, adaptive ghosts: {cost:.2} candidates per cell (budget {budget})"
+    );
+    let budget = if kd { 209.7 } else { 200.9 };
+    assert!(
+        sorted < budget,
+        "clustered corpus, adaptive ghosts: {sorted:.2} candidates sorted per cell (budget {budget})"
     );
 }
