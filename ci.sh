@@ -120,7 +120,7 @@ stage_service() {
 }
 
 stage_decomp() {
-    echo "==> [decomp] kd equivalence + suites under TESS_DECOMP=kd"
+    echo "==> [decomp] kd equivalence, voids + FOF labeling, suites under TESS_DECOMP=kd"
     # The scheme-polymorphic decomposition: (1) the dedicated equivalence
     # matrix proves the merged mesh is bit-identical between the regular grid
     # and the particle-balanced k-d tree across 1/2/4/8 ranks and
@@ -129,12 +129,18 @@ stage_decomp() {
     # built as a k-d tree (its cuts are fixed at spawn, so incremental
     # epochs must carry cells the same way), so all of their invariants hold
     # on irregular block geometry too;
-    # (3) distributed void labeling equals the serial union-find at
-    # 1/2/3/4/8 ranks on regular and k-d blocks. The equivalence suite also
-    # pins rank imbalance on the clustered corpus at 8 ranks: regular >=3.0,
-    # k-d + weighted assignment <=1.25.
+    # (3) the one distributed-components primitive: void labeling equals
+    # the serial union-find at 1/2/3/4/8 ranks on regular and k-d blocks,
+    # FOF halos equal a brute-force periodic FOF at 1/2/4/8 ranks, and a
+    # halo chained through all 8 blocks sends as many messages as a compact
+    # one (the primitive's and the halo finder's unit oracles run too). The
+    # equivalence suite also pins rank imbalance on the clustered corpus at
+    # 8 ranks: regular >=3.0, k-d + weighted assignment <=1.25.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
         cargo test --release -q -p meshing-universe --test voids_pipeline &&
+        cargo test --release -q -p meshing-universe --test fof_pipeline &&
+        cargo test --release -q -p postprocess --lib components:: &&
+        cargo test --release -q -p framework --lib halo_finder:: &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle &&

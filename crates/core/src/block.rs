@@ -368,24 +368,8 @@ pub fn tessellate_block(
     ghost_size: f64,
     params: &TessParams,
 ) -> (MeshBlock, TessStats) {
-    let (block, stats, _) =
-        tessellate_block_certified(gid, bounds, own, ghosts, ghost_size, params);
-    (block, stats)
-}
-
-/// [`tessellate_block`] variant that also reports how much more ghost
-/// radius the block's uncertified cells would need (the adaptive ghost
-/// loop's per-block feedback signal).
-pub fn tessellate_block_certified(
-    gid: u64,
-    bounds: Aabb,
-    own: &[(u64, Vec3)],
-    ghosts: &[(u64, Vec3)],
-    ghost_size: f64,
-    params: &TessParams,
-) -> (MeshBlock, TessStats, BlockCertification) {
     let (pass, _) = tessellate_block_session(gid, bounds, own, ghosts, ghost_size, params, None);
-    (pass.block, pass.stats, pass.cert)
+    (pass.block, pass.stats)
 }
 
 /// First pass over a block, which also returns the [`BlockSession`] later
@@ -1002,7 +986,8 @@ mod tests {
         let own = lattice_particles(n, 1.0);
         let bounds = Aabb::cube(n as f64);
         let params = TessParams::default().with_ghost(0.5);
-        let (_, stats, cert) = tessellate_block_certified(0, bounds, &own, &[], 0.5, &params);
+        let (pass, _) = tessellate_block_session(0, bounds, &own, &[], 0.5, &params, None);
+        let (stats, cert) = (pass.stats, pass.cert);
         assert!(stats.incomplete > 0);
         assert_eq!(cert.uncertified, stats.incomplete);
         // a boundary cell's security ball reaches past the current halo, so
@@ -1014,7 +999,8 @@ mod tests {
             keep_incomplete: true,
             ..params
         };
-        let (_, s2, c2) = tessellate_block_certified(0, bounds, &own, &[], 0.5, &keep);
+        let (pass, _) = tessellate_block_session(0, bounds, &own, &[], 0.5, &keep, None);
+        let (s2, c2) = (pass.stats, pass.cert);
         assert_eq!(s2.incomplete, 0);
         assert_eq!(c2.uncertified, s2.incomplete_kept);
         assert!((c2.needed_ghost - cert.needed_ghost).abs() < 1e-12);
@@ -1231,8 +1217,8 @@ mod tests {
         } = session.retessellate(&own, &g1, &new_ghosts, r1, &params);
 
         // One-shot full pass at the large radius.
-        let (full_block, full_stats, full_cert) =
-            tessellate_block_certified(7, bounds, &own, &g1, r1, &params);
+        let (full, _) = tessellate_block_session(7, bounds, &own, &g1, r1, &params, None);
+        let (full_block, full_stats, full_cert) = (full.block, full.stats, full.cert);
 
         assert_eq!(block_bits(&inc_block), block_bits(&full_block));
         assert_eq!(inc_cert.uncertified, full_cert.uncertified);

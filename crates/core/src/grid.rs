@@ -4,9 +4,8 @@
 //! distance from a site so the security-radius test terminates early. A
 //! uniform grid over the ghosted block region gives candidates in
 //! Chebyshev "rings" of bins; the minimum possible distance to the next
-//! ring ([`CandidateGrid::ring_min_distance_from`], which knows on which
-//! sides of the center a ring still has bins) provides the lower bound
-//! used by the termination test.
+//! ring (which knows on which sides of the center a ring still has bins)
+//! provides the lower bound used by the termination test.
 //!
 //! The **candidate stream** ([`CandidateGrid::stream`]) sits on top of the
 //! binning and emits candidates one at a time in the canonical clip order —
@@ -88,8 +87,16 @@ impl CandidateGrid {
         self.dims
     }
 
-    /// Center-aware lower bound on the distance from `center` to any point
-    /// in a bin at Chebyshev ring `r` around `center`'s bin.
+    /// [`Self::ring_lb`] around a point.
+    #[cfg(test)]
+    fn ring_min_distance_from(&self, center: Vec3, r: usize) -> f64 {
+        let rel = center - self.bounds.min;
+        self.ring_lb([rel.x, rel.y, rel.z], self.coords_of(center), r)
+    }
+
+    /// Center-aware lower bound on the distance from a center (at `rel`
+    /// from `bounds.min`, in bin `c`) to any point in a bin at Chebyshev
+    /// ring `r` around `c`.
     ///
     /// Per axis, the plus side is attainable only while `c+r` is still a
     /// valid bin index (and symmetrically for the minus side); an
@@ -105,11 +112,6 @@ impl CandidateGrid {
     /// round a few times at coordinate magnitude (≲ 5 eps·scale in all),
     /// and a candidate on a bin wall can measure a few ulps closer than
     /// the wall does, so the bound is pulled in by 8 eps·scale.
-    pub fn ring_min_distance_from(&self, center: Vec3, r: usize) -> f64 {
-        let rel = center - self.bounds.min;
-        self.ring_lb([rel.x, rel.y, rel.z], self.coords_of(center), r)
-    }
-
     fn ring_lb(&self, rel: [f64; 3], c: [isize; 3], r: usize) -> f64 {
         if r == 0 {
             return 0.0;
@@ -131,7 +133,7 @@ impl CandidateGrid {
     }
 
     /// Largest ring index that can contain any bin, from any center.
-    pub fn max_ring(&self) -> usize {
+    fn max_ring(&self) -> usize {
         self.dims.iter().max().copied().unwrap_or(1)
     }
 
@@ -151,7 +153,8 @@ impl CandidateGrid {
 
     /// Point indices in the Chebyshev ring `r` of bins around `center`
     /// (`r = 0` is the center bin itself).
-    pub fn ring_candidates(&self, center: Vec3, r: usize, out: &mut Vec<u32>) {
+    #[cfg(test)]
+    fn ring_candidates(&self, center: Vec3, r: usize, out: &mut Vec<u32>) {
         self.ring_candidates_at(self.coords_of(center), r, out);
     }
 

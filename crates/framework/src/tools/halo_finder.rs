@@ -7,20 +7,23 @@
 //! closure with at least `min_size` members.
 //!
 //! Distribution strategy: ghost particles within the linking length are
-//! exchanged (the same machinery as the tessellation's ghost zone), each
-//! rank runs a local union-find over own+ghost particles, and group labels
-//! (minimum member id) are propagated across ranks to a fixed point.
+//! exchanged (the same machinery as the tessellation's ghost zone), and
+//! each rank runs a local union-find over own+ghost particles, labelling
+//! every local group with its minimum member id. The local groups are then
+//! joined by [`postprocess::components::merge_across_ranks`], the void
+//! finder's primitive: one neighbor exchange and one tree merge, whatever
+//! the halo's diameter in blocks.
 //! Halo centers use the per-dimension circular mean, which is exact for
 //! compact groups in a periodic box and merges trivially across ranks.
 
 use std::collections::{BTreeMap, HashMap};
 
 use diy::comm::World;
-use diy::exchange::NeighborExchange;
 use geometry::Vec3;
 use hacc::Simulation;
+use postprocess::components::{merge_across_ranks, UnionFind};
 use tess::ghost::exchange_ghosts;
-use tess::grid::CandidateGrid;
+use tess::grid::{CandidateGrid, StreamScratch};
 
 use crate::tool::{AnalysisTool, ToolContext, ToolReport};
 
@@ -53,30 +56,13 @@ pub struct FofHalo {
     pub center: Vec3,
 }
 
-struct UnionFind(Vec<u32>);
+/// Particle count and per-dimension circular sums `[cos x, sin x, cos y, ..]`.
+type Moments = (u64, [f64; 6]);
 
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind((0..n as u32).collect())
-    }
-    fn find(&mut self, x: u32) -> u32 {
-        let mut r = x;
-        while self.0[r as usize] != r {
-            r = self.0[r as usize];
-        }
-        let mut c = x;
-        while self.0[c as usize] != r {
-            let n = self.0[c as usize];
-            self.0[c as usize] = r;
-            c = n;
-        }
-        r
-    }
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.0[ra.max(rb) as usize] = ra.min(rb);
-        }
+fn add_moments(acc: &mut Moments, m: &Moments) {
+    acc.0 += m.0;
+    for (a, v) in acc.1.iter_mut().zip(&m.1) {
+        *a += v;
     }
 }
 
@@ -84,9 +70,7 @@ impl UnionFind {
 /// Returns the same halo list on every rank, sorted by decreasing size.
 pub fn find_halos(world: &mut World, sim: &Simulation, params: &FofParams) -> Vec<FofHalo> {
     let ell = params.linking_length;
-    let ell2 = ell * ell;
     let dec = &sim.dec;
-    let asn = &sim.asn;
 
     // Own particles per block, and ghosts within the linking length.
     let local: BTreeMap<u64, Vec<(u64, Vec3)>> = sim
@@ -94,131 +78,86 @@ pub fn find_halos(world: &mut World, sim: &Simulation, params: &FofParams) -> Ve
         .iter()
         .map(|(&gid, ps)| (gid, ps.iter().map(|p| (p.id, p.pos)).collect()))
         .collect();
-    let ghosts = exchange_ghosts(world, dec, asn, &local, ell);
+    let ghosts = exchange_ghosts(world, dec, &sim.asn, &local, ell);
 
-    // Flatten: own first, then ghosts.
-    let mut ids: Vec<u64> = Vec::new();
-    let mut pts: Vec<Vec3> = Vec::new();
-    let mut n_own_per_block: Vec<(u64, usize)> = Vec::new();
-    for (&gid, ps) in &local {
-        n_own_per_block.push((gid, ps.len()));
+    // Flatten: own first, then ghosts with the block they reached.
+    let (mut ids, mut pts): (Vec<u64>, Vec<Vec3>) = local.values().flatten().copied().unzip();
+    let n_own = ids.len();
+    let mut ghost_gids = Vec::new();
+    for (&gid, ps) in &ghosts {
         for &(id, p) in ps {
             ids.push(id);
             pts.push(p);
-        }
-    }
-    let n_own = pts.len();
-    for ps in ghosts.values() {
-        for &(id, p) in ps {
-            ids.push(id);
-            pts.push(p);
+            ghost_gids.push(gid);
         }
     }
 
-    // Local union-find over pairs within the linking length.
+    // Local union-find over pairs within the linking length...
     let region = geometry::Aabb::from_points(&pts)
         .unwrap_or(dec.domain)
         .grown(1e-9);
     let grid = CandidateGrid::build(region, &pts, 2.0);
     let mut uf = UnionFind::new(pts.len());
-    let mut ring = Vec::new();
-    for i in 0..pts.len() {
-        let p = pts[i];
-        for r in 0..=grid.max_ring() {
-            if grid.ring_min_distance_from(p, r) > ell {
-                break;
-            }
-            grid.ring_candidates(p, r, &mut ring);
-            for &j in &ring {
-                if (j as usize) > i && pts[j as usize].dist2(p) <= ell2 {
-                    uf.union(i as u32, j);
-                }
-            }
+    let mut scratch = StreamScratch::default();
+    for (i, &p) in pts.iter().enumerate() {
+        let mut friends = grid.stream(&pts, &ids, p, i as u32, &mut scratch);
+        while let Some((_, j)) = friends.next(ell * ell) {
+            uf.union(i, j as usize);
+        }
+    }
+    // ...and over the copies of one particle: a ghost of an own particle (a
+    // periodic image, or a neighbor block's on this rank), or a ghost that
+    // reached two of this rank's blocks.
+    let mut first_copy: HashMap<u64, usize> = HashMap::with_capacity(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        uf.union(*first_copy.entry(id).or_insert(i), i);
+    }
+    let labels = uf.min_ids(&ids);
+
+    // A ghost owned elsewhere tells its owner about this rank's group only
+    // if the group holds another particle.
+    let mut members = vec![0u32; ids.len()];
+    for &i in first_copy.values() {
+        members[uf.find(i)] += 1;
+    }
+    let mut boundary = Vec::new();
+    for (i, &gid) in (n_own..).zip(&ghost_gids) {
+        if first_copy[&ids[i]] >= n_own && members[uf.find(i)] > 1 {
+            boundary.push((gid, ids[i], labels[i]));
         }
     }
 
-    // Group labels: minimum global id over local members, refined by
-    // cross-rank propagation through ghost copies.
-    #[allow(unused_assignments)]
-    let mut group_label: HashMap<u32, u64> = HashMap::new();
-    let compute_labels = |uf: &mut UnionFind, extra: &HashMap<u64, u64>| -> HashMap<u32, u64> {
-        let mut m: HashMap<u32, u64> = HashMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let r = uf.find(i as u32);
-            let candidate = extra.get(&id).copied().unwrap_or(id);
-            let e = m.entry(r).or_insert(u64::MAX);
-            *e = (*e).min(candidate);
-        }
-        m
-    };
-    // best-known label per particle id (from remote ranks)
-    let mut known: HashMap<u64, u64> = HashMap::new();
-    let ex = NeighborExchange::new(dec, asn);
-    let owned_gids: Vec<u64> = local.keys().copied().collect();
-    loop {
-        group_label = compute_labels(&mut uf, &known);
-        // send each ghost's group label toward its owner (via all neighbor
-        // blocks; the owner recognizes its own ids)
-        let mut outgoing: Vec<(u64, (u64, u64))> = Vec::new();
-        for i in n_own..ids.len() {
-            let label = group_label[&uf.find(i as u32)];
-            for &gid in &owned_gids {
-                for link in dec.neighbors(gid) {
-                    outgoing.push((link.gid, (ids[i], label)));
-                }
-            }
-        }
-        outgoing.sort_unstable();
-        outgoing.dedup();
-        let incoming = ex.exchange(world, outgoing);
-        let mut changed = false;
-        let own_set: HashMap<u64, ()> = ids[..n_own].iter().map(|&i| (i, ())).collect();
-        for (_, items) in incoming {
-            for (id, label) in items {
-                if own_set.contains_key(&id) {
-                    let e = known.entry(id).or_insert(u64::MAX);
-                    if label < *e {
-                        *e = label;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        let any = world.all_reduce(changed as u64, |a, b| a.max(b));
-        if any == 0 {
-            break;
-        }
-    }
-
-    // Per-label partials from OWN particles only (ghosts counted by their
-    // owners): count + circular sums per dimension.
+    // Per-label partials from OWN particles only (ghosts are counted by
+    // their owners).
     let box_len = dec.domain.extent();
     let tau = 2.0 * std::f64::consts::PI;
-    let mut partial: BTreeMap<u64, (u64, [f64; 6])> = BTreeMap::new();
-    for i in 0..n_own {
-        let label = group_label[&uf.find(i as u32)];
-        let e = partial.entry(label).or_insert((0, [0.0; 6]));
-        e.0 += 1;
+    let mut partial: BTreeMap<u64, Moments> = BTreeMap::new();
+    for (&label, p) in labels.iter().zip(&pts[..n_own]) {
+        let mut m = (1, [0.0; 6]);
         for d in 0..3 {
-            let theta = tau * (pts[i][d] - dec.domain.min[d]) / box_len[d];
-            e.1[2 * d] += theta.cos();
-            e.1[2 * d + 1] += theta.sin();
+            let theta = tau * (p[d] - dec.domain.min[d]) / box_len[d];
+            m.1[2 * d] = theta.cos();
+            m.1[2 * d + 1] = theta.sin();
         }
+        add_moments(partial.entry(label).or_default(), &m);
     }
-    let rows: Vec<(u64, (u64, [f64; 6]))> = partial.into_iter().collect();
-    let merged = diy::reduce::all_reduce_merge(world, rows, |a, b| {
-        let mut m: BTreeMap<u64, (u64, [f64; 6])> = a.into_iter().collect();
-        for (label, (c, s)) in b {
-            let e = m.entry(label).or_insert((0, [0.0; 6]));
-            e.0 += c;
-            for (acc, v) in e.1.iter_mut().zip(s) {
-                *acc += v;
-            }
-        }
-        m.into_iter().collect()
-    });
+    let merged = merge_across_ranks(
+        world,
+        dec,
+        &sim.asn,
+        partial.into_iter().collect(),
+        &boundary,
+        |id| {
+            first_copy
+                .get(&id)
+                .filter(|&&i| i < n_own)
+                .map(|&i| labels[i])
+        },
+        add_moments,
+    );
 
     let mut halos: Vec<FofHalo> = merged
+        .summaries
         .into_iter()
         .filter(|(_, (count, _))| *count >= params.min_size as u64)
         .map(|(label, (count, s))| {
@@ -294,13 +233,13 @@ mod tests {
         for i in 0..n {
             for j in i + 1..n {
                 if b.periodic_dist(pts[i], pts[j]) <= ell {
-                    uf.union(i as u32, j as u32);
+                    uf.union(i, j);
                 }
             }
         }
-        let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
         for i in 0..n {
-            groups.entry(uf.find(i as u32)).or_default().push(i);
+            groups.entry(uf.find(i)).or_default().push(i);
         }
         let mut v: Vec<Vec<usize>> = groups.into_values().collect();
         v.sort_by_key(|g| std::cmp::Reverse(g.len()));

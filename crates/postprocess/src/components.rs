@@ -1,4 +1,5 @@
-//! Connected-component labeling of Voronoi cells — the void finder.
+//! Connected-component labeling of Voronoi cells — the void finder — and
+//! the distributed-components primitive it shares with the FOF halo finder.
 //!
 //! Cells that survive the volume threshold are joined into components along
 //! shared faces: every cell face records the global id of the site on its
@@ -6,19 +7,24 @@
 //! large cells are the paper's cosmological voids (§IV-B, Figure 9). A
 //! component's label is the minimum site id in it.
 //!
-//! Both implementations start with the same local pass: index the kept
+//! Both void labelings start with the same local pass: index the kept
 //! cells once, then one union-find pass over the faces whose two cells are
 //! both indexed.
 //! * [`label_components_serial`] — that pass over in-memory blocks.
 //! * [`label_components_parallel`] — the paper's future-work item "label
-//!   connected components automatically in situ", in a fixed number of
-//!   communication rounds. A face whose far site is not a local cell is a
-//!   boundary pair. One neighbor exchange sends `(far site, local label)`
-//!   to the linked blocks on other ranks, and the rank that keeps the far
-//!   site turns it into a label edge, so a face listed by only one of its
-//!   two cells still joins them. One tree merge (`diy::reduce`) gathers
-//!   every rank's label edges and per-local-component summaries, and every
-//!   rank resolves them with the same small union-find in the same order.
+//!   connected components automatically in situ": that pass, then
+//!   [`merge_across_ranks`].
+//!
+//! [`merge_across_ranks`] joins local components into global ones in a
+//! fixed number of communication rounds, whatever their diameter. An id
+//! that one rank saw across its boundary — a face's far site, or a FOF
+//! ghost particle — is a boundary entry. One neighbor exchange sends
+//! `(far id, local label)` to the linked blocks on other ranks, and the
+//! rank that owns the far id turns it into a label edge, so a link seen
+//! from one side only still joins. One tree merge (`diy::reduce`) gathers
+//! every rank's label edges and per-local-component summaries, and every
+//! rank resolves them with the same small union-find in the same order.
+//! `framework::tools::halo_finder` is its other user.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -29,7 +35,7 @@ use diy::exchange::NeighborExchange;
 use tess::{MeshBlock, NO_NEIGHBOR};
 
 /// Aggregate description of one component.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ComponentSummary {
     pub cells: u64,
     pub volume: f64,
@@ -37,12 +43,6 @@ pub struct ComponentSummary {
 }
 
 impl ComponentSummary {
-    const EMPTY: ComponentSummary = ComponentSummary {
-        cells: 0,
-        volume: 0.0,
-        area: 0.0,
-    };
-
     fn add(&mut self, other: &ComponentSummary) {
         self.cells += other.cells;
         self.volume += other.volume;
@@ -92,18 +92,20 @@ impl Components {
     }
 }
 
-struct UnionFind {
+/// Disjoint sets over `0..n` with path compression; a union hooks the
+/// larger root under the smaller.
+pub struct UnionFind {
     parent: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
+    pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
             root = self.parent[root];
@@ -117,11 +119,10 @@ impl UnionFind {
         root
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    pub fn union(&mut self, a: usize, b: usize) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            // hook the larger root under the smaller
             if ra < rb {
                 self.parent[rb] = ra;
             } else {
@@ -132,7 +133,7 @@ impl UnionFind {
 
     /// For every element, the minimum of `ids` over its set: roots are
     /// indices, not ids, so this is what makes labels canonical.
-    fn min_ids(&mut self, ids: &[u64]) -> Vec<u64> {
+    pub fn min_ids(&mut self, ids: &[u64]) -> Vec<u64> {
         let mut min = vec![u64::MAX; ids.len()];
         for (i, &id) in ids.iter().enumerate() {
             let r = self.find(i);
@@ -140,6 +141,84 @@ impl UnionFind {
         }
         (0..ids.len()).map(|i| min[self.find(i)]).collect()
     }
+}
+
+/// What [`merge_across_ranks`] returns, the same on every rank.
+#[derive(Debug, Clone)]
+pub struct Merged<S> {
+    /// Every label named by any rank's partials or label edges → the
+    /// minimum label of its global component.
+    pub global: HashMap<u64, u64>,
+    /// Global label → the partials of its component, summed in rank order.
+    pub summaries: BTreeMap<u64, S>,
+}
+
+/// Join every rank's local components into global ones (collective): one
+/// neighbor exchange and one tree merge, whatever the components' shape.
+///
+/// * `partials` — this rank's `(local label, summary)` rows. A label is a
+///   member id of its component (its minimum); two ranks may hold rows
+///   with the same label, which then join.
+/// * `boundary` — `(block gid, far id, local label)` for every far id this
+///   rank saw from block `gid` but does not own. The far id's owner is a
+///   link of `gid` on another rank, and joins `local label` with its own
+///   label for the id.
+/// * `owned_label` — the local label of an id this rank owns, `None` for
+///   every other id.
+pub fn merge_across_ranks<S: Encode + Decode + Default>(
+    world: &mut World,
+    dec: &Decomposition,
+    asn: &Assignment,
+    partials: Vec<(u64, S)>,
+    boundary: &[(u64, u64, u64)],
+    owned_label: impl Fn(u64) -> Option<u64>,
+    add: impl Fn(&mut S, &S),
+) -> Merged<S> {
+    let ex = NeighborExchange::new(dec, asn);
+    let mut outgoing: Vec<(u64, (u64, u64))> = Vec::new();
+    for &(gid, far, label) in boundary {
+        for link in ex.links(gid) {
+            if asn.rank_of_block(link.gid) != world.rank() {
+                outgoing.push((link.gid, (far, label)));
+            }
+        }
+    }
+    outgoing.sort_unstable();
+    outgoing.dedup();
+    let mut edges: Vec<(u64, u64)> = ex
+        .exchange(world, outgoing)
+        .into_values()
+        .flatten()
+        .filter_map(|(far, label)| Some((label, owned_label(far)?)))
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+
+    let (edges, partials) = diy::reduce::all_reduce_merge(world, (edges, partials), |mut a, b| {
+        a.0.extend(b.0);
+        a.1.extend(b.1);
+        a
+    });
+
+    // Every rank holds the same edges and partials in the same (rank)
+    // order, so the forest over labels and the folded sums agree bit for
+    // bit. Its nodes are label values: a label may name partials on
+    // several ranks, or only edges.
+    let mut nodes: Vec<u64> = partials.iter().map(|&(label, _)| label).collect();
+    nodes.extend(edges.iter().flat_map(|&(a, b)| [a, b]));
+    nodes.sort_unstable();
+    nodes.dedup();
+    let node = |label: u64| nodes.binary_search(&label).expect("label is a node");
+    let mut uf = UnionFind::new(nodes.len());
+    for &(a, b) in &edges {
+        uf.union(node(a), node(b));
+    }
+    let global: HashMap<u64, u64> = nodes.iter().copied().zip(uf.min_ids(&nodes)).collect();
+    let mut summaries: BTreeMap<u64, S> = BTreeMap::new();
+    for (label, s) in &partials {
+        add(summaries.entry(global[label]).or_default(), s);
+    }
+    Merged { global, summaries }
 }
 
 /// The cells of some blocks that pass the threshold, joined along every
@@ -153,9 +232,9 @@ struct KeptCells {
     cells: Vec<ComponentSummary>,
     /// Per kept cell: the minimum site id of its component in these blocks.
     labels: Vec<u64>,
-    /// `(block gid, kept cell, far site)` of every face whose far site is
+    /// `(block gid, far site, label)` of every kept face whose far site is
     /// not a cell of these blocks.
-    boundary: Vec<(u64, usize, u64)>,
+    boundary: Vec<(u64, u64, u64)>,
 }
 
 impl KeptCells {
@@ -197,6 +276,10 @@ impl KeptCells {
             }
         }
         let labels = uf.min_ids(&sites);
+        let boundary = boundary
+            .into_iter()
+            .map(|(gid, i, far)| (gid, far, labels[i]))
+            .collect();
         KeptCells {
             index,
             sites,
@@ -208,11 +291,9 @@ impl KeptCells {
 
     /// Summaries per label, each summed in kept-cell order.
     fn summaries(&self) -> BTreeMap<u64, ComponentSummary> {
-        let mut out = BTreeMap::new();
+        let mut out: BTreeMap<u64, ComponentSummary> = BTreeMap::new();
         for (label, cell) in self.labels.iter().zip(&self.cells) {
-            out.entry(*label)
-                .or_insert(ComponentSummary::EMPTY)
-                .add(cell);
+            out.entry(*label).or_default().add(cell);
         }
         out
     }
@@ -239,69 +320,32 @@ pub fn label_components_parallel(
     local: &BTreeMap<u64, MeshBlock>,
     min_volume: f64,
 ) -> Components {
+    // Every cell of this rank's blocks is indexed, so the far site of a
+    // boundary face lives on another rank.
     let kept = KeptCells::label(local.values(), min_volume);
-
-    // The far site of a boundary face was a ghost of the face's block, so
-    // its owner is one of that block's links, on another rank: every cell
-    // of this rank's blocks is indexed.
-    let ex = NeighborExchange::new(dec, asn);
-    let mut outgoing: Vec<(u64, (u64, u64))> = Vec::new();
-    for &(gid, i, far) in &kept.boundary {
-        for link in ex.links(gid) {
-            if asn.rank_of_block(link.gid) != world.rank() {
-                outgoing.push((link.gid, (far, kept.labels[i])));
-            }
-        }
-    }
-    outgoing.sort_unstable();
-    outgoing.dedup();
-    let mut edges: Vec<(u64, u64)> = ex
-        .exchange(world, outgoing)
-        .into_values()
-        .flatten()
-        .filter_map(|(site, label)| match kept.index.get(&site) {
-            Some(&Some(j)) => Some((label, kept.labels[j])),
-            _ => None,
-        })
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-
-    let partial: Vec<(u64, ComponentSummary)> = kept.summaries().into_iter().collect();
-    let (edges, partials) = diy::reduce::all_reduce_merge(world, (edges, partial), |mut a, b| {
-        a.0.extend(b.0);
-        a.1.extend(b.1);
-        a
-    });
-
-    // Every rank holds the same edges and partials in the same (rank)
-    // order, so the forest over labels and the folded sums agree bit for bit.
-    let slot: HashMap<u64, usize> = partials
-        .iter()
-        .enumerate()
-        .map(|(k, &(label, _))| (label, k))
-        .collect();
-    let mut uf = UnionFind::new(partials.len());
-    for (a, b) in &edges {
-        uf.union(slot[a], slot[b]);
-    }
-    let ids: Vec<u64> = partials.iter().map(|&(label, _)| label).collect();
-    let global = uf.min_ids(&ids);
-    let mut summaries = BTreeMap::new();
-    for ((_, s), &label) in partials.iter().zip(&global) {
-        summaries
-            .entry(label)
-            .or_insert(ComponentSummary::EMPTY)
-            .add(s);
-    }
+    let merged = merge_across_ranks(
+        world,
+        dec,
+        asn,
+        kept.summaries().into_iter().collect(),
+        &kept.boundary,
+        |site| {
+            kept.index
+                .get(&site)
+                .copied()
+                .flatten()
+                .map(|j| kept.labels[j])
+        },
+        ComponentSummary::add,
+    );
     Components {
         labels: kept
             .sites
             .iter()
             .zip(&kept.labels)
-            .map(|(&site, label)| (site, global[slot[label]]))
+            .map(|(&site, label)| (site, merged.global[label]))
             .collect(),
-        summaries,
+        summaries: merged.summaries,
     }
 }
 
