@@ -110,8 +110,12 @@ stage_service() {
     # raced queries matching exactly one epoch's oracle mesh, and writer-epoch
     # × reader-thread stress with exactly-once request-id accounting, and
     # incremental epochs (cells carried from the previous snapshot) encoding
-    # byte-identical to a from-scratch tessellation after every update.
-    cargo test --release -q -p meshing-universe --test service_oracle &&
+    # byte-identical to a from-scratch tessellation after every update. The
+    # service and block unit tests (the box/region site index on degenerate
+    # and infinite boxes, the moved-set ball test across periodic seams) run
+    # under optimised codegen too.
+    cargo test --release -q -p tess --lib -- service:: block:: &&
+        cargo test --release -q -p meshing-universe --test service_oracle &&
         cargo test --release -q -p meshing-universe --test service_property &&
         cargo test --release -q -p meshing-universe --test service_stress &&
         cargo test --release -q -p meshing-universe --test service_epochs &&

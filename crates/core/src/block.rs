@@ -19,6 +19,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use diy::hist::LogHistogram;
 use diy::trace::{monotonic_ns, trace_mode, TraceMode};
@@ -26,7 +27,7 @@ use geometry::{Aabb, Vec3};
 use rayon::prelude::*;
 
 use crate::cell::{canonical_fit, certified, compute_cell, CellContext, CellScratch, ComputedCell};
-use crate::grid::CandidateGrid;
+use crate::grid::{Bins, CandidateGrid};
 use crate::model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
 use crate::params::TessParams;
 use crate::stats::TessStats;
@@ -68,17 +69,15 @@ pub struct PrevBlock<'p> {
 }
 
 /// The old and new positions of every particle an update moved, inserted
-/// or removed, binned in a uniform grid over the domain (wrapped on
-/// periodic axes, clamped on the others) so that a security ball tests
-/// only the bins it overlaps.
+/// or removed, binned over the domain (wrapped into it on periodic axes,
+/// clamped to it on the others) so that a security ball tests only the
+/// bins it overlaps.
 pub struct MovedSet {
-    domain: Aabb,
     periodic: [bool; 3],
-    /// Bins per axis.
-    side: usize,
-    bin: Vec3,
-    /// Bin `b` holds `points[start[b]..start[b + 1]]`.
-    start: Vec<u32>,
+    /// Bins of the wrapped positions over the domain; members index
+    /// `points`.
+    bins: Bins,
+    /// The positions as given, which the distance test reads.
     points: Vec<Vec3>,
 }
 
@@ -89,55 +88,21 @@ impl MovedSet {
             points.iter().all(|p| p.is_finite()),
             "a moved position is not finite"
         );
-        let side = ((points.len() as f64).cbrt().ceil() as usize).clamp(1, 32);
-        let e = domain.extent();
-        let mut set = MovedSet {
-            domain,
-            periodic,
-            side,
-            bin: Vec3::new(e.x / side as f64, e.y / side as f64, e.z / side as f64),
-            start: vec![0; side * side * side + 1],
-            points: Vec::with_capacity(points.len()),
-        };
-        let bins: Vec<usize> = points
+        let (lo, ext) = (domain.min, domain.extent());
+        let wrapped: Vec<Vec3> = points
             .iter()
             .map(|&p| {
-                let c = [0, 1, 2].map(|a| set.bin_index(a, p[a]));
-                (c[2] * side + c[1]) * side + c[0]
+                let mut w = p;
+                for a in (0..3).filter(|&a| periodic[a] && ext[a] > 0.0) {
+                    w[a] = lo[a] + (p[a] - lo[a]).rem_euclid(ext[a]);
+                }
+                w
             })
             .collect();
-        for &b in &bins {
-            set.start[b + 1] += 1;
-        }
-        for b in 1..set.start.len() {
-            set.start[b] += set.start[b - 1];
-        }
-        let mut fill = set.start.clone();
-        set.points.resize(points.len(), Vec3::ZERO);
-        for (&b, &p) in bins.iter().zip(points) {
-            set.points[fill[b] as usize] = p;
-            fill[b] += 1;
-        }
-        set
-    }
-
-    /// Bin coordinate of `x` on axis `a`: wrapped on a periodic axis,
-    /// clamped on the others.
-    fn bin_index(&self, a: usize, x: f64) -> usize {
-        let (c, n) = (self.raw_bin(a, x), self.side as i64);
-        if self.periodic[a] {
-            c.rem_euclid(n) as usize
-        } else {
-            c.clamp(0, n - 1) as usize
-        }
-    }
-
-    /// Unwrapped bin coordinate of `x` on axis `a`.
-    fn raw_bin(&self, a: usize, x: f64) -> i64 {
-        if self.bin[a] > 0.0 {
-            ((x - self.domain.min[a]) / self.bin[a]).floor() as i64
-        } else {
-            0
+        MovedSet {
+            periodic,
+            bins: Bins::build(domain, &wrapped, 1.0),
+            points: points.to_vec(),
         }
     }
 
@@ -151,21 +116,27 @@ impl MovedSet {
         }
         let reach2 = sec2 * (1.0 + 1e-9) + 1e-12;
         let reach = reach2.sqrt();
-        let ext = self.domain.extent();
-        // One bin of margin each side: a point's bin and its image's may
-        // round apart at a bin wall.
-        let span = |a: usize| -> Vec<usize> {
-            let n = self.side as i64;
-            let lo = self.raw_bin(a, site[a] - reach) - 1;
-            let hi = self.raw_bin(a, site[a] + reach) + 1;
-            if !self.periodic[a] {
-                (lo.clamp(0, n - 1)..=hi.clamp(0, n - 1))
-                    .map(|c| c as usize)
-                    .collect()
-            } else if hi - lo + 1 >= n {
-                (0..n as usize).collect()
+        let ext = self.bins.bounds().extent();
+        let dims = self.bins.dims();
+        // The bins the ball overlaps on axis `a`, as at most two ranges. One
+        // bin of margin each side: a point's bin and its image's may round
+        // apart at a bin wall.
+        let span = |a: usize| -> [Range<usize>; 2] {
+            let n = dims[a] as isize;
+            let lo = self.bins.raw_coord(a, site[a] - reach).saturating_sub(1);
+            let hi = self.bins.raw_coord(a, site[a] + reach).saturating_add(1);
+            let (l, h) = if !self.periodic[a] {
+                (lo.clamp(0, n - 1), hi.clamp(0, n - 1))
+            } else if hi.saturating_sub(lo) >= n - 1 {
+                (0, n - 1)
             } else {
-                (lo..=hi).map(|c| c.rem_euclid(n) as usize).collect()
+                (lo.rem_euclid(n), hi.rem_euclid(n))
+            };
+            let (l, h) = (l as usize, h as usize);
+            if l <= h {
+                [l..h + 1, 0..0]
+            } else {
+                [l..dims[a], 0..h + 1]
             }
         };
         let (xs, ys, zs) = (span(0), span(1), span(2));
@@ -180,13 +151,13 @@ impl MovedSet {
                 })
                 .sum()
         };
-        let side = self.side;
-        zs.iter().any(|&z| {
-            ys.iter().any(|&y| {
-                xs.iter().any(|&x| {
-                    let b = (z * side + y) * side + x;
-                    let bin = &self.points[self.start[b] as usize..self.start[b + 1] as usize];
-                    bin.iter().any(|&p| d2(p) <= reach2)
+        zs.into_iter().flatten().any(|z| {
+            ys.iter().cloned().flatten().any(|y| {
+                xs.iter().any(|x| {
+                    self.bins
+                        .row(y, z, x.clone())
+                        .iter()
+                        .any(|&i| d2(self.points[i as usize]) <= reach2)
                 })
             })
         })
@@ -1329,8 +1300,35 @@ mod tests {
                 rng.gen_range(domain.min.z - spill..domain.max.z + spill),
             )
         };
-        let points: Vec<Vec3> = (0..40).map(|_| point(0.5)).collect();
-        let sites: Vec<Vec3> = (0..400).map(|_| point(1.0)).collect();
+        let mut points: Vec<Vec3> = (0..40).map(|_| point(0.5)).collect();
+        let mut sites: Vec<Vec3> = (0..400).map(|_| point(1.0)).collect();
+        // Seams of the periodic x and z axes: a point exactly at
+        // `domain.max`, and points several bins past a face. Five sites,
+        // one per ball size, see each through the opposite face, just
+        // inside it, or beside its in-domain image.
+        let seams = [
+            (
+                Vec3::new(domain.max.x, 1.0, 3.0),
+                Vec3::new(domain.min.x + 1e-12, 1.0, 3.0),
+            ),
+            (
+                Vec3::new(domain.max.x + ext.x + 0.05, 3.0, 4.0),
+                Vec3::new(domain.max.x - 1e-12, 3.0, 4.0),
+            ),
+            (
+                Vec3::new(2.0, 2.0, domain.min.z - 2.0 * ext.z - 0.05),
+                Vec3::new(2.0, 2.0, domain.max.z - 1e-12),
+            ),
+            (
+                Vec3::new(domain.max.x + 2.5, 1.5, 3.5),
+                Vec3::new(domain.min.x + 2.55, 1.5, 3.5),
+            ),
+        ];
+        for (p, inside) in seams {
+            points.push(p);
+            let step = Vec3::new(0.0, 0.02, 0.0);
+            sites.extend((0..5).map(|j| inside + step * j as f64));
+        }
         let set = MovedSet::new(domain, periodic, &points);
         let (mut hits, mut misses) = (0, 0);
         for (k, &site) in sites.iter().enumerate() {

@@ -1,11 +1,21 @@
-//! Uniform acceleration grid for distance-ordered candidate iteration.
+//! Uniform binning, the one spatial index of the crate, and the
+//! distance-ordered candidate stream built on it.
+//!
+//! [`Bins`] sorts points into a uniform grid of bins over a box in CSR form
+//! — `u32` bin offsets and `u32` member indices, ascending within a bin.
+//! Every spatial question `tess` answers walks one: the cell kernel's and
+//! the FOF finder's candidate streams and the service's point lookups
+//! ([`CandidateGrid`]), the service's box and region answers (one site grid
+//! per block) and the incremental epochs' dirtiness test (the moved-set
+//! ball test).
 //!
 //! The local cell computation needs candidate neighbors in order of
-//! distance from a site so the security-radius test terminates early. A
-//! uniform grid over the ghosted block region gives candidates in
-//! Chebyshev "rings" of bins; the minimum possible distance to the next
-//! ring (which knows on which sides of the center a ring still has bins)
-//! provides the lower bound used by the termination test.
+//! distance from a site so the security-radius test terminates early. The
+//! bins over the ghosted block region give candidates in Chebyshev "rings"
+//! of bins, each scanned in place as a few row slices; the minimum possible
+//! distance to the next ring (which knows on which sides of the center a
+//! ring still has bins) provides the lower bound used by the termination
+//! test.
 //!
 //! The **candidate stream** ([`CandidateGrid::stream`]) sits on top of the
 //! binning and emits candidates one at a time in the canonical clip order —
@@ -20,16 +30,147 @@
 //! point *set* alone: neither the local index order of the points nor the
 //! grid geometry can show in it.
 
+use std::ops::Range;
+
 use geometry::{Aabb, Vec3};
 
-/// Uniform binning of points over a region.
-pub struct CandidateGrid {
+/// Points binned on a uniform grid over `bounds`, in CSR form: bin `b`
+/// holds the point indices `items[start[b]..start[b + 1]]`, ascending.
+/// Bin `(x, y, z)` is `b = x + dims[0] · (y + dims[1] · z)`, so the bins of
+/// one row are adjacent and a run of them is one slice of `items`.
+///
+/// A point outside `bounds` lands in the nearest edge bin; a point with a
+/// NaN coordinate joins no bin.
+pub(crate) struct Bins {
     bounds: Aabb,
     dims: [usize; 3],
+    /// Bins per unit length; 0 on an axis with one bin.
     inv_h: Vec3,
-    /// Per-axis bin edges — used for ring distance lower bounds.
+    /// Per-axis bin edges.
     h: [f64; 3],
-    bins: Vec<Vec<u32>>,
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Bins {
+    /// Bin `points` over `bounds`, aiming at about `per_bin` points per
+    /// bin: cubic bins of the volume that holds that many on average, at
+    /// most 256 per axis. An axis of zero or non-finite extent gets one
+    /// bin, and the volume is taken over the others.
+    pub(crate) fn build(bounds: Aabb, points: &[Vec3], per_bin: f64) -> Bins {
+        let target = (points.len().max(1) as f64 / per_bin).max(1.0);
+        let e = bounds.extent();
+        let split = [0, 1, 2].map(|a| e[a] > 0.0 && e[a].is_finite());
+        let k = split.iter().filter(|&&s| s).count();
+        let mut dims = [1usize; 3];
+        if k > 0 {
+            let vol = (0..3)
+                .filter(|&a| split[a])
+                .fold(1.0, |v, a| v * e[a])
+                .max(1e-300);
+            let h = (vol / target).powf(1.0 / k as f64);
+            for a in (0..3).filter(|&a| split[a]) {
+                dims[a] = ((e[a] / h).ceil() as usize).clamp(1, 256);
+            }
+        }
+        let h = [0, 1, 2].map(|a| e[a] / dims[a] as f64);
+        let inv = |a: usize| if dims[a] > 1 { 1.0 / h[a] } else { 0.0 };
+        let nbins = dims[0] * dims[1] * dims[2];
+        let mut bins = Bins {
+            bounds,
+            dims,
+            inv_h: Vec3::new(inv(0), inv(1), inv(2)),
+            h,
+            start: vec![0; nbins + 2],
+            items: Vec::new(),
+        };
+        // A counting sort, so members land in ascending index order: count
+        // bin `b` at `start[b + 2]`, take prefix sums, then fill with
+        // `start[b + 1]` as bin `b`'s cursor, which leaves it at bin
+        // `b + 1`'s first member.
+        let bin_of = |bins: &Bins, p: Vec3| {
+            let nan = p.x.is_nan() || p.y.is_nan() || p.z.is_nan();
+            let c = [0, 1, 2].map(|a| bins.coord(a, p[a]));
+            (!nan).then(|| c[0] + dims[0] * (c[1] + dims[1] * c[2]))
+        };
+        for &p in points {
+            if let Some(b) = bin_of(&bins, p) {
+                bins.start[b + 2] += 1;
+            }
+        }
+        for b in 2..bins.start.len() {
+            bins.start[b] += bins.start[b - 1];
+        }
+        bins.items = vec![0; bins.start[nbins + 1] as usize];
+        for (i, &p) in points.iter().enumerate() {
+            if let Some(b) = bin_of(&bins, p) {
+                let slot = &mut bins.start[b + 1];
+                bins.items[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        bins.start.pop();
+        bins
+    }
+
+    pub(crate) fn bounds(&self) -> Aabb {
+        self.bounds
+    }
+
+    pub(crate) fn dims(&self) -> [usize; 3] {
+        self.dims
+    }
+
+    /// Bin coordinate of `x` on axis `a`, clamped to the grid: monotone in
+    /// `x`, and 0 for NaN.
+    #[inline]
+    pub(crate) fn coord(&self, a: usize, x: f64) -> usize {
+        (((x - self.bounds.min[a]) * self.inv_h[a]) as isize).clamp(0, self.dims[a] as isize - 1)
+            as usize
+    }
+
+    /// Unclamped bin coordinate of `x` on axis `a`: `floor` of its offset
+    /// from `bounds.min` in bins, saturating; 0 on a one-bin axis.
+    pub(crate) fn raw_coord(&self, a: usize, x: f64) -> isize {
+        ((x - self.bounds.min[a]) * self.inv_h[a]).floor() as isize
+    }
+
+    /// Members of bins `x` of row `(y, z)`.
+    #[inline]
+    pub(crate) fn row(&self, y: usize, z: usize, x: Range<usize>) -> &[u32] {
+        let row = self.dims[0] * (y + self.dims[1] * z);
+        &self.items[self.start[row + x.start] as usize..self.start[row + x.end] as usize]
+    }
+
+    /// Hand `f` the members of the Chebyshev ring `r` of bins around bin
+    /// `c`, which must lie in the grid (`r = 0` is bin `c` itself): rows
+    /// `z`-major then `y`, a row on the ring's shell as one slice, any
+    /// other row as its two end bins.
+    #[inline]
+    pub(crate) fn ring(&self, c: [usize; 3], r: usize, mut f: impl FnMut(&[u32])) {
+        let span = |a: usize| c[a].saturating_sub(r)..(c[a] + r + 1).min(self.dims[a]);
+        let xs = span(0);
+        for z in span(2) {
+            for y in span(1) {
+                if z.abs_diff(c[2]) == r || y.abs_diff(c[1]) == r {
+                    f(self.row(y, z, xs.clone()));
+                    continue;
+                }
+                // Off the shell in y and z, so r >= 1: only the end bins.
+                if c[0] >= r {
+                    f(self.row(y, z, c[0] - r..c[0] - r + 1));
+                }
+                if c[0] + r < self.dims[0] {
+                    f(self.row(y, z, c[0] + r..c[0] + r + 1));
+                }
+            }
+        }
+    }
+}
+
+/// [`Bins`] with the `f32` coordinates the candidate stream prefilters on.
+pub struct CandidateGrid {
+    bins: Bins,
     /// SoA coordinates relative to `bounds.min`, in `f32`, for the
     /// prefilter (structure-of-arrays so the per-ring scan stays linear).
     sx: Vec<f32>,
@@ -45,52 +186,38 @@ impl CandidateGrid {
     /// Build a grid over `bounds` holding `points`, aiming at about
     /// `per_bin` points per bin.
     pub fn build(bounds: Aabb, points: &[Vec3], per_bin: f64) -> Self {
-        let n = points.len().max(1);
-        let target_bins = (n as f64 / per_bin).max(1.0);
+        let bins = Bins::build(bounds, points, per_bin);
         let e = bounds.extent();
-        let vol = (e.x * e.y * e.z).max(1e-300);
-        let h = (vol / target_bins).powf(1.0 / 3.0);
-        let dims = [
-            ((e.x / h).ceil() as usize).clamp(1, 256),
-            ((e.y / h).ceil() as usize).clamp(1, 256),
-            ((e.z / h).ceil() as usize).clamp(1, 256),
-        ];
-        let hx = e.x / dims[0] as f64;
-        let hy = e.y / dims[1] as f64;
-        let hz = e.z / dims[2] as f64;
-        let mut grid = CandidateGrid {
-            bounds,
-            dims,
-            inv_h: Vec3::new(1.0 / hx, 1.0 / hy, 1.0 / hz),
-            h: [hx, hy, hz],
-            bins: vec![Vec::new(); dims[0] * dims[1] * dims[2]],
-            sx: Vec::with_capacity(points.len()),
-            sy: Vec::with_capacity(points.len()),
-            sz: Vec::with_capacity(points.len()),
-            scale: 0.0,
-        };
         let mut scale = e.x.max(e.y).max(e.z);
-        for (i, &p) in points.iter().enumerate() {
-            let b = grid.bin_of(p);
-            grid.bins[b].push(i as u32);
+        let (mut sx, mut sy, mut sz) = (
+            Vec::with_capacity(points.len()),
+            Vec::with_capacity(points.len()),
+            Vec::with_capacity(points.len()),
+        );
+        for &p in points {
             let rel = p - bounds.min;
-            grid.sx.push(rel.x as f32);
-            grid.sy.push(rel.y as f32);
-            grid.sz.push(rel.z as f32);
+            sx.push(rel.x as f32);
+            sy.push(rel.y as f32);
+            sz.push(rel.z as f32);
             scale = scale.max(rel.x.abs()).max(rel.y.abs()).max(rel.z.abs());
         }
-        grid.scale = scale.max(1e-300);
-        grid
+        CandidateGrid {
+            bins,
+            sx,
+            sy,
+            sz,
+            scale: scale.max(1e-300),
+        }
     }
 
     pub fn dims(&self) -> [usize; 3] {
-        self.dims
+        self.bins.dims
     }
 
     /// [`Self::ring_lb`] around a point.
     #[cfg(test)]
     fn ring_min_distance_from(&self, center: Vec3, r: usize) -> f64 {
-        let rel = center - self.bounds.min;
+        let rel = center - self.bins.bounds.min;
         self.ring_lb([rel.x, rel.y, rel.z], self.coords_of(center), r)
     }
 
@@ -112,21 +239,20 @@ impl CandidateGrid {
     /// round a few times at coordinate magnitude (≲ 5 eps·scale in all),
     /// and a candidate on a bin wall can measure a few ulps closer than
     /// the wall does, so the bound is pulled in by 8 eps·scale.
-    fn ring_lb(&self, rel: [f64; 3], c: [isize; 3], r: usize) -> f64 {
+    fn ring_lb(&self, rel: [f64; 3], c: [usize; 3], r: usize) -> f64 {
         if r == 0 {
             return 0.0;
         }
-        let ri = r as isize;
         let mut bound = f64::INFINITY;
         for a in 0..3 {
-            let h = self.h[a];
-            if c[a] + ri < self.dims[a] as isize {
+            let h = self.bins.h[a];
+            if c[a] + r < self.bins.dims[a] {
                 // near wall of the +side ring slab is at (c+r)·h
-                bound = bound.min(((c[a] + ri) as f64 * h - rel[a]).max(0.0));
+                bound = bound.min(((c[a] + r) as f64 * h - rel[a]).max(0.0));
             }
-            if c[a] - ri >= 0 {
+            if c[a] >= r {
                 // near wall of the -side ring slab is at (c-r+1)·h
-                bound = bound.min((rel[a] - (c[a] - ri + 1) as f64 * h).max(0.0));
+                bound = bound.min((rel[a] - (c[a] - r + 1) as f64 * h).max(0.0));
             }
         }
         (bound - 8.0 * f64::EPSILON * self.scale).max(0.0)
@@ -134,71 +260,20 @@ impl CandidateGrid {
 
     /// Largest ring index that can contain any bin, from any center.
     fn max_ring(&self) -> usize {
-        self.dims.iter().max().copied().unwrap_or(1)
+        self.bins.dims.iter().max().copied().unwrap_or(1)
     }
 
-    fn coords_of(&self, p: Vec3) -> [isize; 3] {
-        let rel = p - self.bounds.min;
-        [
-            ((rel.x * self.inv_h.x) as isize).clamp(0, self.dims[0] as isize - 1),
-            ((rel.y * self.inv_h.y) as isize).clamp(0, self.dims[1] as isize - 1),
-            ((rel.z * self.inv_h.z) as isize).clamp(0, self.dims[2] as isize - 1),
-        ]
-    }
-
-    fn bin_of(&self, p: Vec3) -> usize {
-        let c = self.coords_of(p);
-        c[0] as usize + self.dims[0] * (c[1] as usize + self.dims[1] * c[2] as usize)
+    fn coords_of(&self, p: Vec3) -> [usize; 3] {
+        [0, 1, 2].map(|a| self.bins.coord(a, p[a]))
     }
 
     /// Point indices in the Chebyshev ring `r` of bins around `center`
     /// (`r = 0` is the center bin itself).
     #[cfg(test)]
     fn ring_candidates(&self, center: Vec3, r: usize, out: &mut Vec<u32>) {
-        self.ring_candidates_at(self.coords_of(center), r, out);
-    }
-
-    fn ring_candidates_at(&self, c: [isize; 3], r: usize, out: &mut Vec<u32>) {
         out.clear();
-        let ri = r as isize;
-        let (dx0, dx1) = (c[0] - ri, c[0] + ri);
-        for z in (c[2] - ri)..=(c[2] + ri) {
-            if z < 0 || z >= self.dims[2] as isize {
-                continue;
-            }
-            for y in (c[1] - ri)..=(c[1] + ri) {
-                if y < 0 || y >= self.dims[1] as isize {
-                    continue;
-                }
-                let on_shell_yz = (z - c[2]).abs() == ri || (y - c[1]).abs() == ri;
-                if on_shell_yz {
-                    for x in dx0..=dx1 {
-                        if x < 0 || x >= self.dims[0] as isize {
-                            continue;
-                        }
-                        out.extend_from_slice(&self.bins[self.index(x, y, z)]);
-                    }
-                } else {
-                    // only the two extreme x planes are on the shell
-                    for x in [dx0, dx1] {
-                        if x < 0 || x >= self.dims[0] as isize {
-                            continue;
-                        }
-                        if r == 0 && x == dx1 && dx0 == dx1 {
-                            continue; // avoid double-visiting the center bin
-                        }
-                        out.extend_from_slice(&self.bins[self.index(x, y, z)]);
-                        if dx0 == dx1 {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn index(&self, x: isize, y: isize, z: isize) -> usize {
-        x as usize + self.dims[0] * (y as usize + self.dims[1] * z as usize)
+        self.bins
+            .ring(self.coords_of(center), r, |s| out.extend_from_slice(s));
     }
 
     /// `f32` threshold such that `d2f > threshold` proves the exact
@@ -244,8 +319,7 @@ impl CandidateGrid {
     ) -> NeighborStream<'a> {
         scratch.pending.clear();
         scratch.ready.clear();
-        scratch.ring.clear();
-        let rel = center - self.bounds.min;
+        let rel = center - self.bins.bounds.min;
         NeighborStream {
             grid: self,
             points,
@@ -265,16 +339,15 @@ impl CandidateGrid {
     }
 }
 
-/// Reusable buffers for [`NeighborStream`] (distance shells, ready queue,
-/// ring scratch), owned by the caller so streaming millions of cells
-/// allocates nothing in steady state.
+/// Reusable buffers for [`NeighborStream`] (distance shells and ready
+/// queue), owned by the caller so streaming millions of cells allocates
+/// nothing in steady state.
 #[derive(Default)]
 pub struct StreamScratch {
     /// Fetched candidates not yet emittable, unsorted: `(d2, index)`.
     pending: Vec<(f64, u32)>,
     /// Emittable candidates in canonical order, consumed from `head`.
     ready: Vec<(f64, u32)>,
-    ring: Vec<u32>,
 }
 
 /// Lazy ordered merge of the grid rings around one center.
@@ -306,7 +379,7 @@ pub struct NeighborStream<'a> {
     center: Vec3,
     center_rel32: [f32; 3],
     center_rel: [f64; 3],
-    coords: [isize; 3],
+    coords: [usize; 3],
     skip: u32,
     /// Next ring index to fetch.
     next_ring: usize,
@@ -360,7 +433,7 @@ impl NeighborStream<'_> {
     /// lies beyond `bound2`, move what lies below `cur_lb2` into `ready`
     /// and sort it.
     fn promote(&mut self, bound2: f64) {
-        let StreamScratch { pending, ready, .. } = &mut *self.scratch;
+        let StreamScratch { pending, ready } = &mut *self.scratch;
         ready.clear();
         self.head = 0;
         let lb2 = self.cur_lb2;
@@ -397,25 +470,28 @@ impl NeighborStream<'_> {
     fn fetch_next_ring(&mut self, bound2: f64) {
         let r = self.next_ring;
         self.next_ring = r + 1;
-        self.grid
-            .ring_candidates_at(self.coords, r, &mut self.scratch.ring);
-        let pf = self.grid.prefilter_bound(bound2);
-        for &i in self.scratch.ring.iter() {
-            if i == self.skip {
-                continue;
+        let grid = self.grid;
+        let pf = grid.prefilter_bound(bound2);
+        let (points, center, center_rel32, skip) =
+            (self.points, self.center, self.center_rel32, self.skip);
+        let pending = &mut self.scratch.pending;
+        let skipped = &mut self.prefilter_skipped;
+        grid.bins.ring(self.coords, r, |members| {
+            for &i in members {
+                if i == skip {
+                    continue;
+                }
+                if grid.rel_dist2_f32(i, center_rel32) > pf {
+                    *skipped += 1;
+                    continue;
+                }
+                let d2 = points[i as usize].dist2(center);
+                if d2 <= bound2 {
+                    pending.push((d2, i));
+                }
             }
-            if self.grid.rel_dist2_f32(i, self.center_rel32) > pf {
-                self.prefilter_skipped += 1;
-                continue;
-            }
-            let d2 = self.points[i as usize].dist2(self.center);
-            if d2 <= bound2 {
-                self.scratch.pending.push((d2, i));
-            }
-        }
-        let lb = self
-            .grid
-            .ring_lb(self.center_rel, self.coords, self.next_ring);
+        });
+        let lb = grid.ring_lb(self.center_rel, self.coords, self.next_ring);
         self.cur_lb2 = lb * lb;
     }
 }
@@ -455,19 +531,45 @@ mod tests {
 
     #[test]
     fn rings_partition_all_points() {
-        let pts = lattice(6);
-        let grid = CandidateGrid::build(Aabb::cube(6.0), &pts, 2.0);
-        let center = Vec3::splat(3.0);
-        let mut seen = vec![false; pts.len()];
-        let mut buf = Vec::new();
-        for r in 0..=grid.max_ring() {
-            grid.ring_candidates(center, r, &mut buf);
-            for &i in &buf {
-                assert!(!seen[i as usize], "point {i} appeared in two rings");
-                seen[i as usize] = true;
+        // Every point with no NaN coordinate appears in exactly one ring
+        // and a NaN point in none: on a lattice, on a flat set (an axis of
+        // zero extent), on a set of one repeated point, and on a lattice
+        // holding one NaN point.
+        let flat: Vec<Vec3> = lattice(6).into_iter().filter(|p| p.z == 0.5).collect();
+        let mut with_nan = lattice(6);
+        with_nan[100] = Vec3::new(1.5, f64::NAN, 2.5);
+        let cases = [
+            (lattice(6), Aabb::cube(6.0)),
+            (
+                flat,
+                Aabb::new(Vec3::new(0.5, 0.5, 0.5), Vec3::new(5.5, 5.5, 0.5)),
+            ),
+            (
+                vec![Vec3::splat(1.25); 20],
+                Aabb::new(Vec3::splat(1.25), Vec3::splat(1.25)),
+            ),
+            (with_nan, Aabb::cube(6.0)),
+        ];
+        for (case, (pts, bounds)) in cases.into_iter().enumerate() {
+            let grid = CandidateGrid::build(bounds, &pts, 2.0);
+            let center = Vec3::splat(3.0);
+            let mut seen = vec![false; pts.len()];
+            let mut buf = Vec::new();
+            for r in 0..=grid.max_ring() {
+                grid.ring_candidates(center, r, &mut buf);
+                for &i in &buf {
+                    assert!(
+                        !seen[i as usize],
+                        "case {case}: point {i} appeared in two rings"
+                    );
+                    seen[i as usize] = true;
+                }
+            }
+            for (i, p) in pts.iter().enumerate() {
+                let nan = p.x.is_nan() || p.y.is_nan() || p.z.is_nan();
+                assert_eq!(seen[i], !nan, "case {case}: point {i} at {p}");
             }
         }
-        assert!(seen.iter().all(|&s| s), "all points visited exactly once");
     }
 
     #[test]
@@ -742,8 +844,8 @@ mod tests {
                         .collect();
                     let probe = CandidateGrid::build(region, &pts, 2.0);
                     let c = pts[0];
-                    for k in 1..probe.dims[0] {
-                        let wall = k as f64 * probe.h[0];
+                    for k in 1..probe.dims()[0] {
+                        let wall = k as f64 * probe.bins.h[0];
                         for du in -2i64..=2 {
                             let x = f64::from_bits((wall.to_bits() as i64 + du) as u64);
                             let mirror = c.x - (x - c.x);
@@ -977,8 +1079,8 @@ mod tests {
                 .collect();
             let center = min + rand3(&mut rng, 0.0, ext);
             let probe = CandidateGrid::build(bounds, &pts, 2.0);
-            for k in 1..probe.dims[0] {
-                let wall = k as f64 * probe.h[0];
+            for k in 1..probe.dims()[0] {
+                let wall = k as f64 * probe.bins.h[0];
                 for du in -2i64..=2 {
                     let relx = f64::from_bits((wall.to_bits() as i64 + du) as u64);
                     let p = Vec3::new(min.x + relx, center.y, center.z);

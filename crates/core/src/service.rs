@@ -49,14 +49,14 @@
 //! ## Box and region answers
 //!
 //! Beside the point index, [`MeshSnapshot::build`] bins each block's cell
-//! sites on a uniform grid over their tight bounding box, about four sites
-//! per bin, in CSR form: `u32` bin offsets and `u32` member cell indices,
-//! ascending within a bin (a counting sort gives that for free). Assembly
-//! stores cell `i`'s site at `particles[i]` (`build` asserts it), so the
-//! grid reads sites there and copies none: it costs 4 B per cell plus the
-//! offsets. A box or region query skips every block whose site box it
-//! misses and walks, per axis, only the bins from `bin(q.min)` to
-//! `bin(q.max)`.
+//! sites in the crate's one CSR grid ([`crate::grid`]'s `Bins`) over their
+//! tight bounding box, about four sites per bin: `u32` bin offsets and
+//! `u32` member cell indices, ascending within a bin. Assembly stores cell
+//! `i`'s site at `particles[i]` (`build` asserts it), so the grid reads
+//! sites there and copies none: it costs 4 B per cell plus the offsets. A
+//! box or region query skips every block whose site box it misses and
+//! walks, per axis, only the bins from `bin(q.min)` to `bin(q.max)`, one
+//! row slice at a time.
 //!
 //! Membership is [`Aabb::contains`] on the stored site, exactly. Binning,
 //! `floor((x − lo) · inv_h)` clamped to the grid, is monotone in `x`. So a
@@ -103,7 +103,7 @@ use geometry::{Aabb, Vec3};
 
 use crate::block::{same_bits, CellCarry, MovedSet};
 use crate::driver::{tessellate_incremental, PrevEpoch};
-use crate::grid::{CandidateGrid, StreamScratch};
+use crate::grid::{Bins, CandidateGrid, StreamScratch};
 use crate::model::MeshBlock;
 use crate::params::TessParams;
 use crate::stats::TessStats;
@@ -258,171 +258,78 @@ struct SiteEntry {
 }
 
 /// Sites per bin the per-block site grid aims at.
-const SITES_PER_BIN: usize = 4;
+const SITES_PER_BIN: f64 = 4.0;
 
-/// One block's cell sites binned on a uniform grid over their tight
-/// bounding box, in CSR form: bin `b` holds the cell indices
-/// `cells[start[b]..start[b + 1]]`, ascending. Box and region answers walk
-/// only the bins a query overlaps.
-struct SiteBins {
-    /// Closed bounding box of the sites (NaN coordinates skipped), so it
-    /// holds every binned site.
-    lo: Vec3,
-    hi: Vec3,
-    dims: [usize; 3],
-    /// Bins per unit length; 0 on an axis with one bin.
-    inv_h: Vec3,
-    start: Vec<u32>,
-    cells: Vec<u32>,
-}
-
-/// A site with a NaN coordinate lies in no box, so it joins no bin.
-fn has_nan(p: Vec3) -> bool {
-    p.x.is_nan() || p.y.is_nan() || p.z.is_nan()
-}
-
-impl SiteBins {
-    fn build(block: &MeshBlock) -> SiteBins {
-        // Assembly pushes a cell's site as it pushes the cell, so cell `i`'s
-        // site is `particles[i]`, and queries read it there directly. A
-        // block built otherwise would get wrong box and region answers.
-        assert!(
-            block
-                .cells
-                .iter()
-                .enumerate()
-                .all(|(i, c)| c.site_idx as usize == i),
-            "block {}: cell i must store its site at particles[i]",
-            block.gid
-        );
-        let sites = &block.particles[..block.cells.len()];
-        // `f64::min`/`max` skip NaN coordinates.
-        let (mut lo, mut hi) = (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY));
-        for &p in sites {
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        let e = hi - lo;
-        let target = (block.cells.len() / SITES_PER_BIN).max(1);
-        // Only an axis of finite, positive extent is split.
-        let split = [0, 1, 2].map(|a| e[a] > 0.0 && e[a].is_finite());
-        let k = split.iter().filter(|&&s| s).count();
-        let mut dims = [1usize; 3];
-        if k > 0 {
-            let vol: f64 = (0..3).filter(|&a| split[a]).map(|a| e[a]).product();
-            let h = (vol / target as f64).powf(1.0 / k as f64);
-            for a in (0..3).filter(|&a| split[a]) {
-                dims[a] = ((e[a] / h).ceil() as usize).clamp(1, target);
-            }
-            // A flat or needle-like block (or an underflowing volume) can
-            // ask for far more bins than sites: halve the longest axis.
-            while dims.iter().fold(1usize, |n, &d| n.saturating_mul(d)) > 2 * target {
-                let a = (0..3).max_by_key(|&a| dims[a]).expect("three axes");
-                dims[a] = dims[a].div_ceil(2);
-            }
-        }
-        let inv = |a: usize| {
-            if dims[a] > 1 {
-                dims[a] as f64 / e[a]
-            } else {
-                0.0
-            }
-        };
-        let nbins = dims[0] * dims[1] * dims[2];
-        let mut bins = SiteBins {
-            lo,
-            hi,
-            dims,
-            inv_h: Vec3::new(inv(0), inv(1), inv(2)),
-            start: vec![0; nbins + 2],
-            cells: Vec::new(),
-        };
-        // Bin of each site; `nbins` (no bin) for a site with a NaN
-        // coordinate.
-        let of: Vec<u32> = sites
+/// Bin `block`'s cell sites over their tight bounding box (NaN coordinates
+/// skipped, so it holds every binned site) for box and region answers.
+fn site_bins(block: &MeshBlock) -> Bins {
+    // Assembly pushes a cell's site as it pushes the cell, so cell `i`'s
+    // site is `particles[i]`, and queries read it there directly. A block
+    // built otherwise would get wrong box and region answers.
+    assert!(
+        block
+            .cells
             .iter()
-            .map(|&p| {
-                if has_nan(p) {
-                    nbins as u32
-                } else {
-                    bins.bin(&[0, 1, 2].map(|a| bins.coord(a, p[a]))) as u32
+            .enumerate()
+            .all(|(i, c)| c.site_idx as usize == i),
+        "block {}: cell i must store its site at particles[i]",
+        block.gid
+    );
+    let sites = &block.particles[..block.cells.len()];
+    // `f64::min`/`max` skip NaN coordinates; an empty block keeps an
+    // inverted box that no query overlaps.
+    let (mut min, mut max) = (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY));
+    for &p in sites {
+        min = min.min(p);
+        max = max.max(p);
+    }
+    Bins::build(Aabb { min, max }, sites, SITES_PER_BIN)
+}
+
+/// Set in `hits` (resized to one bit per cell of `block`) every cell whose
+/// site lies in `q`, which must have `min < max` on every axis. `false`,
+/// with `hits` untouched, when no site can lie in `q`.
+fn mark(bins: &Bins, block: &MeshBlock, q: &Aabb, hits: &mut Vec<u64>) -> bool {
+    let sites = bins.bounds();
+    if (0..3).any(|a| q.max[a] <= sites.min[a] || q.min[a] > sites.max[a]) {
+        return false;
+    }
+    hits.clear();
+    hits.resize(block.cells.len().div_ceil(64), 0);
+    let lo = [0, 1, 2].map(|a| bins.coord(a, q.min[a]));
+    let hi = [0, 1, 2].map(|a| bins.coord(a, q.max[a]));
+    // Binning is monotone: a site in a bin after `lo[a]` is `>= q.min` on
+    // axis `a`, one in a bin before `hi[a]` is `< q.max`, and a face of `q`
+    // outside the site bounding box holds for every site. Only members of a
+    // bin on a face that cuts the sites need the test.
+    let cut_lo = [0, 1, 2].map(|a| q.min[a] > sites.min[a]);
+    let cut_hi = [0, 1, 2].map(|a| q.max[a] <= sites.max[a]);
+    let edge = |a: usize, c: usize| (c == lo[a] && cut_lo[a]) || (c == hi[a] && cut_hi[a]);
+    let mut set = |ci: u32| hits[ci as usize / 64] |= 1 << (ci % 64);
+    for z in lo[2]..=hi[2] {
+        for y in lo[1]..=hi[1] {
+            // Bins `a..b` of the row skip the test; the ones before and
+            // after it take it.
+            let end = hi[0] + 1;
+            let (a, b) = if edge(1, y) || edge(2, z) {
+                (end, end)
+            } else {
+                let a = lo[0] + usize::from(cut_lo[0]);
+                (a, (end - usize::from(cut_hi[0])).max(a))
+            };
+            let tested = bins
+                .row(y, z, lo[0]..a)
+                .iter()
+                .chain(bins.row(y, z, b..end));
+            for &ci in tested {
+                if q.contains(block.particles[ci as usize]) {
+                    set(ci);
                 }
-            })
-            .collect();
-        for &b in &of {
-            bins.start[b as usize + 1] += 1;
-        }
-        for b in 1..=nbins + 1 {
-            bins.start[b] += bins.start[b - 1];
-        }
-        // A counting sort: members land in ascending cell order.
-        bins.cells = vec![0; bins.start[nbins + 1] as usize];
-        let mut fill = bins.start.clone();
-        for (ci, &b) in of.iter().enumerate() {
-            bins.cells[fill[b as usize] as usize] = ci as u32;
-            fill[b as usize] += 1;
-        }
-        bins.cells.truncate(bins.start[nbins] as usize);
-        bins.start.pop();
-        bins
-    }
-
-    /// Bin coordinate of `x` on axis `a`: monotone in `x`, clamped to the
-    /// grid.
-    fn coord(&self, a: usize, x: f64) -> usize {
-        (((x - self.lo[a]) * self.inv_h[a]) as usize).min(self.dims[a] - 1)
-    }
-
-    fn bin(&self, c: &[usize; 3]) -> usize {
-        (c[2] * self.dims[1] + c[1]) * self.dims[0] + c[0]
-    }
-
-    /// Set in `hits` (resized to one bit per cell of `block`) every cell
-    /// whose site lies in `q`, which must have `min < max` on every axis.
-    /// `false`, with `hits` untouched, when no site can lie in `q`.
-    fn mark(&self, block: &MeshBlock, q: &Aabb, hits: &mut Vec<u64>) -> bool {
-        if (0..3).any(|a| q.max[a] <= self.lo[a] || q.min[a] > self.hi[a]) {
-            return false;
-        }
-        hits.clear();
-        hits.resize(block.cells.len().div_ceil(64), 0);
-        let lo = [0, 1, 2].map(|a| self.coord(a, q.min[a]));
-        let hi = [0, 1, 2].map(|a| self.coord(a, q.max[a]));
-        // Binning is monotone: a site in a bin after `lo[a]` is `>= q.min`
-        // on axis `a`, one in a bin before `hi[a]` is `< q.max`, and a face
-        // of `q` outside the site bounding box holds for every site. Only
-        // members of a bin on a face that cuts the sites need the test.
-        let cut_lo = [0, 1, 2].map(|a| q.min[a] > self.lo[a]);
-        let cut_hi = [0, 1, 2].map(|a| q.max[a] <= self.hi[a]);
-        let edge = |a: usize, c: usize| (c == lo[a] && cut_lo[a]) || (c == hi[a] && cut_hi[a]);
-        let mut set = |ci: u32| hits[ci as usize / 64] |= 1 << (ci % 64);
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                // A row's bins are adjacent, so bins `x0..x1` of it hold
-                // one slice of members.
-                let row = self.bin(&[0, y, z]);
-                let members = |x0: usize, x1: usize| {
-                    &self.cells[self.start[row + x0] as usize..self.start[row + x1] as usize]
-                };
-                // Bins `a..b` skip the test; the ones before and after it
-                // take it.
-                let end = hi[0] + 1;
-                let (a, b) = if edge(1, y) || edge(2, z) {
-                    (end, end)
-                } else {
-                    let a = lo[0] + usize::from(cut_lo[0]);
-                    (a, (end - usize::from(cut_hi[0])).max(a))
-                };
-                for &ci in members(lo[0], a).iter().chain(members(b, end)) {
-                    if q.contains(block.particles[ci as usize]) {
-                        set(ci);
-                    }
-                }
-                members(a, b).iter().for_each(|&ci| set(ci));
             }
+            bins.row(y, z, a..b).iter().for_each(|&ci| set(ci));
         }
-        true
     }
+    true
 }
 
 /// An immutable certified mesh at one epoch, with the lookup structures
@@ -444,7 +351,7 @@ pub struct MeshSnapshot {
     positions: Vec<Vec3>,
     grid: Option<CandidateGrid>,
     /// One site grid per block, in gid order.
-    site_bins: Vec<SiteBins>,
+    site_bins: Vec<Bins>,
 }
 
 impl MeshSnapshot {
@@ -553,7 +460,7 @@ impl MeshSnapshot {
         } else {
             Some(CandidateGrid::build(Aabb::new(lo, hi), &positions, 4.0))
         };
-        let site_bins = blocks.values().map(SiteBins::build).collect();
+        let site_bins = blocks.values().map(site_bins).collect();
         MeshSnapshot {
             epoch,
             dec,
@@ -619,7 +526,7 @@ impl MeshSnapshot {
         }
         let mut hits = Vec::new();
         for ((&gid, b), bins) in self.blocks.iter().zip(&self.site_bins) {
-            if !bins.mark(b, query, &mut hits) {
+            if !mark(bins, b, query, &mut hits) {
                 continue;
             }
             for (w, &word) in hits.iter().enumerate() {
