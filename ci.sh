@@ -137,13 +137,16 @@ stage_decomp() {
     # the serial union-find at 1/2/3/4/8 ranks on regular and k-d blocks,
     # FOF halos equal a brute-force periodic FOF at 1/2/4/8 ranks, and a
     # halo chained through all 8 blocks sends as many messages as a compact
-    # one (the primitive's and the halo finder's unit oracles run too). The
-    # equivalence suite also pins rank imbalance on the clustered corpus at
-    # 8 ranks: regular >=3.0, k-d + weighted assignment <=1.25.
+    # one (the primitive's and the halo finder's unit oracles run too, and
+    # Minkowski's, which include two calls on one mesh returning the same
+    # bits). The equivalence suite also pins rank imbalance on the
+    # clustered corpus at 8 ranks: regular >=3.0, k-d + weighted
+    # assignment <=1.25.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
         cargo test --release -q -p meshing-universe --test voids_pipeline &&
         cargo test --release -q -p meshing-universe --test fof_pipeline &&
         cargo test --release -q -p postprocess --lib components:: &&
+        cargo test --release -q -p postprocess --lib -- minkowski:: &&
         cargo test --release -q -p framework --lib halo_finder:: &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
@@ -161,10 +164,17 @@ stage_memory() {
     # corruption or truncation of a block file is a typed error, never a
     # panic; (3) memory_budget: 8-rank, 64-block clustered streaming vs
     # accumulate A/B gating on allocator peak (<=0.8x), equal files, and the
-    # light- and tight-culled bytes/particle budgets.
+    # light- and tight-culled bytes/particle budgets; (4) the mesh block
+    # codec: a clustered multi-block mesh re-encodes to the same v2 bytes,
+    # and every bit flip or truncation of a real block, and random byte
+    # corruptions of four more, decode to a typed error or to a block whose
+    # every index is in range, never a panic; the flat model's own unit
+    # tests (views, size accounting, typed index errors) run too.
     cargo test --release -q -p meshing-universe --test streaming_output &&
         cargo test --release -q -p diy --test blockfile_fuzz &&
-        cargo test --release -q -p meshing-universe --test memory_budget
+        cargo test --release -q -p meshing-universe --test memory_budget &&
+        cargo test --release -q -p meshing-universe --test block_codec &&
+        cargo test --release -q -p tess --lib -- model::
 }
 
 stage_obs() {

@@ -17,18 +17,16 @@
 //! region. Every other cell is recomputed.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
+use diy::hash::FxHashMap;
 use diy::hist::LogHistogram;
 use diy::trace::{monotonic_ns, trace_mode, TraceMode};
 use geometry::{Aabb, Vec3};
-use rayon::prelude::*;
 
 use crate::cell::{canonical_fit, certified, compute_cell, CellContext, CellScratch, ComputedCell};
 use crate::grid::{Bins, CandidateGrid};
-use crate::model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
+use crate::model::{Cells, MeshBlock, NO_NEIGHBOR};
 use crate::params::TessParams;
 use crate::stats::TessStats;
 
@@ -169,6 +167,9 @@ pub(crate) fn same_bits(a: Vec3, b: Vec3) -> bool {
     (0..3).all(|k| a[k].to_bits() == b[k].to_bits())
 }
 
+/// What the block keeps of a computed cell; its faces, corners and
+/// points lie in one of the session's [`KeptGeometry`] buffers.
+#[derive(Clone, Copy)]
 struct Kept {
     site_idx: u32,
     volume: f64,
@@ -179,14 +180,65 @@ struct Kept {
     /// Security-ball diameter squared at compute time; debug builds check
     /// later ghost rounds against it, and the next epoch's carry keeps it.
     sec2: f64,
-    /// Per face: the neighbor's global id and the loop length; the loops'
-    /// points are back to back in `points`.
+    /// Index of the buffer among the session's.
+    geometry: u32,
+    faces: Span,
+    corners: Span,
+    points: Span,
+}
+
+/// A range of one of [`KeptGeometry`]'s arrays.
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The span of `v` from `start` to its end.
+    fn since<T>(start: usize, v: &[T]) -> Span {
+        Span {
+            start: start as u32,
+            len: (v.len() - start) as u32,
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The kept cells' geometry, flat: the polyhedron as the kernel left it,
+/// before the block's vertex dedup.
+#[derive(Default)]
+struct KeptGeometry {
+    /// Per face: the neighbour's global id and its loop length.
     faces: Vec<(u64, u32)>,
+    /// The loops back to back, as indices into the cell's points.
+    corners: Vec<u32>,
+    /// Per cell, its polyhedron's vertices.
     points: Vec<Vec3>,
 }
 
+impl KeptGeometry {
+    fn clear(&mut self) {
+        self.faces.clear();
+        self.corners.clear();
+        self.points.clear();
+    }
+
+    /// A copy with no spare capacity.
+    fn exact(&self) -> KeptGeometry {
+        KeptGeometry {
+            faces: self.faces.to_vec(),
+            corners: self.corners.to_vec(),
+            points: self.points.to_vec(),
+        }
+    }
+}
+
 enum Outcome {
-    Kept(Box<Kept>),
+    Kept(Kept),
     /// Cell `cell` of the previous epoch's block, unchanged.
     Reused {
         cell: u32,
@@ -300,6 +352,9 @@ pub struct BlockSession<'p> {
     /// Ghosted region of the most recent pass.
     region: Aabb,
     records: Vec<CellRecord>,
+    /// Geometry of the kept records, one buffer per pool chunk of any pass
+    /// so far.
+    kept: Vec<KeptGeometry>,
     carried: Option<Carried<'p>>,
     cells_computed: u64,
     cells_reused: u64,
@@ -327,6 +382,9 @@ thread_local! {
     /// Per-thread kernel scratch: pool workers and rank threads each reuse
     /// one across every cell they compute.
     static SCRATCH: RefCell<CellScratch> = RefCell::new(CellScratch::default());
+    /// Per-thread buffer a pool chunk writes its kept geometry into before
+    /// it is copied out at its exact size.
+    static KEPT: RefCell<KeptGeometry> = RefCell::new(KeptGeometry::default());
 }
 
 /// Tessellate one block: `own` are the block's original particles, `ghosts`
@@ -360,7 +418,7 @@ pub fn tessellate_block_session<'p>(
     let carried = prev.map(|prev| {
         let mut owner = vec![u32::MAX; prev.mesh.verts.len()];
         for (c, cell) in prev.mesh.cells.iter().enumerate() {
-            for &v in cell.faces.iter().flat_map(|f| &f.verts) {
+            for &v in cell.faces.corners() {
                 if owner[v as usize] == u32::MAX {
                     owner[v as usize] = c as u32;
                 }
@@ -377,6 +435,7 @@ pub fn tessellate_block_session<'p>(
         bounds,
         region,
         records,
+        kept: Vec::new(),
         carried,
         cells_computed: 0,
         cells_reused: 0,
@@ -410,8 +469,8 @@ fn carried_records(
     );
     own.iter()
         .map(|&(id, site)| {
-            while cells.next_if(|(_, c)| mesh.site_id_of(c) < id).is_some() {}
-            let Some((c, cell)) = cells.next_if(|(_, c)| mesh.site_id_of(c) == id) else {
+            while cells.next_if(|&(_, c)| mesh.site_id_of(c) < id).is_some() {}
+            let Some((c, cell)) = cells.next_if(|&(_, c)| mesh.site_id_of(c) == id) else {
                 return TO_COMPUTE;
             };
             let CellCarry { sec2, canonical } = prev.carry[c];
@@ -497,7 +556,15 @@ impl BlockSession<'_> {
         params: &TessParams,
     ) {
         self.cells_computed += indices.len() as u64;
-        let computed = compute_records(&self.bounds, pts, ids, indices, &self.region, params);
+        let computed = compute_records(
+            &self.bounds,
+            pts,
+            ids,
+            indices,
+            &self.region,
+            params,
+            &mut self.kept,
+        );
         for (&i, (record, work, ns)) in indices.iter().zip(computed) {
             self.work.add(work);
             self.obs.note(work.tested, ns);
@@ -564,11 +631,12 @@ fn canonical_clip_box(bounds: &Aabb) -> Aabb {
 }
 
 /// Compute the cells at `indices` in parallel; the result vector is in
-/// `indices` order (the pool collects chunk results by position). Each
-/// element carries the cell's work counters and wall nanoseconds (0 when
-/// tracing is off — the clock is only read under a trace mode) alongside
-/// the record. Builds no grid when there is
-/// nothing to compute.
+/// `indices` order. Each pool chunk writes the geometry of the cells it
+/// keeps into one buffer, pushed onto `kept` in chunk order, so the
+/// records are the same at any pool width. Each element carries the
+/// cell's work counters and wall nanoseconds (0 when tracing is off — the
+/// clock is only read under a trace mode) alongside the record. Builds no
+/// grid when there is nothing to compute.
 fn compute_records(
     bounds: &Aabb,
     pts: &[Vec3],
@@ -576,6 +644,7 @@ fn compute_records(
     indices: &[usize],
     region: &Aabb,
     params: &TessParams,
+    kept: &mut Vec<KeptGeometry>,
 ) -> Vec<(CellRecord, CellWork, u64)> {
     if indices.is_empty() {
         return Vec::new();
@@ -595,20 +664,41 @@ fn compute_records(
     // Resolve once per pass: per-cell clock reads only happen under a
     // trace mode, keeping the untraced hot path free of syscalls.
     let timed = trace_mode() != TraceMode::Off;
-    indices
-        .to_vec()
-        .into_par_iter()
-        .map(|i| {
-            let t0 = if timed { monotonic_ns() } else { 0 };
-            let (record, work) = compute_one(&ctx, bounds, params, cull_diam2, i);
-            let ns = if timed {
-                monotonic_ns().saturating_sub(t0).max(1)
-            } else {
-                0
-            };
-            (record, work, ns)
+    let chunk = rayon::pool::chunk_size(indices.len());
+    let chunks = rayon::pool::run_ordered(indices.len().div_ceil(chunk), |k| {
+        let mine = &indices[k * chunk..((k + 1) * chunk).min(indices.len())];
+        KEPT.with(|g| {
+            let mut geometry = g.borrow_mut();
+            geometry.clear();
+            let records: Vec<_> = mine
+                .iter()
+                .map(|&i| {
+                    let t0 = if timed { monotonic_ns() } else { 0 };
+                    let (record, work) =
+                        compute_one(&ctx, bounds, params, cull_diam2, i, &mut geometry);
+                    let ns = if timed {
+                        monotonic_ns().saturating_sub(t0).max(1)
+                    } else {
+                        0
+                    };
+                    (record, work, ns)
+                })
+                .collect();
+            (records, geometry.exact())
         })
-        .collect()
+    });
+    let mut out = Vec::with_capacity(indices.len());
+    for (records, geometry) in chunks {
+        let at = kept.len() as u32;
+        kept.push(geometry);
+        out.extend(records.into_iter().map(|(mut record, work, ns)| {
+            if let Outcome::Kept(k) = &mut record.outcome {
+                k.geometry = at;
+            }
+            (record, work, ns)
+        }));
+    }
+    out
 }
 
 fn compute_one(
@@ -617,11 +707,12 @@ fn compute_one(
     params: &TessParams,
     cull_diam2: Option<f64>,
     i: usize,
+    kept: &mut KeptGeometry,
 ) -> (CellRecord, CellWork) {
     SCRATCH.with(|s| {
         let mut scratch = s.borrow_mut();
         let cell = compute_cell(ctx, ctx.points[i], i as u32, &mut scratch);
-        let record = record_of(ctx, bounds, params, cull_diam2, i, &cell);
+        let record = record_of(ctx, bounds, params, cull_diam2, i, &cell, kept);
         let work = CellWork {
             tested: cell.candidates_tested as u64,
             skipped: cell.prefilter_skipped,
@@ -641,6 +732,7 @@ fn record_of(
     cull_diam2: Option<f64>,
     i: usize,
     cell: &ComputedCell,
+    kept: &mut KeptGeometry,
 ) -> CellRecord {
     let site = ctx.points[i];
     let poly = &cell.poly;
@@ -683,28 +775,31 @@ fn record_of(
             };
         }
     }
-    let mut faces = Vec::with_capacity(poly.faces.len());
-    let mut points = Vec::with_capacity(poly.loops.len());
+    let (face0, corner0, point0) = (kept.faces.len(), kept.corners.len(), kept.points.len());
     for f in &poly.faces {
         let nbr = f
             .neighbor
             .map(|cand| ctx.ids[cand as usize])
             .unwrap_or(NO_NEIGHBOR);
         let loop_ = poly.face_verts(f);
-        faces.push((nbr, loop_.len() as u32));
-        points.extend(loop_.iter().map(|&v| poly.verts[v as usize]));
+        kept.faces.push((nbr, loop_.len() as u32));
+        kept.corners.extend_from_slice(loop_);
     }
+    kept.points.extend_from_slice(&poly.verts);
     CellRecord {
-        outcome: Outcome::Kept(Box::new(Kept {
+        outcome: Outcome::Kept(Kept {
             site_idx: i as u32,
             volume,
             area,
             complete: cell.complete,
             canonical: cell.canonical,
             sec2: cell.sec2,
-            faces,
-            points,
-        })),
+            // set when the chunk's buffer joins the session
+            geometry: 0,
+            faces: Span::since(face0, &kept.faces),
+            corners: Span::since(corner0, &kept.corners),
+            points: Span::since(point0, &kept.points),
+        }),
         needed,
     }
 }
@@ -735,27 +830,38 @@ fn assemble(
         cells_reused: session.cells_reused,
         ..Default::default()
     };
-    let mut block = MeshBlock::empty(session.gid, session.bounds);
-    let mut carry = Vec::new();
+    let prev = session.carried.as_ref();
+    // Size every column exactly, and the vertex map for the distinct
+    // vertices: an interior Voronoi vertex is a corner of three faces in
+    // each of four cells; the benchmark's blocks list 9–11 face corners per
+    // distinct vertex (5–9 on small blocks, whose wall vertices are shared
+    // less). Sized for 8, the map rarely grows.
+    let (mut n_cells, mut n_faces, mut n_corners) = (0, 0, 0);
+    for r in &session.records {
+        let (faces, corners) = match &r.outcome {
+            Outcome::Kept(k) => (k.faces.len as usize, k.corners.len as usize),
+            Outcome::Reused { cell, .. } => {
+                let c = prev.map(|c| c.prev.mesh.cells.cell(*cell as usize));
+                c.map_or((0, 0), |c| (c.faces.len(), c.faces.corners().len()))
+            }
+            _ => continue,
+        };
+        n_cells += 1;
+        n_faces += faces;
+        n_corners += corners;
+    }
+    let mut block = MeshBlock {
+        gid: session.gid,
+        bounds: session.bounds,
+        particles: Vec::with_capacity(n_cells),
+        site_ids: Vec::with_capacity(n_cells),
+        verts: Vec::with_capacity(n_corners / 8),
+        cells: Cells::with_capacity(n_cells, n_faces, n_corners),
+    };
+    let mut carry = Vec::with_capacity(n_cells);
     let mut stale = Vec::new();
-    // An interior Voronoi vertex is a corner of three faces in each of four
-    // cells; the benchmark's blocks list 9–11 face corners per distinct
-    // vertex (5–9 on small blocks, whose wall vertices are shared less).
-    // Sized for 8, the map rarely grows.
-    let corners: usize = session
-        .records
-        .iter()
-        .map(|r| match &r.outcome {
-            Outcome::Kept(k) => k.points.len(),
-            Outcome::Reused { cell, .. } => session.carried.as_ref().map_or(0, |c| {
-                let cell = &c.prev.mesh.cells[*cell as usize];
-                cell.faces.iter().map(|f| f.verts.len()).sum()
-            }),
-            _ => 0,
-        })
-        .sum();
-    let mut vert_index: HashMap<(i64, i64, i64), u32, BuildHasherDefault<FxHasher>> =
-        HashMap::with_capacity_and_hasher(corners / 8, Default::default());
+    let mut vert_index: FxHashMap<(i64, i64, i64), u32> =
+        FxHashMap::with_capacity_and_hasher(n_corners / 8, Default::default());
     // Quantization for vertex dedup within a block: 1e-6 domain units.
     let quant = |p: Vec3| {
         (
@@ -764,6 +870,11 @@ fn assemble(
             (p.z * 1e6).round() as i64,
         )
     };
+    // A point's block vertex, the first time its cell (or, for carried
+    // cells, the previous block) brings it; `u32::MAX` until then. Every
+    // later corner on it would find the same key in the map.
+    let mut local: Vec<u32> = Vec::new();
+    let mut from_prev = vec![u32::MAX; prev.map_or(0, |c| c.prev.mesh.verts.len())];
 
     let mut cert = BlockCertification::default();
     for (i, record) in session.records.iter().enumerate() {
@@ -784,31 +895,28 @@ fn assemble(
                     cert.uncertified += 1;
                     cert.needed_ghost = cert.needed_ghost.max(record.needed);
                 }
-                let mut points = kept.points.iter();
-                let faces = kept
-                    .faces
-                    .iter()
-                    .map(|&(neighbor, len)| Face {
-                        neighbor,
-                        verts: points
-                            .by_ref()
-                            .take(len as usize)
-                            .map(|&p| {
-                                *vert_index.entry(quant(p)).or_insert_with(|| {
-                                    block.verts.push(p);
-                                    (block.verts.len() - 1) as u32
-                                })
-                            })
-                            .collect(),
-                    })
-                    .collect();
-                block.cells.push(Cell {
-                    site_idx,
-                    volume: kept.volume,
-                    area: kept.area,
-                    complete: kept.complete,
-                    faces,
-                });
+                let geometry = &session.kept[kept.geometry as usize];
+                let points = &geometry.points[kept.points.range()];
+                local.clear();
+                local.resize(points.len(), u32::MAX);
+                block
+                    .cells
+                    .push(site_idx, kept.volume, kept.area, kept.complete);
+                let mut corners = geometry.corners[kept.corners.range()].iter();
+                for &(neighbor, len) in &geometry.faces[kept.faces.range()] {
+                    let loop_ = corners.by_ref().take(len as usize).map(|&l| {
+                        let v = &mut local[l as usize];
+                        if *v == u32::MAX {
+                            let p = points[l as usize];
+                            *v = *vert_index.entry(quant(p)).or_insert_with(|| {
+                                block.verts.push(p);
+                                (block.verts.len() - 1) as u32
+                            });
+                        }
+                        *v
+                    });
+                    block.cells.push_face(neighbor, loop_);
+                }
                 carry.push(CellCarry {
                     sec2: kept.sec2,
                     canonical: kept.canonical,
@@ -816,45 +924,28 @@ fn assemble(
                 stats.cells += 1;
             }
             Outcome::Reused { cell, sec2 } => {
-                let carried = session
-                    .carried
-                    .as_ref()
-                    .expect("reused cells come from a previous block");
-                let prev = carried.prev.mesh;
-                let old = &prev.cells[*cell as usize];
+                let carried = prev.expect("reused cells come from a previous block");
+                let old_block = carried.prev.mesh;
+                let old = old_block.cells.cell(*cell as usize);
                 let site_idx = block.particles.len() as u32;
                 block.particles.push(pts[i]);
                 block.site_ids.push(ids[i]);
                 let mut exact = true;
-                let faces = old
-                    .faces
-                    .iter()
-                    .map(|f| Face {
-                        neighbor: f.neighbor,
-                        verts: f
-                            .verts
-                            .iter()
-                            .map(|&v| {
-                                let p = prev.verts[v as usize];
-                                *vert_index.entry(quant(p)).or_insert_with(|| {
-                                    exact &= carried.owner[v as usize] == *cell;
-                                    block.verts.push(p);
-                                    (block.verts.len() - 1) as u32
-                                })
-                            })
-                            .collect(),
-                    })
-                    .collect();
+                block.cells.push_mapped(old, site_idx, |v| {
+                    let slot = &mut from_prev[v as usize];
+                    if *slot == u32::MAX {
+                        let p = old_block.verts[v as usize];
+                        *slot = *vert_index.entry(quant(p)).or_insert_with(|| {
+                            exact &= carried.owner[v as usize] == *cell;
+                            block.verts.push(p);
+                            (block.verts.len() - 1) as u32
+                        });
+                    }
+                    *slot
+                });
                 if !exact {
                     stale.push(i);
                 }
-                block.cells.push(Cell {
-                    site_idx,
-                    volume: old.volume,
-                    area: old.area,
-                    complete: true,
-                    faces,
-                });
                 carry.push(CellCarry {
                     sec2: *sec2,
                     canonical: true,
@@ -874,34 +965,6 @@ fn assemble(
         stats,
         cert,
     })
-}
-
-/// rustc's FxHash: one rotate, xor and multiply per word. The vertex keys
-/// are quantized coordinates this module computes itself, so SipHash's
-/// resistance to crafted keys buys nothing here.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_i64(&mut self, word: i64) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -944,7 +1007,7 @@ mod tests {
             assert!((c.area - 6.0).abs() < 1e-9);
             assert!(c.complete);
             assert_eq!(c.faces.len(), 6);
-            for f in &c.faces {
+            for f in c.faces {
                 assert_ne!(f.neighbor, NO_NEIGHBOR);
                 assert_eq!(f.verts.len(), 4);
             }
@@ -1068,7 +1131,7 @@ mod tests {
         // The paper's path (§III-C, Qhull): the convex hull of the cell's
         // vertices orders them into faces and yields volume and area.
         for c in &block.cells {
-            let mut idx: Vec<u32> = c.faces.iter().flat_map(|f| f.verts.clone()).collect();
+            let mut idx: Vec<u32> = c.faces.corners().to_vec();
             idx.sort_unstable();
             idx.dedup();
             let verts: Vec<Vec3> = idx.iter().map(|&i| block.verts[i as usize]).collect();

@@ -560,7 +560,7 @@ pub fn tessellate_streaming(
 ///     &TessParams::default().with_ghost(1.5),
 /// );
 /// assert_eq!(stats.cells, 27);
-/// assert!((block.cells[0].volume - 1.0).abs() < 1e-9);
+/// assert!((block.cells.cell(0).volume - 1.0).abs() < 1e-9);
 /// ```
 pub fn tessellate_serial(
     particles: &[(u64, Vec3)],

@@ -46,7 +46,7 @@ pub use driver::{
     PHASE_GHOST_EXCHANGE, PHASE_OUTPUT, PHASE_VORONOI,
 };
 pub use io::{StreamWriteSummary, TessStreamWriter};
-pub use model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
+pub use model::{Cell, Cells, Face, Faces, MeshBlock, NO_NEIGHBOR};
 pub use params::{GhostSpec, TessParams, AUTO_GHOST_FACTOR};
 pub use service::{
     Answer, CellSummary, MeshService, MeshSnapshot, ParticleStore, Pending, PointHit, Query,

@@ -504,7 +504,7 @@ impl MeshSnapshot {
         let (d2, idx) = stream.next(f64::INFINITY)?;
         let e = &self.entries[idx as usize];
         let block = &self.blocks[&e.gid];
-        let cell = &block.cells[e.cell as usize];
+        let cell = block.cells.cell(e.cell as usize);
         Some(PointHit {
             site_id: self.site_ids[idx as usize],
             gid: e.gid,
@@ -545,7 +545,7 @@ impl MeshSnapshot {
     pub fn box_cells(&self, query: Aabb) -> Vec<CellSummary> {
         let mut out = Vec::new();
         self.for_each_in(&query, |gid, b, ci| {
-            let cell = &b.cells[ci];
+            let cell = b.cells.cell(ci);
             out.push(CellSummary {
                 site_id: b.site_id_of(cell),
                 gid,
@@ -566,10 +566,9 @@ impl MeshSnapshot {
         let mut volume = 0.0;
         let mut area = 0.0;
         self.for_each_in(&query, |_, b, ci| {
-            let cell = &b.cells[ci];
             cells += 1;
-            volume += cell.volume;
-            area += cell.area;
+            volume += b.cells.volumes()[ci];
+            area += b.cells.areas()[ci];
         });
         let e = query.extent();
         let box_vol = e.x * e.y * e.z;
@@ -1576,7 +1575,7 @@ mod tests {
         };
         let (mut cells, mut volume) = (0u64, 0.0);
         for b in snap.blocks.values() {
-            for c in b.cells.iter().filter(|c| b.site_of(c).x >= 0.5) {
+            for c in b.cells.iter().filter(|c| b.site_of(*c).x >= 0.5) {
                 cells += 1;
                 volume += c.volume;
             }
@@ -1595,7 +1594,12 @@ mod tests {
         let snap = svc.snapshot();
         let mut blocks = snap.blocks.clone();
         let block = blocks.values_mut().find(|b| b.cells.len() > 1).unwrap();
-        block.cells.swap(0, 1);
+        let mut swapped = crate::model::Cells::default();
+        for i in [1, 0].into_iter().chain(2..block.cells.len()) {
+            let c = block.cells.cell(i);
+            swapped.push_mapped(c, c.site_idx, |v| v);
+        }
+        block.cells = swapped;
         MeshSnapshot::build(2, snap.dec.clone(), blocks, snap.stats);
     }
 }

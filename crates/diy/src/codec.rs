@@ -37,6 +37,12 @@ pub enum CodecError {
     UnexpectedEnd { needed: usize, remaining: usize },
     /// A length prefix or discriminant was out of range.
     Invalid(&'static str),
+    /// An index stored in the value points past the array it indexes.
+    OutOfRange {
+        what: &'static str,
+        index: u64,
+        len: u64,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -49,13 +55,18 @@ impl std::fmt::Display for CodecError {
                 )
             }
             CodecError::Invalid(what) => write!(f, "invalid encoding: {what}"),
+            CodecError::OutOfRange { what, index, len } => {
+                write!(f, "{what} {index} out of range (length {len})")
+            }
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// A cursor over a byte slice for decoding.
+/// A cursor over a byte slice for decoding. A clone reads on from the
+/// same position without moving the original.
+#[derive(Clone)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -74,7 +85,8 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// The next `n` bytes, for callers that decode arrays in bulk.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEnd {
                 needed: n,
@@ -276,6 +288,10 @@ impl Decode for Aabb {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let min = Vec3::decode(r)?;
         let max = Vec3::decode(r)?;
+        // `Aabb::new` panics on these; bytes are not trusted
+        if !(min.x <= max.x && min.y <= max.y && min.z <= max.z) {
+            return Err(CodecError::Invalid("aabb min exceeds max"));
+        }
         Ok(Aabb::new(min, max))
     }
 }
@@ -323,6 +339,18 @@ mod tests {
     fn geometry_roundtrip() {
         roundtrip(Vec3::new(1.5, -2.25, 1e-300));
         roundtrip(Aabb::cube(8.0));
+    }
+
+    #[test]
+    fn inverted_or_nan_aabb_is_an_error() {
+        for max in [Vec3::new(1.0, -1.0, 1.0), Vec3::new(1.0, 1.0, f64::NAN)] {
+            let mut bytes = Vec3::ZERO.to_bytes();
+            max.encode(&mut bytes);
+            assert!(matches!(
+                Aabb::from_bytes(&bytes),
+                Err(CodecError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

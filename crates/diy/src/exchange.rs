@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use geometry::Vec3;
 
-use crate::codec::{Decode, Encode};
+use crate::codec::{Decode, Encode, Reader};
 use crate::comm::World;
 use crate::decomposition::{Assignment, Decomposition, Neighbor};
 
@@ -121,27 +121,40 @@ impl<'a> NeighborExchange<'a> {
     fn exchange_inner<T: Encode + Decode>(
         &self,
         world: &mut World,
-        outgoing: Vec<(u64, T)>,
+        mut outgoing: Vec<(u64, T)>,
         tag: Option<u64>,
     ) -> HashMap<u64, Vec<T>> {
-        // Group by destination rank, preserving per-destination order.
-        let mut per_rank: Vec<Vec<(u64, T)>> = (0..world.nranks()).map(|_| Vec::new()).collect();
-        for (gid, item) in outgoing {
-            let rank = self.asn.rank_of_block(gid);
-            per_rank[rank].push((gid, item));
+        // The items and their encoding coexist until the send; a grown
+        // vector's spare capacity would sit beside both.
+        outgoing.shrink_to_fit();
+        // One buffer per destination rank: a table of items per destination
+        // block, then the `(gid, item)` pairs in send order. The buffer is
+        // sized for items whose encoding is as large as their value, and
+        // the table lets the receiver size each block's list exactly.
+        let nblocks = self.dec.nblocks();
+        let mut per_block = vec![0u64; nblocks];
+        for (gid, _) in &outgoing {
+            per_block[*gid as usize] += 1;
         }
-        let buffers: Vec<Vec<u8>> = per_rank
-            .into_iter()
-            .map(|items| {
-                let mut buf = Vec::new();
-                (items.len() as u64).encode(&mut buf);
-                for (gid, item) in items {
-                    gid.encode(&mut buf);
-                    item.encode(&mut buf);
-                }
+        let mut buffers: Vec<Vec<u8>> = (0..world.nranks())
+            .map(|rank| {
+                let table: Vec<(u64, u64)> = (0..nblocks as u64)
+                    .filter(|&g| per_block[g as usize] > 0 && self.asn.rank_of_block(g) == rank)
+                    .map(|g| (g, per_block[g as usize]))
+                    .collect();
+                let n: u64 = table.iter().map(|&(_, c)| c).sum();
+                let item = 8 + std::mem::size_of::<T>();
+                let mut buf = Vec::with_capacity(8 + table.len() * 16 + 8 + n as usize * item);
+                table.encode(&mut buf);
+                n.encode(&mut buf);
                 buf
             })
             .collect();
+        for (gid, item) in outgoing {
+            let buf = &mut buffers[self.asn.rank_of_block(gid)];
+            gid.encode(buf);
+            item.encode(buf);
+        }
         {
             let metrics = world.metrics();
             for buf in &buffers {
@@ -156,14 +169,20 @@ impl<'a> NeighborExchange<'a> {
         let mut result: HashMap<u64, Vec<T>> = HashMap::new();
         for buf in incoming {
             // incoming is indexed by source rank: iteration order is
-            // deterministic
-            let mut r = crate::codec::Reader::new(&buf);
+            // deterministic. Each block's list grows by exactly what this
+            // source sends it, while the sources still to decode hold the
+            // rest.
+            let mut r = Reader::new(&buf);
+            let table = Vec::<(u64, u64)>::decode(&mut r).expect("exchange table");
+            for &(gid, n) in &table {
+                result.entry(gid).or_default().reserve_exact(n as usize);
+            }
             let n = u64::decode(&mut r).expect("exchange header");
             for _ in 0..n {
                 let gid = u64::decode(&mut r).expect("exchange gid");
                 let item = T::decode(&mut r).expect("exchange item");
                 debug_assert_eq!(self.asn.rank_of_block(gid), world.rank());
-                result.entry(gid).or_default().push(item);
+                result.get_mut(&gid).expect("gid in the table").push(item);
             }
         }
         result

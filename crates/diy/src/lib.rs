@@ -21,6 +21,7 @@ pub mod codec;
 pub mod comm;
 pub mod decomposition;
 pub mod exchange;
+pub mod hash;
 pub mod hist;
 pub mod io;
 pub mod log;

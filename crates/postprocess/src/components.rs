@@ -32,6 +32,7 @@ use diy::codec::{CodecError, Decode, Encode, Reader};
 use diy::comm::World;
 use diy::decomposition::{Assignment, Decomposition};
 use diy::exchange::NeighborExchange;
+use diy::hash::FxHashMap;
 use tess::{MeshBlock, NO_NEIGHBOR};
 
 /// Aggregate description of one component.
@@ -226,7 +227,7 @@ pub fn merge_across_ranks<S: Encode + Decode + Default>(
 struct KeptCells {
     /// Site id of every cell of the blocks → its index among the kept
     /// cells, `None` when it is below the threshold.
-    index: HashMap<u64, Option<usize>>,
+    index: FxHashMap<u64, Option<usize>>,
     sites: Vec<u64>,
     /// Per kept cell: a one-cell summary.
     cells: Vec<ComponentSummary>,
@@ -239,7 +240,8 @@ struct KeptCells {
 
 impl KeptCells {
     fn label<'a>(blocks: impl IntoIterator<Item = &'a MeshBlock> + Clone, min_volume: f64) -> Self {
-        let mut index = HashMap::new();
+        let n: usize = blocks.clone().into_iter().map(|b| b.cells.len()).sum();
+        let mut index = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut sites = Vec::new();
         let mut cells = Vec::new();
         for b in blocks.clone() {
@@ -354,7 +356,6 @@ mod tests {
     use super::*;
     use diy::comm::Runtime;
     use geometry::{Aabb, Vec3};
-    use tess::{Cell, Face};
 
     /// A block of cells `(site id, volume, far sites of its faces)`.
     fn block(gid: u64, cells: &[(u64, f64, Vec<u64>)]) -> MeshBlock {
@@ -362,19 +363,10 @@ mod tests {
         for (i, (site, volume, far)) in cells.iter().enumerate() {
             b.particles.push(Vec3::splat(0.5));
             b.site_ids.push(*site);
-            b.cells.push(Cell {
-                site_idx: i as u32,
-                volume: *volume,
-                area: 1.0,
-                complete: true,
-                faces: far
-                    .iter()
-                    .map(|&neighbor| Face {
-                        neighbor,
-                        verts: vec![],
-                    })
-                    .collect(),
-            });
+            b.cells.push(i as u32, *volume, 1.0, true);
+            for &neighbor in far {
+                b.cells.push_face(neighbor, []);
+            }
         }
         b
     }

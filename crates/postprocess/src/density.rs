@@ -64,20 +64,14 @@ pub fn per_particle_density(blocks: &[MeshBlock]) -> Vec<(u64, f64, f64)> {
 mod tests {
     use super::*;
     use geometry::{Aabb, Vec3};
-    use tess::{Cell, MeshBlock};
+    use tess::MeshBlock;
 
     fn block_with_volumes(vols: &[f64]) -> MeshBlock {
         let mut b = MeshBlock::empty(0, Aabb::cube(1.0));
         for (i, &v) in vols.iter().enumerate() {
             b.particles.push(Vec3::splat(0.5));
             b.site_ids.push(i as u64);
-            b.cells.push(Cell {
-                site_idx: i as u32,
-                volume: v,
-                area: 0.0,
-                complete: true,
-                faces: vec![],
-            });
+            b.cells.push(i as u32, v, 0.0, true);
         }
         b
     }

@@ -15,7 +15,9 @@
 //! thickness `T = 3 V0 / V1`, breadth `B = V1 / V2`, length
 //! `L = V2 / 4π`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+
+use diy::hash::{FxHashMap, FxHashSet};
 
 use geometry::measures::{dihedral_angle, polygon_area, polygon_normal};
 use geometry::{Aabb, Vec3};
@@ -66,6 +68,9 @@ pub fn minkowski_functionals(
     sites: &HashSet<u64>,
     domain: &Aabb,
 ) -> Minkowski {
+    // Every cell and every face of a member asks for membership: one
+    // FxHash copy of the set answers those for less than SipHash would.
+    let sites: FxHashSet<u64> = sites.iter().copied().collect();
     let mut v0 = 0.0;
     let mut v1 = 0.0;
 
@@ -90,10 +95,12 @@ pub fn minkowski_functionals(
         )
     };
 
-    // Boundary edges: edge key → the faces listing it, held inline.
+    // Boundary edges: edge key → the faces listing it, held inline. FxHash
+    // has no random state, so V2 below sums the edges in the same order on
+    // every call.
     type EdgeKey = ((i64, i64, i64), (i64, i64, i64));
-    let mut edges: HashMap<EdgeKey, EdgeFaces> = HashMap::new();
-    let mut boundary_verts: HashSet<(i64, i64, i64)> = HashSet::new();
+    let mut edges: FxHashMap<EdgeKey, EdgeFaces> = FxHashMap::default();
+    let mut boundary_verts: FxHashSet<(i64, i64, i64)> = FxHashSet::default();
     let mut boundary_faces: u64 = 0;
     let mut pts: Vec<Vec3> = Vec::new();
 
@@ -104,7 +111,7 @@ pub fn minkowski_functionals(
                 continue;
             }
             v0 += c.volume;
-            for f in &c.faces {
+            for f in c.faces {
                 let is_boundary = f.neighbor == NO_NEIGHBOR || !sites.contains(&f.neighbor);
                 if !is_boundary {
                     continue;
@@ -271,6 +278,49 @@ mod tests {
         assert!((m.v0_volume - 64.0).abs() < 1e-6);
         assert_eq!(m.v1_area, 0.0, "no boundary faces in a full periodic box");
         assert_eq!(m.v3_euler, 0);
+    }
+
+    #[test]
+    fn two_calls_on_one_mesh_return_the_same_bits() {
+        // jittered, so V2 sums edges of many lengths and angles, whose
+        // total depends on the order they are added in
+        let n = 6;
+        let particles: Vec<(u64, Vec3)> = lattice(n)
+            .into_iter()
+            .map(|(id, p)| {
+                let j = |k: u64| ((id * 2654435761 + k * 40503) % 1000) as f64 / 1000.0 - 0.5;
+                (id, p + Vec3::new(j(1), j(2), j(3)) * 0.4)
+            })
+            .collect();
+        let domain = Aabb::cube(n as f64);
+        let (block, _) = tess::tessellate_serial(
+            &particles,
+            domain,
+            [true; 3],
+            &TessParams::default().with_ghost(2.0),
+        );
+        let blocks = vec![block];
+        let sites: HashSet<u64> = (0..(n * n * n) as u64).filter(|id| id % 3 != 0).collect();
+        let bits = |m: Minkowski| {
+            (
+                [
+                    m.v0_volume,
+                    m.v1_area,
+                    m.v2_curvature,
+                    m.genus,
+                    m.thickness,
+                    m.breadth,
+                    m.length,
+                ]
+                .map(f64::to_bits),
+                m.v3_euler,
+                m.unmatched_edges,
+            )
+        };
+        let first = bits(minkowski_functionals(&blocks, &sites, &domain));
+        for _ in 0..4 {
+            assert_eq!(bits(minkowski_functionals(&blocks, &sites, &domain)), first);
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub fn render_svg(blocks: &[MeshBlock], opts: &RenderOptions) -> String {
                 continue;
             }
             let fill = color(c.volume, vlo, vhi);
-            for f in &c.faces {
+            for f in c.faces {
                 let pts = b.face_points(f);
                 if pts.len() < 3 {
                     continue;

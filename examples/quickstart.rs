@@ -43,7 +43,7 @@ fn main() {
         "total cell volume {total:.3} (box volume {})",
         domain.volume()
     );
-    let c0 = &block.cells[0];
+    let c0 = block.cells.cell(0);
     println!(
         "cell of particle {} has volume {:.3}, area {:.3}, {} faces, neighbors: {:?}",
         block.site_id_of(c0),

@@ -150,7 +150,7 @@ proptest! {
             }).collect();
         for c in &block.cells {
             let site = block.site_id_of(c);
-            for f in &c.faces {
+            for f in c.faces {
                 if f.neighbor == tess::NO_NEIGHBOR {
                     continue;
                 }

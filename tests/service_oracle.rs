@@ -134,7 +134,7 @@ fn oracle_point(snap: &MeshSnapshot, p: Vec3) -> Option<PointHit> {
         }
     }
     best.map(|(d2, site_id, gid, ci)| {
-        let cell = &snap.blocks[&gid].cells[ci as usize];
+        let cell = snap.blocks[&gid].cells.cell(ci as usize);
         PointHit {
             site_id,
             gid,
