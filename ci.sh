@@ -129,10 +129,11 @@ stage_decomp() {
     # matrix proves the merged mesh is bit-identical between the regular grid
     # and the particle-balanced k-d tree across 1/2/4/8 ranks and
     # explicit+adaptive ghosts; (2) the rank-determinism, kernel-oracle,
-    # service-oracle and service-epoch suites rerun with every decomposition
-    # built as a k-d tree (its cuts are fixed at spawn, so incremental
-    # epochs must carry cells the same way), so all of their invariants hold
-    # on irregular block geometry too;
+    # service-oracle, service-property and service-epoch suites rerun with
+    # every decomposition built as a k-d tree (its cuts are fixed at spawn,
+    # so incremental epochs must carry cells the same way, and point
+    # lookups search uneven per-block site grids), so all of their
+    # invariants hold on irregular block geometry too;
     # (3) the one distributed-components primitive: void labeling equals
     # the serial union-find at 1/2/3/4/8 ranks on regular and k-d blocks,
     # FOF halos equal a brute-force periodic FOF at 1/2/4/8 ranks, and a
@@ -151,6 +152,7 @@ stage_decomp() {
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle &&
+        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_property &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_epochs
 }
 

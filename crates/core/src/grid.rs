@@ -4,10 +4,11 @@
 //! [`Bins`] sorts points into a uniform grid of bins over a box in CSR form
 //! — `u32` bin offsets and `u32` member indices, ascending within a bin.
 //! Every spatial question `tess` answers walks one: the cell kernel's and
-//! the FOF finder's candidate streams and the service's point lookups
-//! ([`CandidateGrid`]), the service's box and region answers (one site grid
-//! per block) and the incremental epochs' dirtiness test (the moved-set
-//! ball test).
+//! the FOF finder's candidate streams ([`CandidateGrid`]), the service's
+//! point, box and region answers (one site grid per block, which point
+//! lookups walk ring by ring under the same [`Bins::ring_lb`] as the
+//! stream) and the incremental epochs' dirtiness test (the moved-set ball
+//! test).
 //!
 //! The local cell computation needs candidate neighbors in order of
 //! distance from a site so the security-radius test terminates early. The
@@ -135,6 +136,46 @@ impl Bins {
         ((x - self.bounds.min[a]) * self.inv_h[a]).floor() as isize
     }
 
+    /// Largest ring index that can contain any bin, from any center.
+    pub(crate) fn max_ring(&self) -> usize {
+        self.dims.iter().max().copied().unwrap_or(1)
+    }
+
+    /// Center-aware lower bound on the distance from a center at `rel`
+    /// from `bounds.min`, in (clamped) bin `c`, to any point in a bin at
+    /// Chebyshev ring `r` around `c`.
+    ///
+    /// Per axis, the plus side is attainable only while `c+r` is still a
+    /// valid bin index (and symmetrically for the minus side); an
+    /// attainable side's gap is the exact distance from the center to the
+    /// near wall of the ring-`r` bin slab, not the worst-case `(r-1)·h`, so
+    /// it holds for a center outside `bounds` too. `+∞` when no side of any
+    /// axis is attainable — the ring (and, since attainability only shrinks
+    /// with `r`, every later ring) is empty. Non-decreasing in `r`, which
+    /// is what makes the candidate stream's sorted emission proof go
+    /// through. It bounds *computed* distances (`Vec3::dist2`) too: it is
+    /// pulled in by the [`rounding_slack`] of `scale` (the points' and the
+    /// caller's coordinate magnitude) or of the center's, the larger.
+    pub(crate) fn ring_lb(&self, rel: [f64; 3], c: [usize; 3], r: usize, scale: f64) -> f64 {
+        if r == 0 {
+            return 0.0;
+        }
+        let mut bound = f64::INFINITY;
+        for a in 0..3 {
+            let h = self.h[a];
+            if c[a] + r < self.dims[a] {
+                // near wall of the +side ring slab is at (c+r)·h
+                bound = bound.min(((c[a] + r) as f64 * h - rel[a]).max(0.0));
+            }
+            if c[a] >= r {
+                // near wall of the -side ring slab is at (c-r+1)·h
+                bound = bound.min((rel[a] - (c[a] - r + 1) as f64 * h).max(0.0));
+            }
+        }
+        let scale = rel.iter().fold(scale, |s, x| s.max(x.abs()));
+        (bound - rounding_slack(scale)).max(0.0)
+    }
+
     /// Members of bins `x` of row `(y, z)`.
     #[inline]
     pub(crate) fn row(&self, y: usize, z: usize, x: Range<usize>) -> &[u32] {
@@ -166,6 +207,15 @@ impl Bins {
             }
         }
     }
+}
+
+/// How far a distance lower bound is pulled in so that it also bounds
+/// *computed* distances, where `scale` bounds every coordinate magnitude
+/// involved: binning, a wall or box position and the distance each round a
+/// few times at that magnitude (≲ 5 eps·scale in all), and a point on a bin
+/// wall can measure a few ulps closer than the wall does.
+pub(crate) fn rounding_slack(scale: f64) -> f64 {
+    8.0 * f64::EPSILON * scale
 }
 
 /// [`Bins`] with the `f32` coordinates the candidate stream prefilters on.
@@ -214,53 +264,12 @@ impl CandidateGrid {
         self.bins.dims
     }
 
-    /// [`Self::ring_lb`] around a point.
+    /// [`Bins::ring_lb`] around a point.
     #[cfg(test)]
     fn ring_min_distance_from(&self, center: Vec3, r: usize) -> f64 {
         let rel = center - self.bins.bounds.min;
-        self.ring_lb([rel.x, rel.y, rel.z], self.coords_of(center), r)
-    }
-
-    /// Center-aware lower bound on the distance from a center (at `rel`
-    /// from `bounds.min`, in bin `c`) to any point in a bin at Chebyshev
-    /// ring `r` around `c`.
-    ///
-    /// Per axis, the plus side is attainable only while `c+r` is still a
-    /// valid bin index (and symmetrically for the minus side); an
-    /// attainable side's gap is the exact distance from `center` to the
-    /// near wall of the ring-`r` bin slab, not the worst-case `(r-1)·h`.
-    /// `+∞` when no side of any axis is attainable — the ring (and, since
-    /// attainability only shrinks with `r`, every later ring) is empty.
-    /// Non-decreasing in `r`, which is what makes the candidate stream's
-    /// sorted emission proof go through.
-    ///
-    /// The bound also holds for *computed* distances (`Vec3::dist2`), not
-    /// just true ones: binning, the wall position and the distance each
-    /// round a few times at coordinate magnitude (≲ 5 eps·scale in all),
-    /// and a candidate on a bin wall can measure a few ulps closer than
-    /// the wall does, so the bound is pulled in by 8 eps·scale.
-    fn ring_lb(&self, rel: [f64; 3], c: [usize; 3], r: usize) -> f64 {
-        if r == 0 {
-            return 0.0;
-        }
-        let mut bound = f64::INFINITY;
-        for a in 0..3 {
-            let h = self.bins.h[a];
-            if c[a] + r < self.bins.dims[a] {
-                // near wall of the +side ring slab is at (c+r)·h
-                bound = bound.min(((c[a] + r) as f64 * h - rel[a]).max(0.0));
-            }
-            if c[a] >= r {
-                // near wall of the -side ring slab is at (c-r+1)·h
-                bound = bound.min((rel[a] - (c[a] - r + 1) as f64 * h).max(0.0));
-            }
-        }
-        (bound - 8.0 * f64::EPSILON * self.scale).max(0.0)
-    }
-
-    /// Largest ring index that can contain any bin, from any center.
-    fn max_ring(&self) -> usize {
-        self.bins.dims.iter().max().copied().unwrap_or(1)
+        self.bins
+            .ring_lb([rel.x, rel.y, rel.z], self.coords_of(center), r, self.scale)
     }
 
     fn coords_of(&self, p: Vec3) -> [usize; 3] {
@@ -410,7 +419,7 @@ impl NeighborStream<'_> {
             if self.cur_lb2 > bound2 {
                 return None;
             }
-            if self.next_ring > self.grid.max_ring() {
+            if self.next_ring > self.grid.bins.max_ring() {
                 // rings exhausted: cur_lb2 = +∞ promoted every finite entry
                 return None;
             }
@@ -491,7 +500,9 @@ impl NeighborStream<'_> {
                 }
             }
         });
-        let lb = grid.ring_lb(self.center_rel, self.coords, self.next_ring);
+        let lb = grid
+            .bins
+            .ring_lb(self.center_rel, self.coords, self.next_ring, grid.scale);
         self.cur_lb2 = lb * lb;
     }
 }
@@ -555,7 +566,7 @@ mod tests {
             let center = Vec3::splat(3.0);
             let mut seen = vec![false; pts.len()];
             let mut buf = Vec::new();
-            for r in 0..=grid.max_ring() {
+            for r in 0..=grid.bins.max_ring() {
                 grid.ring_candidates(center, r, &mut buf);
                 for &i in &buf {
                     assert!(
@@ -591,7 +602,7 @@ mod tests {
         let grid = CandidateGrid::build(Aabb::cube(8.0), &pts, 2.0);
         let center = Vec3::new(4.1, 3.9, 4.0);
         let mut buf = Vec::new();
-        for r in 1..=grid.max_ring() {
+        for r in 1..=grid.bins.max_ring() {
             let lb = grid.ring_min_distance_from(center, r);
             grid.ring_candidates(center, r, &mut buf);
             for &i in &buf {
@@ -631,7 +642,7 @@ mod tests {
         let center = Vec3::new(8.2, 7.8, 0.5);
         let mut buf = Vec::new();
         let mut some_ring_infeasible_in_z = false;
-        for r in 1..=grid.max_ring() {
+        for r in 1..=grid.bins.max_ring() {
             let lb = grid.ring_min_distance_from(center, r);
             if r >= dz {
                 some_ring_infeasible_in_z = true;
@@ -691,7 +702,7 @@ mod tests {
         // z faces of the block
         let center = Vec3::new(8.5, 7.5, 1.025);
         let mut buf = Vec::new();
-        for r in 1..grid.max_ring() {
+        for r in 1..grid.bins.max_ring() {
             let aware = grid.ring_min_distance_from(center, r);
             // validity: every ring-r candidate is at least `aware` away
             grid.ring_candidates(center, r, &mut buf);
@@ -1036,15 +1047,25 @@ mod tests {
 
     #[test]
     fn out_of_bounds_queries_clamp() {
-        let pts = lattice(4);
-        let grid = CandidateGrid::build(Aabb::cube(4.0), &pts, 2.0);
+        // A center outside the grid clamps to an edge bin, and the ring
+        // bound stays geometric: every member of ring `r` measures at least
+        // it, computed distances included, with no tolerance.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
+        let pts = jittered(6, 4, 0.5);
+        let grid = CandidateGrid::build(Aabb::cube(6.0), &pts, 2.0);
         let mut buf = Vec::new();
-        // center outside the grid clamps to the nearest bin
-        grid.ring_candidates(Vec3::splat(-5.0), 0, &mut buf);
-        // should not panic; candidates come from the corner bin
-        for &i in &buf {
-            let p = pts[i as usize];
-            assert!(p.x < 4.0 && p.y < 4.0 && p.z < 4.0);
+        for _ in 0..200 {
+            let mut c = || rng.gen_range(-20.0..26.0);
+            let center = Vec3::new(c(), c(), c());
+            for r in 0..=grid.bins.max_ring() {
+                let lb = grid.ring_min_distance_from(center, r);
+                grid.ring_candidates(center, r, &mut buf);
+                for &i in &buf {
+                    let d2 = pts[i as usize].dist2(center);
+                    assert!(d2 >= lb * lb, "ring {r} around {center}: {d2} < {lb}²");
+                }
+            }
         }
     }
 

@@ -30,7 +30,6 @@
 
 pub mod block;
 pub mod cell;
-pub mod delaunay_mode;
 pub mod driver;
 pub mod ghost;
 pub mod grid;
@@ -40,7 +39,6 @@ pub mod params;
 pub mod service;
 pub mod stats;
 
-pub use delaunay_mode::{delaunay_block, DelaunayBlock};
 pub use driver::{
     tessellate, tessellate_serial, tessellate_streaming, StreamSummary, TessResult,
     PHASE_GHOST_EXCHANGE, PHASE_OUTPUT, PHASE_VORONOI,

@@ -39,37 +39,34 @@
 //! ## Batching and coalescing
 //!
 //! A worker drains up to `batch_max` queued requests at once. Point
-//! lookups in a batch are grouped by owning block (via the decomposition)
-//! and each group is answered in a single distance-ordered kernel pass per
-//! block — one shared [`StreamScratch`], queries walked in canonical
-//! (coordinate-bit) order against the snapshot's candidate grid. Bit-equal
-//! duplicate queries within a batch are coalesced: computed once, answered
-//! to every requester.
+//! lookups in a batch are grouped by owning block and answered in
+//! canonical (coordinate-bit) order; bit-equal duplicate queries within a
+//! batch are coalesced: computed once, answered to every requester.
 //!
-//! ## Box and region answers
+//! ## The site grids: point, box and region answers
 //!
-//! Beside the point index, [`MeshSnapshot::build`] bins each block's cell
-//! sites in the crate's one CSR grid ([`crate::grid`]'s `Bins`) over their
-//! tight bounding box, about four sites per bin: `u32` bin offsets and
-//! `u32` member cell indices, ascending within a bin. Assembly stores cell
-//! `i`'s site at `particles[i]` (`build` asserts it), so the grid reads
-//! sites there and copies none: it costs 4 B per cell plus the offsets. A
-//! box or region query skips every block whose site box it misses and
-//! walks, per axis, only the bins from `bin(q.min)` to `bin(q.max)`, one
-//! row slice at a time.
+//! The snapshot's one index is a [`crate::grid`] `Bins` per block over its
+//! cell sites' tight bounding box, about four sites per bin. Assembly
+//! stores cell `i`'s site at `particles[i]` (`build` asserts it), so the
+//! grid copies no site: 4 B per cell plus the bin offsets. A point lookup
+//! visits the query's own block first, then the others, and per periodic
+//! image skips a block whose site box is farther than the best hit or
+//! walks its bins ring by ring (see *Exactness*). A box or region query
+//! skips every block whose site box it misses and walks, per axis, only
+//! the bins from `bin(q.min)` to `bin(q.max)`, one row slice at a time.
 //!
-//! Membership is [`Aabb::contains`] on the stored site, exactly. Binning,
-//! `floor((x − lo) · inv_h)` clamped to the grid, is monotone in `x`. So a
-//! site in a bin after `bin(q.min)` on an axis is `≥ q.min` there, one in a
-//! bin before `bin(q.max)` is `< q.max`, and a face of `q` outside the site
-//! box holds for every site. Members of bins on a face that cuts the sites
-//! take the test; all others are accepted untested, with no slack. A query
-//! that fails `min < max` on some axis (a NaN corner, an inverted or
-//! zero-extent box) matches nothing. Matches are set in a per-block bitmap
-//! and read back in cell order, blocks in gid order: the canonical order
-//! both answers are defined in. Box rows are then sorted by site id, and
-//! region sums accumulate in that order, so the answers equal a full scan
-//! bit for bit.
+//! Box and region membership is [`Aabb::contains`] on the stored site,
+//! exactly. Binning, `floor((x − lo) · inv_h)` clamped to the grid, is
+//! monotone in `x`. So a site in a bin after `bin(q.min)` on an axis is
+//! `≥ q.min` there, one in a bin before `bin(q.max)` is `< q.max`, and a
+//! face of `q` outside the site box holds for every site. Members of bins
+//! on a face that cuts the sites take the test; all others are accepted
+//! untested, with no slack. A query that fails `min < max` on some axis (a
+//! NaN corner, an inverted or zero-extent box) matches nothing. Matches
+//! are set in a per-block bitmap and read back in cell order, blocks in
+//! gid order: the canonical order both answers are defined in. Box rows
+//! are then sorted by site id, and region sums accumulate in that order,
+//! so the answers equal a full scan bit for bit.
 //!
 //! ## Telemetry
 //!
@@ -81,13 +78,15 @@
 //!
 //! ## Exactness
 //!
-//! Point lookup is the exact argmin-distance seed. The snapshot's lookup
-//! grid indexes every cell site **plus its periodic images within half a
-//! domain extent** of the boundary: for any query point inside the domain,
-//! the minimum-image offset to the true nearest site is at most half the
-//! extent per periodic axis, so the winning image is always indexed. Exact
-//! `f64` distance ties are broken canonically toward the **smallest site
-//! id** (the candidate stream orders equal distances by id).
+//! Point lookup is the exact argmin-distance seed. Periodic images are
+//! taken at query time: for a query wrapped into the domain and a site in
+//! it, the minimum-image offset is in `{-1, 0, 1}` on each periodic axis,
+//! so the lookup searches every block's sites shifted by `k·ext` for all
+//! `k ∈ {-1, 0, 1}³` (0 on open axes). It skips a site only on a lower
+//! bound, pulled in by a rounding slack, strictly above the best distance,
+//! so no nearer or tied site is missed. Each distance is
+//! `(site + k·ext).dist2(q)`, the brute-force definition's expression, so
+//! the bits agree, and exact `f64` ties go to the **smallest site id**.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,7 +102,7 @@ use geometry::{Aabb, Vec3};
 
 use crate::block::{same_bits, CellCarry, MovedSet};
 use crate::driver::{tessellate_incremental, PrevEpoch};
-use crate::grid::{Bins, CandidateGrid, StreamScratch};
+use crate::grid::{rounding_slack, Bins, StreamScratch};
 use crate::model::MeshBlock;
 use crate::params::TessParams;
 use crate::stats::TessStats;
@@ -250,22 +249,16 @@ impl ServiceConfig {
     }
 }
 
-/// One indexed site: the primary position of a cell's seed, or one of its
-/// periodic images near the boundary.
-struct SiteEntry {
-    gid: u64,
-    cell: u32,
-}
-
 /// Sites per bin the per-block site grid aims at.
 const SITES_PER_BIN: f64 = 4.0;
 
 /// Bin `block`'s cell sites over their tight bounding box (NaN coordinates
-/// skipped, so it holds every binned site) for box and region answers.
+/// skipped, so it holds every binned site) for point, box and region
+/// answers.
 fn site_bins(block: &MeshBlock) -> Bins {
     // Assembly pushes a cell's site as it pushes the cell, so cell `i`'s
     // site is `particles[i]`, and queries read it there directly. A block
-    // built otherwise would get wrong box and region answers.
+    // built otherwise would get wrong answers.
     assert!(
         block
             .cells
@@ -332,6 +325,48 @@ fn mark(bins: &Bins, block: &MeshBlock, q: &Aabb, hits: &mut Vec<u64>) -> bool {
     true
 }
 
+/// A point lookup's nearest site so far: `(d2, site id, gid, cell)`.
+type Nearest = Option<(f64, u64, u64, usize)>;
+
+fn nearest_d2(best: &Nearest) -> f64 {
+    best.map_or(f64::INFINITY, |b| b.0)
+}
+
+/// Offer `block`'s sites shifted by `shift` to `best` (ties to the smaller
+/// site id), ring by ring from the bin of `q − shift` until
+/// [`Bins::ring_lb`] at `scale` passes the best distance.
+fn search_image(
+    gid: u64,
+    block: &MeshBlock,
+    bins: &Bins,
+    q: Vec3,
+    shift: Vec3,
+    scale: f64,
+    best: &mut Nearest,
+) {
+    let c = q - shift;
+    let rel = (c - bins.bounds().min).to_array();
+    let coords = [0, 1, 2].map(|a| bins.coord(a, c[a]));
+    for r in 0..=bins.max_ring() {
+        let lb = bins.ring_lb(rel, coords, r, scale);
+        if lb * lb > nearest_d2(best) {
+            return;
+        }
+        bins.ring(coords, r, |members| {
+            for &ci in members {
+                let ci = ci as usize;
+                // The expression the brute-force definition evaluates, so
+                // the same bits.
+                let d2 = (block.particles[ci] + shift).dist2(q);
+                let id = block.site_ids[ci];
+                if best.is_none_or(|(bd2, bid, ..)| d2 < bd2 || (d2 == bd2 && id < bid)) {
+                    *best = Some((d2, id, gid, ci));
+                }
+            }
+        });
+    }
+}
+
 /// An immutable certified mesh at one epoch, with the lookup structures
 /// queries run against. Published behind `Arc`; never mutated after build.
 pub struct MeshSnapshot {
@@ -344,13 +379,7 @@ pub struct MeshSnapshot {
     /// Sum of all cell volumes (canonical iteration order).
     pub total_volume: f64,
     pub total_cells: u64,
-    entries: Vec<SiteEntry>,
-    /// Site ids and positions parallel to `entries` (primary sites +
-    /// periodic images), sorted by site id.
-    site_ids: Vec<u64>,
-    positions: Vec<Vec3>,
-    grid: Option<CandidateGrid>,
-    /// One site grid per block, in gid order.
+    /// One site grid per block, in gid order: the snapshot's one index.
     site_bins: Vec<Bins>,
 }
 
@@ -364,18 +393,12 @@ impl MeshSnapshot {
             stats: TessStats::default(),
             total_volume: 0.0,
             total_cells: 0,
-            entries: Vec::new(),
-            site_ids: Vec::new(),
-            positions: Vec::new(),
-            grid: None,
             site_bins: Vec::new(),
         }
     }
 
-    /// Index a certified mesh: collect every cell's seed position plus its
-    /// periodic images within half the domain extent of the boundary, sort
-    /// by site id (canonical tie-break), and build the candidate grid; then
-    /// bin each block's sites for box and region answers.
+    /// Index a certified mesh: bin each block's cell sites for point, box
+    /// and region answers, and total the cells and their volume.
     ///
     /// # Panics
     ///
@@ -387,92 +410,15 @@ impl MeshSnapshot {
         blocks: BTreeMap<u64, MeshBlock>,
         stats: TessStats,
     ) -> MeshSnapshot {
-        let domain = dec.domain;
-        let ext = domain.extent();
-        // Margin per axis: half the extent on periodic axes (covers every
-        // minimum-image offset from an in-domain query), zero otherwise.
-        let margin = Vec3::new(
-            if dec.periodic[0] { ext.x * 0.5 } else { 0.0 },
-            if dec.periodic[1] { ext.y * 0.5 } else { 0.0 },
-            if dec.periodic[2] { ext.z * 0.5 } else { 0.0 },
-        );
-        let lo = domain.min - margin;
-        let hi = domain.max + margin;
-
-        let mut raw: Vec<(u64, u64, u32, Vec3)> = Vec::new();
-        let mut total_volume = 0.0;
-        let mut total_cells = 0u64;
-        let offs = |periodic: bool| -> &'static [i32] {
-            if periodic {
-                &[-1, 0, 1]
-            } else {
-                &[0]
-            }
-        };
-        for (&gid, b) in &blocks {
-            for (ci, cell) in b.cells.iter().enumerate() {
-                total_volume += cell.volume;
-                total_cells += 1;
-                let p = b.site_of(cell);
-                let id = b.site_id_of(cell);
-                for &kx in offs(dec.periodic[0]) {
-                    for &ky in offs(dec.periodic[1]) {
-                        for &kz in offs(dec.periodic[2]) {
-                            let img = p + Vec3::new(
-                                kx as f64 * ext.x,
-                                ky as f64 * ext.y,
-                                kz as f64 * ext.z,
-                            );
-                            let inside = img.x >= lo.x
-                                && img.x <= hi.x
-                                && img.y >= lo.y
-                                && img.y <= hi.y
-                                && img.z >= lo.z
-                                && img.z <= hi.z;
-                            if inside {
-                                raw.push((id, gid, ci as u32, img));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Site id first, then position bits, so the build is fully
-        // deterministic.
-        raw.sort_by(|a, b| {
-            (a.0, a.3.x.to_bits(), a.3.y.to_bits(), a.3.z.to_bits()).cmp(&(
-                b.0,
-                b.3.x.to_bits(),
-                b.3.y.to_bits(),
-                b.3.z.to_bits(),
-            ))
-        });
-        let mut entries = Vec::with_capacity(raw.len());
-        let mut site_ids = Vec::with_capacity(raw.len());
-        let mut positions = Vec::with_capacity(raw.len());
-        for (site_id, gid, cell, pos) in raw {
-            entries.push(SiteEntry { gid, cell });
-            site_ids.push(site_id);
-            positions.push(pos);
-        }
-        let grid = if positions.is_empty() {
-            None
-        } else {
-            Some(CandidateGrid::build(Aabb::new(lo, hi), &positions, 4.0))
-        };
-        let site_bins = blocks.values().map(site_bins).collect();
+        let volumes = || blocks.values().flat_map(|b| b.cells.volumes());
         MeshSnapshot {
             epoch,
             dec,
-            blocks,
             stats,
-            total_volume,
-            total_cells,
-            entries,
-            site_ids,
-            positions,
-            grid,
-            site_bins,
+            total_volume: volumes().fold(0.0, |sum, &v| sum + v),
+            total_cells: volumes().count() as u64,
+            site_bins: blocks.values().map(site_bins).collect(),
+            blocks,
         }
     }
 
@@ -496,19 +442,67 @@ impl MeshSnapshot {
     }
 
     /// Exact nearest-seed lookup (see module docs for the tie-break and
-    /// periodic-image argument). `None` on an empty mesh.
-    pub fn lookup_point(&self, p: Vec3, scratch: &mut StreamScratch) -> Option<PointHit> {
-        let grid = self.grid.as_ref()?;
+    /// periodic-image argument). `None` on an empty mesh or a NaN query.
+    /// It walks the site grids and needs no stream buffers.
+    pub fn lookup_point(&self, p: Vec3, _scratch: &mut StreamScratch) -> Option<PointHit> {
         let q = self.wrap_query(p);
-        let mut stream = grid.stream(&self.positions, &self.site_ids, q, u32::MAX, scratch);
-        let (d2, idx) = stream.next(f64::INFINITY)?;
-        let e = &self.entries[idx as usize];
-        let block = &self.blocks[&e.gid];
-        let cell = block.cells.cell(e.cell as usize);
+        if q.x.is_nan() || q.y.is_nan() || q.z.is_nan() {
+            return None;
+        }
+        let ext = self.dec.domain.extent();
+        // Image offsets per axis, the unshifted sites first.
+        let offs = self
+            .dec
+            .periodic
+            .map(|p| if p { &[0, -1, 1][..] } else { &[0][..] });
+        let mut best: Nearest = None;
+        // The owning block first: its hit bounds the search everywhere else.
+        let owner = self.dec.block_of_point(q);
+        let blocks = || {
+            let blocks = self.blocks.iter().zip(&self.site_bins);
+            blocks.filter(|((_, b), _)| !b.cells.is_empty())
+        };
+        let owned = blocks().filter(|((&g, _), _)| g == owner);
+        for ((&gid, block), bins) in owned.chain(blocks().filter(|((&g, _), _)| g != owner)) {
+            let sites = bins.bounds();
+            // At least every magnitude a bound or distance below rounds at.
+            let scale =
+                2.0 * (sites.min.max_abs().max(sites.max.max_abs()) + q.max_abs()) + ext.max_abs();
+            let beyond = |d2: f64, best: &Nearest| {
+                (d2.sqrt() - rounding_slack(scale)).max(0.0).powi(2) > nearest_d2(best)
+            };
+            // Squared gap on axis `a` from `q − k·ext` to the site box, per
+            // offset `k` of `offs[a]`.
+            let gap2 = [0, 1, 2].map(|a| {
+                let mut g = [f64::INFINITY; 3];
+                for (g, &k) in g.iter_mut().zip(offs[a]) {
+                    let x = q[a] - k as f64 * ext[a];
+                    *g = (sites.min[a] - x).max(x - sites.max[a]).max(0.0).powi(2);
+                }
+                g
+            });
+            // The nearest image's box first: most blocks end here.
+            if beyond(gap2.iter().map(|g| g[0].min(g[1]).min(g[2])).sum(), &best) {
+                continue;
+            }
+            for (iz, &kz) in offs[2].iter().enumerate() {
+                for (iy, &ky) in offs[1].iter().enumerate() {
+                    for (ix, &kx) in offs[0].iter().enumerate() {
+                        if !beyond(gap2[0][ix] + gap2[1][iy] + gap2[2][iz], &best) {
+                            let shift =
+                                Vec3::new(kx as f64 * ext.x, ky as f64 * ext.y, kz as f64 * ext.z);
+                            search_image(gid, block, bins, q, shift, scale, &mut best);
+                        }
+                    }
+                }
+            }
+        }
+        let (dist2, site_id, gid, ci) = best?;
+        let cell = self.blocks[&gid].cells.cell(ci);
         Some(PointHit {
-            site_id: self.site_ids[idx as usize],
-            gid: e.gid,
-            dist2: d2,
+            site_id,
+            gid,
+            dist2,
             volume: cell.volume,
             area: cell.area,
             faces: cell.faces.len() as u32,
@@ -593,11 +587,6 @@ impl MeshSnapshot {
             Query::BoxCells(b) => Answer::BoxCells(self.box_cells(*b)),
             Query::Region(b) => Answer::Region(self.region_summary(*b)),
         }
-    }
-
-    /// Number of indexed site entries (primaries + periodic images).
-    pub fn indexed_sites(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -784,14 +773,6 @@ fn query_span_name(q: &Query) -> &'static str {
         Query::Point(_) => "query:point",
         Query::BoxCells(_) => "query:box",
         Query::Region(_) => "query:region",
-    }
-}
-
-fn answer_span_name(a: &Answer) -> &'static str {
-    match a {
-        Answer::Point(_) => "query:point",
-        Answer::BoxCells(_) => "query:box",
-        Answer::Region(_) => "query:region",
     }
 }
 
@@ -1212,7 +1193,6 @@ fn query_key(q: &Query) -> QueryKey {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
-    let mut scratch = StreamScratch::default();
     loop {
         let batch = {
             let mut st = shared.queue.lock().unwrap();
@@ -1230,17 +1210,18 @@ fn worker_loop(shared: Arc<Shared>) {
         };
         shared.tele.batches.inc();
         shared.tele.batch_size.observe_u64(batch.len() as u64);
-        process_batch(&shared, batch, &mut scratch);
+        process_batch(&shared, batch);
     }
 }
 
 /// Answer one drained batch against a single pinned snapshot. Point
-/// lookups are grouped by owning block and walked in canonical order with
-/// one shared scratch per block group; bit-equal duplicates are computed
-/// once.
-fn process_batch(shared: &Shared, batch: Vec<Request>, scratch: &mut StreamScratch) {
+/// lookups are grouped by owning block and answered in canonical order
+/// within a group; bit-equal duplicates are computed once.
+fn process_batch(shared: &Shared, batch: Vec<Request>) {
     // Pin the epoch for the whole batch.
     let snap: Arc<MeshSnapshot> = shared.snap.read().unwrap().clone();
+    // No answer uses stream buffers; the empty ones allocate nothing.
+    let scratch = &mut StreamScratch::default();
 
     // Each drained request joins this batch on its own trace track
     // (`a` = the pinned epoch the batch answers against).
@@ -1272,7 +1253,7 @@ fn process_batch(shared: &Shared, batch: Vec<Request>, scratch: &mut StreamScrat
         coalesced += (reqs.len() as u64).saturating_sub(1);
         answered += reqs.len() as u64;
         let lat_hist = shared.tele.latency_for(&answer);
-        let span = answer_span_name(&answer);
+        let span = query_span_name(&reqs[0].query);
         let reply = |req: Request, answer: Answer| {
             let latency_ns = monotonic_ns().saturating_sub(req.enq_ns);
             lat_hist.observe_u64(latency_ns);
@@ -1295,7 +1276,7 @@ fn process_batch(shared: &Shared, batch: Vec<Request>, scratch: &mut StreamScrat
         reply(last, answer);
     };
 
-    // One distance-ordered kernel pass per block group.
+    // Point lookups, one owning-block group after another.
     for (gid, group) in points {
         for (key, reqs) in group {
             let QueryKey::Point(bits) = key else {

@@ -27,7 +27,6 @@
 //! distribution (cell volume distributions, voids), which PM dynamics
 //! reproduce well at laptop scale.
 
-pub mod checkpoint;
 pub mod cic;
 pub mod cosmology;
 pub mod ic;

@@ -44,22 +44,6 @@ pub fn density_contrast(blocks: &[MeshBlock], mean_density: f64) -> DensityField
     }
 }
 
-/// Augment particle output with per-site cell density (the paper's §V
-/// extension: "augment the output of particle positions with the cell
-/// volume or density at each site").
-pub fn per_particle_density(blocks: &[MeshBlock]) -> Vec<(u64, f64, f64)> {
-    let mut out = Vec::new();
-    for b in blocks {
-        for c in &b.cells {
-            if c.volume > 0.0 {
-                out.push((b.site_id_of(c), c.volume, 1.0 / c.volume));
-            }
-        }
-    }
-    out.sort_by_key(|&(id, _, _)| id);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,16 +101,6 @@ mod tests {
         let f = density_contrast(&[b], 2.0);
         let c = f.contrasts();
         assert!((c[0] - 1.0).abs() < 1e-12); // (4-2)/2
-    }
-
-    #[test]
-    fn per_particle_density_is_sorted_and_complete() {
-        let b = block_with_volumes(&[2.0, 0.5, 1.0]);
-        let rows = per_particle_density(&[b]);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, 0);
-        assert_eq!(rows[2].0, 2);
-        assert_eq!(rows[1], (1, 0.5, 2.0));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Differential query-oracle and snapshot-consistency suite for the
 //! resident mesh service.
 //!
-//! The service's point lookup streams candidates from a grid in
-//! (exact distance, site id) order and stops at the first emission; the
-//! oracle here is the definition it must match: brute-force argmin of
-//! exact f64 distance over **every** cell seed × **every** periodic image
-//! (not just the indexed ones), ties broken canonically by smallest site
-//! id. Box extraction and region summaries must equal, bit for bit, a
+//! The service's point lookup searches each block's site grid for the
+//! nearest periodic image of a site; the oracle here is the definition it
+//! must match: brute-force argmin of exact f64 distance over **every**
+//! cell seed × **every** periodic image, ties broken canonically by
+//! smallest site id. Box extraction and region summaries must equal, bit for bit, a
 //! plain filter over all cells in canonical block/cell order, and region
 //! summaries over any partition of the domain must conserve the total
 //! volume to 1e-9. All of it must hold bit-for-bit across rank counts
@@ -77,14 +76,15 @@ fn params() -> TessParams {
 fn spawn_service(
     particles: &[(u64, Vec3)],
     box_len: f64,
-    periodic: bool,
+    periodic: [bool; 3],
     nranks: usize,
+    nblocks: usize,
 ) -> MeshService {
     MeshService::spawn(
         Aabb::cube(box_len),
-        [periodic; 3],
+        periodic,
         particles,
-        ServiceConfig::new(nranks, NBLOCKS)
+        ServiceConfig::new(nranks, nblocks)
             .with_workers(2)
             .with_params(params()),
     )
@@ -207,43 +207,75 @@ fn mesh_bits(blocks: &BTreeMap<u64, tess::MeshBlock>) -> BTreeMap<u64, CellBits>
 }
 
 /// The tentpole differential: batched point lookups through the service
-/// match the brute-force oracle bit-for-bit across 1/2/4 ranks × pool
-/// widths 1/2/8, and every configuration publishes the identical mesh.
+/// match the brute-force oracle bit-for-bit, and every configuration of an
+/// input publishes the identical mesh. The 8-block periodic cube runs at
+/// 1/2/4 ranks × pool widths 1/2/8. The other inputs are where a search
+/// that starts in the query's own block must look further: one and two
+/// blocks (one block spans a whole periodic axis, so the nearest site can
+/// be an image of a site in the same block), a domain periodic in x and y
+/// only (queries beyond the open z faces stay there), and particles
+/// confined to one octant, so the block owning most queries holds no cell.
 #[test]
 fn point_lookups_match_oracle_across_ranks_pools_kernels() {
     let particles = jittered(4, 11, 0.3);
-    let queries = query_points(4.0, 24, 99);
-    let mut reference_mesh: Option<BTreeMap<u64, CellBits>> = None;
-    for &nranks in &[1usize, 2, 4] {
-        for &width in &[1usize, 2, 8] {
-            let ctx = format!("ranks={nranks} pool={width}");
-            with_pool_width(width, || {
-                let svc = spawn_service(&particles, 4.0, true, nranks);
-                let snap = svc.snapshot();
-                assert_eq!(snap.epoch, 1, "{ctx}");
-                let bits = mesh_bits(&snap.blocks);
-                match &reference_mesh {
-                    None => reference_mesh = Some(bits),
-                    Some(r) => assert_eq!(&bits, r, "{ctx}: mesh differs"),
-                }
-                // one batched submission wave, then compare each
-                let pending: Vec<_> = queries
-                    .iter()
-                    .map(|&p| svc.submit(Query::Point(p)).expect("open"))
-                    .collect();
-                for (p, pend) in queries.iter().zip(pending) {
-                    let r = pend.wait();
-                    assert_eq!(r.epoch, 1, "{ctx}");
-                    let Answer::Point(got) = r.answer else {
-                        panic!("{ctx}: point query returned non-point answer")
-                    };
-                    let want = oracle_point(&snap, *p);
-                    match (&got, &want) {
-                        (Some(g), Some(w)) => assert_hit_bits_eq(g, w, &format!("{ctx} q={p:?}")),
-                        _ => panic!("{ctx}: hit mismatch {got:?} vs {want:?}"),
+    let octant: Vec<(u64, Vec3)> = jittered(4, 13, 0.3)
+        .into_iter()
+        .map(|(id, p)| (id, p * 0.5))
+        .collect();
+    let few: (&[usize], &[usize]) = (&[1, 2], &[1, 8]);
+    // (particles, periodicity, blocks, (ranks, pool widths), queries):
+    // a block takes at most one rank
+    let cases = [
+        (
+            &particles,
+            [true; 3],
+            NBLOCKS,
+            (&[1, 2, 4][..], &[1, 2, 8][..]),
+            24,
+        ),
+        (&particles, [true; 3], 1, (&[1][..], &[1, 8][..]), 64),
+        (&particles, [true; 3], 2, few, 64),
+        (&particles, [true, true, false], 2, few, 64),
+        (&particles, [true, true, false], NBLOCKS, few, 64),
+        (&octant, [true; 3], NBLOCKS, few, 64),
+        (&octant, [false; 3], NBLOCKS, few, 64),
+    ];
+    for (particles, periodic, nblocks, (ranks, widths), nqueries) in cases {
+        let queries = query_points(4.0, nqueries, 99);
+        let mut reference_mesh: Option<BTreeMap<u64, CellBits>> = None;
+        for &nranks in ranks {
+            for &width in widths {
+                let ctx = format!("{periodic:?} blocks={nblocks} ranks={nranks} pool={width}");
+                with_pool_width(width, || {
+                    let svc = spawn_service(particles, 4.0, periodic, nranks, nblocks);
+                    let snap = svc.snapshot();
+                    assert_eq!(snap.epoch, 1, "{ctx}");
+                    let bits = mesh_bits(&snap.blocks);
+                    match &reference_mesh {
+                        None => reference_mesh = Some(bits),
+                        Some(r) => assert_eq!(&bits, r, "{ctx}: mesh differs"),
                     }
-                }
-            });
+                    // one batched submission wave, then compare each
+                    let pending: Vec<_> = queries
+                        .iter()
+                        .map(|&p| svc.submit(Query::Point(p)).expect("open"))
+                        .collect();
+                    for (p, pend) in queries.iter().zip(pending) {
+                        let r = pend.wait();
+                        assert_eq!(r.epoch, 1, "{ctx}");
+                        let Answer::Point(got) = r.answer else {
+                            panic!("{ctx}: point query returned non-point answer")
+                        };
+                        let want = oracle_point(&snap, *p);
+                        match (&got, &want) {
+                            (Some(g), Some(w)) => {
+                                assert_hit_bits_eq(g, w, &format!("{ctx} q={p:?}"))
+                            }
+                            _ => panic!("{ctx}: hit mismatch {got:?} vs {want:?}"),
+                        }
+                    }
+                });
+            }
         }
     }
 }
@@ -254,7 +286,7 @@ fn point_lookups_match_oracle_across_ranks_pools_kernels() {
 #[test]
 fn box_extraction_and_region_partition_match_oracle() {
     let particles = jittered(4, 23, 0.3);
-    let svc = spawn_service(&particles, 4.0, true, 2);
+    let svc = spawn_service(&particles, 4.0, [true; 3], 2, NBLOCKS);
     let snap = svc.snapshot();
 
     // Differential: random boxes vs an independent filter over all cells.
@@ -461,7 +493,7 @@ fn box_and_region_answers_match_full_scan_bits() {
     for periodic in [true, false] {
         for nranks in [1usize, 2, 4] {
             let ctx = format!("periodic={periodic} ranks={nranks}");
-            let svc = spawn_service(&particles, 10.0, periodic, nranks);
+            let svc = spawn_service(&particles, 10.0, [periodic; 3], nranks, NBLOCKS);
             let snap = svc.snapshot();
             let boxes = edge_boxes(&snap, 1000, 17 + nranks as u64);
             let pending: Vec<_> = boxes
@@ -506,7 +538,7 @@ fn exact_ties_break_to_smallest_site_id() {
             )
         })
         .collect();
-    let svc = spawn_service(&particles, 4.0, true, 2);
+    let svc = spawn_service(&particles, 4.0, [true; 3], 2, NBLOCKS);
     let snap = svc.snapshot();
 
     // (query, winner site id, exact tie distance²)
@@ -590,7 +622,7 @@ fn race_one_config(
     nranks: usize,
     ctx: &str,
 ) {
-    let svc = spawn_service(before, 4.0, true, nranks);
+    let svc = spawn_service(before, 4.0, [true; 3], nranks, NBLOCKS);
     let queries = query_points(4.0, 40, 5);
     let mut observed: Vec<(Query, tess::Response)> = Vec::new();
     std::thread::scope(|scope| {

@@ -158,7 +158,7 @@ proptest! {
     }
 
     /// Same property on a non-periodic box: no images, queries outside
-    /// the domain clamp into the candidate grid instead of wrapping.
+    /// the domain stay outside instead of wrapping.
     #[test]
     fn nonperiodic_batches_match_brute_force(
         seed in 0u64..1_000_000,
