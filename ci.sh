@@ -140,9 +140,13 @@ stage_decomp() {
     # halo chained through all 8 blocks sends as many messages as a compact
     # one (the primitive's and the halo finder's unit oracles run too, and
     # Minkowski's, which include two calls on one mesh returning the same
-    # bits). The equivalence suite also pins rank imbalance on the
-    # clustered corpus at 8 ranks: regular >=3.0, k-d + weighted
-    # assignment <=1.25.
+    # bits and cells touching only along an edge or at a vertex); the
+    # vertex-numbered Minkowski functionals equal a position-keyed oracle
+    # on one block, on 8 fixed-ghost blocks of the TESS_DECOMP scheme and
+    # on 8 adaptive k-d blocks, so the voids suite reruns under
+    # TESS_DECOMP=kd with the rest. The equivalence suite also pins rank
+    # imbalance on the clustered corpus at 8 ranks: regular >=3.0, k-d +
+    # weighted assignment <=1.25.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
         cargo test --release -q -p meshing-universe --test voids_pipeline &&
         cargo test --release -q -p meshing-universe --test fof_pipeline &&
@@ -153,7 +157,8 @@ stage_decomp() {
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_oracle &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_property &&
-        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_epochs
+        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test service_epochs &&
+        TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test voids_pipeline
 }
 
 stage_memory() {
@@ -171,10 +176,14 @@ stage_memory() {
     # and every bit flip or truncation of a real block, and random byte
     # corruptions of four more, decode to a typed error or to a block whose
     # every index is in range, never a panic; the flat model's own unit
-    # tests (views, size accounting, typed index errors) run too.
+    # tests (views, size accounting, typed index errors) run too; (5)
+    # post_memory: one Minkowski call on an 8-block mesh stays inside its
+    # pinned allocator budget, and a 2-rank read holds its decoded blocks
+    # plus at most one raw payload per rank.
     cargo test --release -q -p meshing-universe --test streaming_output &&
         cargo test --release -q -p diy --test blockfile_fuzz &&
         cargo test --release -q -p meshing-universe --test memory_budget &&
+        cargo test --release -q -p meshing-universe --test post_memory &&
         cargo test --release -q -p meshing-universe --test block_codec &&
         cargo test --release -q -p tess --lib -- model::
 }

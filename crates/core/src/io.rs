@@ -3,6 +3,11 @@
 //! All blocks are written collectively into one file (the paper's §III-C2
 //! data model), indexed by gid, and can be read back serially or in
 //! parallel at any rank count.
+//!
+//! Reads decode as they go: each block's payload is decoded right after
+//! its checksum passes and dropped before the next is read, so a reader
+//! holds its decoded blocks plus at most one raw payload — never its
+//! whole share of the file twice over.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -84,24 +89,25 @@ impl TessStreamWriter {
 
 /// Serial read of every block.
 pub fn read_tessellation(path: &Path) -> io::Result<Vec<MeshBlock>> {
-    diy::io::read_all_blocks(path)?
-        .into_iter()
-        .map(|(_, bytes)| {
-            MeshBlock::from_bytes(&bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
+    decode_records(path, &diy::io::read_index(path)?)
 }
 
-/// Parallel read: each rank receives a partition of the blocks.
+/// Parallel read: each rank receives a contiguous partition of the blocks.
 pub fn read_tessellation_parallel(world: &mut World, path: &Path) -> io::Result<Vec<MeshBlock>> {
-    diy::io::read_blocks_parallel(world, path)?
-        .into_iter()
-        .map(|(_, bytes)| {
-            MeshBlock::from_bytes(&bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
+    let index = diy::io::read_index(path)?;
+    decode_records(
+        path,
+        diy::io::rank_share(&index, world.rank(), world.nranks()),
+    )
+}
+
+/// Decode each block as soon as its payload is read and checked, so only
+/// one raw payload is ever held beside the decoded blocks.
+fn decode_records(path: &Path, records: &[diy::io::BlockRecord]) -> io::Result<Vec<MeshBlock>> {
+    diy::io::decode_blocks(path, records, |_, bytes| {
+        MeshBlock::from_bytes(&bytes)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    })
 }
 
 #[cfg(test)]
@@ -150,6 +156,43 @@ mod tests {
         let back = read_tessellation(&tmpfile("serial.tess")).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0], block);
+    }
+
+    #[test]
+    fn a_corrupt_payload_is_a_typed_error_for_the_rank_that_reads_it() {
+        let (block, _) = tessellate_serial(
+            &lattice(3),
+            Aabb::cube(3.0),
+            [true; 3],
+            &TessParams::default().with_ghost(2.0),
+        );
+        let path = tmpfile("corrupt.tess");
+        let blocks: BTreeMap<u64, MeshBlock> = (0..2u64)
+            .map(|gid| {
+                (
+                    gid,
+                    MeshBlock {
+                        gid,
+                        ..block.clone()
+                    },
+                )
+            })
+            .collect();
+        Runtime::run(1, |w| {
+            write_tessellation(w, &path, &blocks).unwrap();
+        });
+        // flip a byte inside block 1's payload
+        let record = diy::io::read_index(&path).unwrap()[1];
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(record.offset + record.len / 2) as usize] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = read_tessellation(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let per_rank = Runtime::run(2, |w| read_tessellation_parallel(w, &path));
+        assert_eq!(per_rank[0].as_ref().unwrap(), &[blocks[&0].clone()]);
+        let err = per_rank[1].as_ref().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

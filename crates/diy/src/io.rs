@@ -29,6 +29,11 @@
 //! [`write_blocks`] is a single-wave special case). The footer is ordered
 //! canonically by gid regardless of which rank wrote which block in which
 //! wave.
+//!
+//! Reads go through [`decode_blocks`]: one payload at a time is read,
+//! checked against its checksum and handed to the caller's decoder before
+//! the next is read. A collective read takes the [`rank_share`] of the
+//! gid-sorted index, at any rank count.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom};
@@ -255,9 +260,8 @@ pub fn read_index(path: &Path) -> io::Result<Vec<BlockRecord>> {
     Ok(records)
 }
 
-/// Read one block's payload and verify its checksum.
-pub fn read_block(path: &Path, record: &BlockRecord) -> io::Result<Vec<u8>> {
-    let file = File::open(path)?;
+/// Read one block's payload from an open file and verify its checksum.
+fn read_payload(file: &File, record: &BlockRecord) -> io::Result<Vec<u8>> {
     let mut buf = vec![0u8; record.len as usize];
     file.read_exact_at(&mut buf, record.offset)?;
     if fnv1a(&buf) != record.checksum {
@@ -269,26 +273,38 @@ pub fn read_block(path: &Path, record: &BlockRecord) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Read all blocks sequentially (serial convenience).
-pub fn read_all_blocks(path: &Path) -> io::Result<Vec<(u64, Vec<u8>)>> {
-    let index = read_index(path)?;
-    index
+/// Read one block's payload and verify its checksum.
+pub fn read_block(path: &Path, record: &BlockRecord) -> io::Result<Vec<u8>> {
+    read_payload(&File::open(path)?, record)
+}
+
+/// Read the payloads of `records` in order and hand each to `decode` the
+/// moment its checksum passes, before the next is read: a decoder that
+/// drops the bytes leaves at most one raw payload live at a time, only as
+/// large as the block in hand. The first checksum or decode error stops
+/// the read.
+pub fn decode_blocks<T>(
+    path: &Path,
+    records: &[BlockRecord],
+    mut decode: impl FnMut(&BlockRecord, Vec<u8>) -> io::Result<T>,
+) -> io::Result<Vec<T>> {
+    let file = File::open(path)?;
+    records
         .iter()
-        .map(|r| Ok((r.gid, read_block(path, r)?)))
+        .map(|r| decode(r, read_payload(&file, r)?))
         .collect()
 }
 
-/// Collective read: each rank reads the blocks a contiguous partition of the
-/// index assigns to it (independent of the writer's rank count).
-pub fn read_blocks_parallel(world: &mut World, path: &Path) -> io::Result<Vec<(u64, Vec<u8>)>> {
-    let index = read_index(path)?;
+/// Read all blocks sequentially (serial convenience).
+pub fn read_all_blocks(path: &Path) -> io::Result<Vec<(u64, Vec<u8>)>> {
+    decode_blocks(path, &read_index(path)?, |r, bytes| Ok((r.gid, bytes)))
+}
+
+/// The contiguous share of `index` a collective read gives `rank` of
+/// `nranks` — independent of the rank count the file was written at.
+pub fn rank_share(index: &[BlockRecord], rank: usize, nranks: usize) -> &[BlockRecord] {
     let n = index.len();
-    let lo = world.rank() * n / world.nranks();
-    let hi = (world.rank() + 1) * n / world.nranks();
-    index[lo..hi]
-        .iter()
-        .map(|r| Ok((r.gid, read_block(path, r)?)))
-        .collect()
+    &index[rank * n / nranks..(rank + 1) * n / nranks]
 }
 
 fn invalid(e: crate::codec::CodecError) -> io::Error {
@@ -362,7 +378,11 @@ mod tests {
             write_blocks(w, &path, &[(gid, vec![gid as u8; 5])]).unwrap();
         });
         // read back with a different rank count
-        let per_rank = Runtime::run(3, |w| read_blocks_parallel(w, &path).unwrap());
+        let per_rank = Runtime::run(3, |w| {
+            let index = read_index(&path).unwrap();
+            let share = rank_share(&index, w.rank(), w.nranks());
+            decode_blocks(&path, share, |r, bytes| Ok((r.gid, bytes))).unwrap()
+        });
         let mut all: Vec<u64> = per_rank.into_iter().flatten().map(|(g, _)| g).collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);

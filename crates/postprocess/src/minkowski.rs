@@ -14,6 +14,16 @@
 //! Derived metrics follow SURFGEN (Sheth et al. 2002, the paper's [21]):
 //! thickness `T = 3 V0 / V1`, breadth `B = V1 / V2`, length
 //! `L = V2 / 4π`.
+//!
+//! The boundary surface is stitched across blocks and the periodic seam
+//! by vertex *numbers*. The first time a boundary face reaches a block
+//! vertex, the vertex is wrapped into the domain and quantized to 1e-6;
+//! that key gets a global number, cached in a per-block slot, so each
+//! block vertex is quantized once however many faces share it. A boundary
+//! edge is the pair of its ends' numbers; the first face to list it
+//! leaves its length and normal, the second folds them into the edge's V2
+//! term. V2 sums those terms in the order the edges were first listed
+//! (block, cell, face, corner), so it does not depend on hashing.
 
 use std::collections::HashSet;
 
@@ -39,21 +49,95 @@ pub struct Minkowski {
     pub unmatched_edges: u64,
 }
 
-/// One boundary edge: its length summed over the faces that list it, and
-/// the normals of the first two. A watertight surface has exactly two
-/// faces per edge; any other count is an unmatched edge.
-#[derive(Default)]
-struct EdgeFaces {
-    len2: f64,
-    normals: [Vec3; 2],
-    faces: u32,
+/// A block vertex's slot before any boundary face has reached it.
+const UNNUMBERED: u32 = u32::MAX;
+
+/// Global vertex numbers: one per distinct 1e-6 grid key, handed out in
+/// the order boundary faces first reach the keys.
+struct Numbering {
+    domain: Aabb,
+    /// The box extent in grid steps per axis; 0 leaves the axis unfolded.
+    steps: [i64; 3],
+    by_key: FxHashMap<[i64; 3], u32>,
+    /// Per number: whether it ends a non-degenerate boundary edge (the
+    /// vertices `χ` counts).
+    on_edge: Vec<bool>,
+    /// Per vertex of the current block: its number, or [`UNNUMBERED`].
+    slot: Vec<u32>,
 }
 
-impl EdgeFaces {
+impl Numbering {
+    fn new(domain: &Aabb) -> Self {
+        let e = domain.extent();
+        Numbering {
+            domain: *domain,
+            steps: [e.x, e.y, e.z].map(|len| (len * 1e6).round() as i64),
+            by_key: FxHashMap::default(),
+            on_edge: Vec::new(),
+            slot: Vec::new(),
+        }
+    }
+
+    /// A position's grid key: wrapped into the periodic box, scaled by
+    /// 1e6, rounded, and folded by the rounded extent (a wrap can land
+    /// exactly on the upper edge after rounding).
+    fn key(&self, p: Vec3) -> [i64; 3] {
+        let w = self.domain.wrap(p);
+        let fold = |x: f64, lo: f64, n: i64| {
+            let q = ((x - lo) * 1e6).round() as i64;
+            if n > 0 {
+                q.rem_euclid(n)
+            } else {
+                q
+            }
+        };
+        let lo = self.domain.min;
+        [
+            fold(w.x, lo.x, self.steps[0]),
+            fold(w.y, lo.y, self.steps[1]),
+            fold(w.z, lo.z, self.steps[2]),
+        ]
+    }
+
+    /// Start a block with `verts` vertices.
+    fn enter_block(&mut self, verts: usize) {
+        self.slot.clear();
+        self.slot.resize(verts, UNNUMBERED);
+    }
+
+    /// The number of the current block's vertex `v` at position `p`.
+    fn of(&mut self, v: u32, p: Vec3) -> u32 {
+        let v = v as usize;
+        if self.slot[v] == UNNUMBERED {
+            let next = self.on_edge.len() as u32;
+            let number = *self.by_key.entry(self.key(p)).or_insert(next);
+            if number == next {
+                self.on_edge.push(false);
+            }
+            self.slot[v] = number;
+        }
+        self.slot[v]
+    }
+}
+
+/// One boundary edge as the faces listing it leave it. A watertight
+/// surface lists every edge exactly twice; any other count is an
+/// unmatched edge.
+struct Edge {
+    faces: u32,
+    /// After one face, that face's edge length; after two, the edge's V2
+    /// term `½ ℓ (π − θ)` with `ℓ` the mean of the two lengths.
+    value: f64,
+    /// The first face's unit normal.
+    normal: Vec3,
+}
+
+impl Edge {
     fn add(&mut self, len: f64, normal: Vec3) {
-        self.len2 += len;
-        if let Some(slot) = self.normals.get_mut(self.faces as usize) {
-            *slot = normal;
+        if self.faces == 1 {
+            let ell = (self.value + len) / 2.0;
+            let theta = dihedral_angle(self.normal, normal);
+            self.value = 0.5 * ell * (std::f64::consts::PI - theta);
         }
         self.faces += 1;
     }
@@ -74,37 +158,17 @@ pub fn minkowski_functionals(
     let mut v0 = 0.0;
     let mut v1 = 0.0;
 
-    // Quantized-vertex helpers (periodic wrap, then round).
-    let quant = |p: Vec3| -> (i64, i64, i64) {
-        let w = domain.wrap(p);
-        let e = domain.extent();
-        // wrap can return exactly the upper edge after rounding; fold it
-        let fold = |x: f64, lo: f64, len: f64| {
-            let q = ((x - lo) * 1e6).round() as i64;
-            let n = (len * 1e6).round() as i64;
-            if n > 0 {
-                q.rem_euclid(n)
-            } else {
-                q
-            }
-        };
-        (
-            fold(w.x, domain.min.x, e.x),
-            fold(w.y, domain.min.y, e.y),
-            fold(w.z, domain.min.z, e.z),
-        )
-    };
-
-    // Boundary edges: edge key → the faces listing it, held inline. FxHash
-    // has no random state, so V2 below sums the edges in the same order on
-    // every call.
-    type EdgeKey = ((i64, i64, i64), (i64, i64, i64));
-    let mut edges: FxHashMap<EdgeKey, EdgeFaces> = FxHashMap::default();
-    let mut boundary_verts: FxHashSet<(i64, i64, i64)> = FxHashSet::default();
+    let mut numbers = Numbering::new(domain);
+    // Boundary edges in first-listed order, and their index by the pair of
+    // end numbers (low number in the high half).
+    let mut edges: Vec<Edge> = Vec::new();
+    let mut edge_of: FxHashMap<u64, u32> = FxHashMap::default();
     let mut boundary_faces: u64 = 0;
     let mut pts: Vec<Vec3> = Vec::new();
+    let mut ends: Vec<u32> = Vec::new();
 
     for b in blocks {
+        let mut entered = false;
         for c in &b.cells {
             let id = b.site_id_of(c);
             if !sites.contains(&id) {
@@ -126,17 +190,33 @@ pub fn minkowski_functionals(
                 let Some(n) = polygon_normal(&pts) else {
                     continue;
                 };
-                for i in 0..pts.len() {
-                    let a = pts[i];
-                    let bb = pts[(i + 1) % pts.len()];
-                    let (qa, qb) = (quant(a), quant(bb));
-                    if qa == qb {
+                if !entered {
+                    numbers.enter_block(b.verts.len());
+                    entered = true;
+                }
+                ends.clear();
+                ends.extend(f.verts.iter().zip(&pts).map(|(&v, &p)| numbers.of(v, p)));
+                for i in 0..ends.len() {
+                    let j = (i + 1) % ends.len();
+                    let (ga, gb) = (ends[i], ends[j]);
+                    if ga == gb {
                         continue; // degenerate sliver edge
                     }
-                    boundary_verts.insert(qa);
-                    boundary_verts.insert(qb);
-                    let key = if qa < qb { (qa, qb) } else { (qb, qa) };
-                    edges.entry(key).or_default().add(a.dist(bb), n);
+                    numbers.on_edge[ga as usize] = true;
+                    numbers.on_edge[gb as usize] = true;
+                    let key = (ga.min(gb) as u64) << 32 | ga.max(gb) as u64;
+                    let len = pts[i].dist(pts[j]);
+                    let next = edges.len() as u32;
+                    let e = *edge_of.entry(key).or_insert(next);
+                    if e == next {
+                        edges.push(Edge {
+                            faces: 1,
+                            value: len,
+                            normal: n,
+                        });
+                    } else {
+                        edges[e as usize].add(len, n);
+                    }
                 }
             }
         }
@@ -144,20 +224,16 @@ pub fn minkowski_functionals(
 
     let mut v2 = 0.0;
     let mut unmatched = 0u64;
-    let mut edge_count = 0i64;
-    for e in edges.values() {
-        edge_count += 1;
+    for e in &edges {
         if e.faces == 2 {
-            // each face contributed the length once → halve
-            let ell = e.len2 / 2.0;
-            let theta = dihedral_angle(e.normals[0], e.normals[1]);
-            v2 += 0.5 * ell * (std::f64::consts::PI - theta);
+            v2 += e.value;
         } else {
             unmatched += 1;
         }
     }
 
-    let euler = boundary_verts.len() as i64 - edge_count + boundary_faces as i64;
+    let verts = numbers.on_edge.iter().filter(|&&on| on).count() as i64;
+    let euler = verts - edges.len() as i64 + boundary_faces as i64;
     let genus = 1.0 - euler as f64 / 2.0;
     let thickness = if v1 > 0.0 { 3.0 * v0 / v1 } else { 0.0 };
     let breadth = if v2 > 0.0 { v1 / v2 } else { 0.0 };
@@ -321,6 +397,45 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(bits(minkowski_functionals(&blocks, &sites, &domain)), first);
         }
+    }
+
+    #[test]
+    fn cells_touching_along_one_edge() {
+        // (1,1,2) and (2,2,2) share only the z-edge at x = y = 2: four
+        // faces list it, so it is the one unmatched edge and adds no V2
+        let blocks = lattice_tessellation(5);
+        let id = |x: usize, y: usize, z: usize| (x + 5 * (y + 5 * z)) as u64;
+        let sites: HashSet<u64> = [id(1, 1, 2), id(2, 2, 2)].into_iter().collect();
+        let m = minkowski_functionals(&blocks, &sites, &Aabb::cube(5.0));
+        assert!((m.v1_area - 12.0).abs() < 1e-9, "area {}", m.v1_area);
+        assert_eq!(m.unmatched_edges, 1);
+        // V = 8 + 8 − 2 shared, E = 12 + 12 − 1 shared, F = 6 + 6
+        assert_eq!(m.v3_euler, 14 - 23 + 12);
+        // two cubes' 3π, less each cube's π/4 along the shared edge
+        assert!(
+            (m.v2_curvature - 5.5 * PI).abs() < 1e-6,
+            "V2 {}",
+            m.v2_curvature
+        );
+    }
+
+    #[test]
+    fn cells_touching_at_one_vertex() {
+        // (1,1,1) and (2,2,2) share only the vertex (2,2,2): every edge
+        // still pairs, but the two surfaces are glued at one point
+        let blocks = lattice_tessellation(5);
+        let id = |x: usize, y: usize, z: usize| (x + 5 * (y + 5 * z)) as u64;
+        let sites: HashSet<u64> = [id(1, 1, 1), id(2, 2, 2)].into_iter().collect();
+        let m = minkowski_functionals(&blocks, &sites, &Aabb::cube(5.0));
+        assert!((m.v1_area - 12.0).abs() < 1e-9, "area {}", m.v1_area);
+        assert_eq!(m.unmatched_edges, 0);
+        // V = 8 + 8 − 1 shared, E = 12 + 12, F = 6 + 6
+        assert_eq!(m.v3_euler, 15 - 24 + 12);
+        assert!(
+            (m.v2_curvature - 6.0 * PI).abs() < 1e-6,
+            "V2 {}",
+            m.v2_curvature
+        );
     }
 
     #[test]
