@@ -146,8 +146,12 @@ stage_decomp() {
     # on 8 adaptive k-d blocks, so the voids suite reruns under
     # TESS_DECOMP=kd with the rest. The equivalence suite also pins rank
     # imbalance on the clustered corpus at 8 ranks: regular >=3.0, k-d +
-    # weighted assignment <=1.25.
+    # weighted assignment <=1.25. (4) The simulation's particles after 20
+    # steps are the same bits at 1/2/3/4/8 ranks on regular and k-d blocks
+    # (the suite runs both schemes itself) and equal the serial PM stepper;
+    # an in-situ run streams the same blocks at 1 and 2 ranks.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
+        cargo test --release -q -p meshing-universe --test sim_determinism &&
         cargo test --release -q -p meshing-universe --test voids_pipeline &&
         cargo test --release -q -p meshing-universe --test fof_pipeline &&
         cargo test --release -q -p postprocess --lib components:: &&

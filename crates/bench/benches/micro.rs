@@ -148,9 +148,9 @@ fn bench_cic(c: &mut Criterion) {
     let pts = jittered_lattice(16, 6);
     c.bench_function("cic_deposit_4096", |b| {
         b.iter(|| {
-            let mut rho = Grid3::new([16, 16, 16], 0.0);
-            hacc::cic::deposit(&mut rho, &pts);
-            black_box(rho[(0, 0, 0)])
+            let mut mass = Grid3::new([16, 16, 16], 0);
+            hacc::cic::deposit(&mut mass, pts.iter().copied());
+            black_box(mass[(0, 0, 0)])
         })
     });
 }

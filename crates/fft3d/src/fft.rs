@@ -67,27 +67,27 @@ impl Fft {
     }
 }
 
-/// Naive O(n²) DFT used as the correctness oracle in tests.
-pub fn dft_naive(input: &[Complex], inverse: bool) -> Vec<Complex> {
-    let n = input.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex::ZERO;
-            for (j, &x) in input.iter().enumerate() {
-                let theta = sign * 2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
-                acc += x * Complex::from_angle(theta);
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Naive O(n²) DFT used as the correctness oracle in tests.
+    fn dft_naive(input: &[Complex], inverse: bool) -> Vec<Complex> {
+        let n = input.len();
+        let sign = if inverse { 1.0 } else { -1.0 };
+        (0..n)
+            .map(|k| {
+                let mut acc = Complex::ZERO;
+                for (j, &x) in input.iter().enumerate() {
+                    let theta = sign * 2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
+                    acc += x * Complex::from_angle(theta);
+                }
+                acc
+            })
+            .collect()
+    }
 
     #[test]
     #[should_panic]

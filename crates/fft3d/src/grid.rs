@@ -20,6 +20,12 @@ impl<T: Clone> Grid3<T> {
 }
 
 impl<T> Grid3<T> {
+    /// Wrap x-fastest `data` of length `dims[0]·dims[1]·dims[2]`.
+    pub fn from_vec(dims: [usize; 3], data: Vec<T>) -> Self {
+        assert_eq!(data.len(), dims[0] * dims[1] * dims[2], "grid data length");
+        Grid3 { dims, data }
+    }
+
     pub fn dims(&self) -> [usize; 3] {
         self.dims
     }
@@ -51,17 +57,6 @@ impl<T> Grid3<T> {
 
     pub fn data_mut(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Iterate `(i, j, k, &value)`.
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, usize, usize, &T)> {
-        let [nx, ny, _] = self.dims;
-        self.data.iter().enumerate().map(move |(n, v)| {
-            let i = n % nx;
-            let j = (n / nx) % ny;
-            let k = n / (nx * ny);
-            (i, j, k, v)
-        })
     }
 }
 
@@ -103,17 +98,5 @@ mod tests {
         assert_eq!(g.idx_wrapped(-1, 0, 0), g.idx(3, 0, 0));
         assert_eq!(g.idx_wrapped(4, 0, 0), g.idx(0, 0, 0));
         assert_eq!(g.idx_wrapped(-5, 9, -4), g.idx(3, 1, 0));
-    }
-
-    #[test]
-    fn iter_indexed_visits_all() {
-        let g = Grid3::new([2, 2, 2], 1.0f64);
-        let mut count = 0;
-        for (i, j, k, &v) in g.iter_indexed() {
-            assert!(i < 2 && j < 2 && k < 2);
-            assert_eq!(v, 1.0);
-            count += 1;
-        }
-        assert_eq!(count, 8);
     }
 }

@@ -30,45 +30,39 @@ pub fn fft3_inverse(grid: &mut Grid3<Complex>) {
 }
 
 fn transform3(grid: &mut Grid3<Complex>, inverse: bool) {
-    let [nx, ny, nz] = grid.dims();
-    let plans = [Fft::new(nx), Fft::new(ny), Fft::new(nz)];
+    let dims = grid.dims();
+    for axis in 0..3 {
+        transform_axis(grid.data_mut(), dims, axis, inverse);
+    }
+}
 
-    // Transform along x (contiguous).
-    let mut line = vec![Complex::ZERO; nx];
-    for k in 0..nz {
-        for j in 0..ny {
-            for (i, slot) in line.iter_mut().enumerate() {
-                *slot = grid[(i, j, k)];
-            }
-            plans[0].transform(&mut line, inverse);
-            for (i, &v) in line.iter().enumerate() {
-                grid[(i, j, k)] = v;
-            }
-        }
+/// Transform every line along `axis` of an x-fastest `dims` array in place
+/// (no normalization). Lines are independent, so a 3D transform gives the
+/// same bits whatever the axis order within one direction, and a slab of a
+/// grid transforms its lines exactly as the whole grid would.
+pub fn transform_axis(data: &mut [Complex], dims: [usize; 3], axis: usize, inverse: bool) {
+    debug_assert_eq!(data.len(), dims.iter().product::<usize>());
+    if data.is_empty() {
+        return;
     }
-    // Along y.
-    let mut line = vec![Complex::ZERO; ny];
-    for k in 0..nz {
-        for i in 0..nx {
-            for (j, slot) in line.iter_mut().enumerate() {
-                *slot = grid[(i, j, k)];
-            }
-            plans[1].transform(&mut line, inverse);
-            for (j, &v) in line.iter().enumerate() {
-                grid[(i, j, k)] = v;
-            }
+    let n = dims[axis];
+    let stride: usize = dims[..axis].iter().product();
+    let plan = Fft::new(n);
+    if stride == 1 {
+        for line in data.chunks_exact_mut(n) {
+            plan.transform(line, inverse);
         }
+        return;
     }
-    // Along z.
-    let mut line = vec![Complex::ZERO; nz];
-    for j in 0..ny {
-        for i in 0..nx {
-            for (k, slot) in line.iter_mut().enumerate() {
-                *slot = grid[(i, j, k)];
+    let mut line = vec![Complex::ZERO; n];
+    for outer in (0..data.len()).step_by(n * stride) {
+        for base in outer..outer + stride {
+            for (m, slot) in line.iter_mut().enumerate() {
+                *slot = data[base + m * stride];
             }
-            plans[2].transform(&mut line, inverse);
-            for (k, &v) in line.iter().enumerate() {
-                grid[(i, j, k)] = v;
+            plan.transform(&mut line, inverse);
+            for (m, &v) in line.iter().enumerate() {
+                data[base + m * stride] = v;
             }
         }
     }

@@ -112,7 +112,6 @@ mod tests {
                 seed: 3,
                 initial_delta_rms: 0.2,
                 spectrum: hacc::power::PowerSpectrum::default(),
-                solver: Default::default(),
             };
             let mut sim = hacc::Simulation::init(w, params, 8);
             let mut runner = InSituRunner::new(test_config(&dir));
@@ -178,7 +177,6 @@ mod tests {
                 seed: 3,
                 initial_delta_rms: 0.2,
                 spectrum: hacc::power::PowerSpectrum::default(),
-                solver: Default::default(),
             };
             let mut sim = hacc::Simulation::init(w, params, 8);
             let cfg = FrameworkConfig::parse(&format!(
@@ -227,7 +225,6 @@ mod tests {
                 seed: 3,
                 initial_delta_rms: 0.1,
                 spectrum: hacc::power::PowerSpectrum::default(),
-                solver: Default::default(),
             };
             let mut sim = hacc::Simulation::init(w, params, 1);
             let cfg = FrameworkConfig::parse("tool stats every=1\n").unwrap();

@@ -258,7 +258,6 @@ mod tests {
             seed: 5,
             initial_delta_rms: 0.0,
             spectrum: hacc::power::PowerSpectrum::default(),
-            solver: Default::default(),
         };
         let mut sim = Simulation::init(world, params, nranks_blocks);
         // positions: cluster A around (1,1,1), cluster B around (6.5, 6.5, 6.5)
@@ -359,7 +358,6 @@ mod tests {
                 seed: 1,
                 initial_delta_rms: 0.0,
                 spectrum: hacc::power::PowerSpectrum::default(),
-                solver: Default::default(),
             };
             let mut sim = Simulation::init(w, params, 8);
             for ps in sim.blocks.values_mut() {
@@ -400,7 +398,6 @@ mod tests {
                 seed: 1,
                 initial_delta_rms: 0.0,
                 spectrum: hacc::power::PowerSpectrum::default(),
-                solver: Default::default(),
             };
             let mut sim = Simulation::init(w, params, 8);
             for ps in sim.blocks.values_mut() {

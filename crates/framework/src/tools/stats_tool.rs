@@ -5,7 +5,6 @@
 //! reports the histogram moments that Figure 11 tracks over time.
 
 use diy::comm::World;
-use fft3d::Grid3;
 use postprocess::Histogram;
 
 use crate::tool::{AnalysisTool, ToolContext, ToolReport};
@@ -39,26 +38,11 @@ impl AnalysisTool for StatsTool {
     }
 
     fn run(&mut self, world: &mut World, ctx: &ToolContext<'_>) -> ToolReport {
-        let sim = ctx.sim;
-        let ng = sim.params.np;
-
-        // Local CIC deposit, merged across ranks (same pattern as the
-        // gravity solve).
-        let mut rho = Grid3::new([ng, ng, ng], 0.0);
-        let local_pos: Vec<geometry::Vec3> = sim.local_particles().map(|p| p.pos).collect();
-        hacc::cic::deposit(&mut rho, &local_pos);
-        let summed = diy::reduce::all_reduce_merge(world, rho.data().to_vec(), |mut a, b| {
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += *y;
-            }
-            a
-        });
-
-        let mean = sim.params.total_particles() as f64 / (ng * ng * ng) as f64;
-        let h = Histogram::auto_range(
-            &summed.iter().map(|&m| m / mean - 1.0).collect::<Vec<f64>>(),
-            100,
-        );
+        // The gravity solve's density: the integer deposit, reduce-scattered
+        // to z-slabs, gathered whole for the histogram.
+        let slab = ctx.sim.density_slab(world);
+        let delta = world.all_gather(&slab).concat();
+        let h = Histogram::auto_range(&delta, 100);
         let snap = StatsSnapshot {
             step: ctx.step,
             a: ctx.a,
@@ -77,5 +61,41 @@ impl AnalysisTool for StatsTool {
             ),
             artifacts: vec![],
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diy::comm::Runtime;
+    use hacc::{SimParams, Simulation};
+
+    #[test]
+    fn snapshot_moments_have_the_same_bits_at_every_rank_count() {
+        let params = SimParams {
+            nsteps: 10,
+            ..SimParams::paper_like(16)
+        };
+        let moments = |nranks: usize| {
+            let per_rank = Runtime::run(nranks, |w| {
+                let mut sim = Simulation::init(w, params, 8);
+                sim.run_steps(w, 5);
+                let mut tool = StatsTool::new();
+                let ctx = ToolContext {
+                    sim: &sim,
+                    step: sim.step_count,
+                    a: sim.a,
+                    output_dir: std::env::temp_dir(),
+                };
+                tool.run(w, &ctx);
+                let s = tool.snapshots[0];
+                [s.mean, s.variance, s.skewness, s.kurtosis].map(f64::to_bits)
+            });
+            assert!(per_rank.iter().all(|m| *m == per_rank[0]), "ranks disagree");
+            per_rank[0]
+        };
+        let serial = moments(1);
+        assert_eq!(moments(2), serial, "2 ranks");
+        assert_eq!(moments(4), serial, "4 ranks");
     }
 }

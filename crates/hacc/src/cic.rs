@@ -1,125 +1,140 @@
-//! Cloud-in-cell (CIC) mass deposit and force interpolation.
+//! Cloud-in-cell (CIC) mass deposit in fixed point, and its weights.
 //!
 //! Positions are in grid units (`[0, ng)` per dimension, cell size 1) with
-//! periodic wrapping. Using the same trilinear kernel for deposit and for
-//! force interpolation makes the scheme momentum-conserving: a particle
-//! exerts no force on itself and pairwise forces are antisymmetric.
+//! periodic wrapping. Each axis offset `p − floor(p)` is rounded to the
+//! nearest multiple of 2⁻¹⁴, so a particle's eight weights are integer
+//! products that sum to exactly [`UNIT_MASS`] = 2⁴². The deposit
+//! adds them into a `u64` grid: integer sums do not depend on the order
+//! particles are added in, so the density — and with it the potential and
+//! every particle after a step — has the same bits at any rank count and
+//! block layout.
+//!
+//! Overflow bound: a cell holds at most `N · 2⁴²` (every particle in one
+//! cell). For `np ≤ 128` particles per dimension, `N ≤ 2²¹`, so a cell
+//! stays ≤ 2⁶³ and the `u64` sum cannot overflow. Nothing checks this at
+//! run time.
+//!
+//! Force interpolation ([`crate::PmSolver::acceleration_at`]) uses the same
+//! weights as `f64` (exact: at most 42 significant bits). The shared kernel
+//! keeps the scheme momentum-conserving: a particle exerts no force on
+//! itself and pairwise forces are antisymmetric.
 
 use fft3d::Grid3;
 use geometry::Vec3;
 
-/// The 8 cells and weights a position contributes to.
+/// Bits of the per-axis weight quantum (weights are multiples of 2⁻¹⁴).
+const QUANTUM_BITS: u32 = 14;
+
+/// One axis's full weight, 2¹⁴.
+const AXIS_ONE: u64 = 1 << QUANTUM_BITS;
+
+/// A particle's deposited mass, 2⁴² (the product of three axis weights).
+pub const UNIT_MASS: u64 = 1 << (3 * QUANTUM_BITS);
+
+/// The CIC stencil at `p`: its lower corner cell (unwrapped) and, per
+/// axis, the fixed-point weights `[1 − t, t]` of the lower and the upper
+/// cell in units of 2⁻¹⁴. A cell's weight is the product of its three axis
+/// weights; the eight products sum to [`UNIT_MASS`].
 #[inline]
-fn cic_stencil(p: Vec3, ng: usize) -> [(isize, isize, isize, f64); 8] {
-    let i0 = p.x.floor();
-    let j0 = p.y.floor();
-    let k0 = p.z.floor();
-    let dx = p.x - i0;
-    let dy = p.y - j0;
-    let dz = p.z - k0;
-    let (i0, j0, k0) = (i0 as isize, j0 as isize, k0 as isize);
-    let _ = ng;
-    [
-        (i0, j0, k0, (1.0 - dx) * (1.0 - dy) * (1.0 - dz)),
-        (i0 + 1, j0, k0, dx * (1.0 - dy) * (1.0 - dz)),
-        (i0, j0 + 1, k0, (1.0 - dx) * dy * (1.0 - dz)),
-        (i0 + 1, j0 + 1, k0, dx * dy * (1.0 - dz)),
-        (i0, j0, k0 + 1, (1.0 - dx) * (1.0 - dy) * dz),
-        (i0 + 1, j0, k0 + 1, dx * (1.0 - dy) * dz),
-        (i0, j0 + 1, k0 + 1, (1.0 - dx) * dy * dz),
-        (i0 + 1, j0 + 1, k0 + 1, dx * dy * dz),
-    ]
+pub fn stencil(p: Vec3) -> ([isize; 3], [[u64; 2]; 3]) {
+    let mut corner = [0isize; 3];
+    let mut weights = [[0u64; 2]; 3];
+    for d in 0..3 {
+        let lo = p[d].floor();
+        let t = ((p[d] - lo) * AXIS_ONE as f64 + 0.5) as u64;
+        corner[d] = lo as isize;
+        weights[d] = [AXIS_ONE - t, t];
+    }
+    (corner, weights)
 }
 
-/// Deposit unit-mass particles onto an `ng³` grid (adds to `rho`).
-pub fn deposit(rho: &mut Grid3<f64>, positions: &[Vec3]) {
-    let ng = rho.dims()[0];
-    debug_assert_eq!(rho.dims(), [ng, ng, ng]);
-    for &p in positions {
-        for (i, j, k, w) in cic_stencil(p, ng) {
-            let idx = rho.idx_wrapped(i, j, k);
-            rho.data_mut()[idx] += w;
+/// `c` wrapped into `[0, n)`.
+#[inline]
+pub(crate) fn wrap(c: isize, n: usize) -> usize {
+    c.rem_euclid(n as isize) as usize
+}
+
+/// Deposit unit-mass particles onto an `ng³` fixed-point mass grid (adds
+/// to `mass`; each particle adds [`UNIT_MASS`]).
+pub fn deposit(mass: &mut Grid3<u64>, positions: impl IntoIterator<Item = Vec3>) {
+    let ng = mass.dims()[0];
+    for p in positions {
+        let (corner, [wx, wy, wz]) = stencil(p);
+        let [xs, ys, zs] = corner.map(|c| [wrap(c, ng), wrap(c + 1, ng)]);
+        for (z, wz) in zs.into_iter().zip(wz) {
+            for (y, wy) in ys.into_iter().zip(wy) {
+                for (x, wx) in xs.into_iter().zip(wx) {
+                    mass[(x, y, z)] += wx * wy * wz;
+                }
+            }
         }
     }
 }
 
-/// Convert a mass grid (unit-mass particles) into density contrast
-/// `δ = ρ/ρ̄ − 1` given the total particle count.
-pub fn to_density_contrast(rho: &mut Grid3<f64>, nparticles: usize) {
-    let mean = nparticles as f64 / rho.len() as f64;
-    for v in rho.data_mut() {
-        *v = *v / mean - 1.0;
-    }
-}
-
-/// Interpolate a vector field (three scalar grids) at `p` with the CIC
-/// kernel.
-pub fn gather(gx: &Grid3<f64>, gy: &Grid3<f64>, gz: &Grid3<f64>, p: Vec3) -> Vec3 {
-    let ng = gx.dims()[0];
-    let mut out = Vec3::ZERO;
-    for (i, j, k, w) in cic_stencil(p, ng) {
-        let idx = gx.idx_wrapped(i, j, k);
-        out.x += gx.data()[idx] * w;
-        out.y += gy.data()[idx] * w;
-        out.z += gz.data()[idx] * w;
-    }
-    out
-}
-
-/// Interpolate a scalar grid at `p` with the CIC kernel.
-pub fn gather_scalar(g: &Grid3<f64>, p: Vec3) -> f64 {
-    let ng = g.dims()[0];
-    let mut out = 0.0;
-    for (i, j, k, w) in cic_stencil(p, ng) {
-        out += g.data()[g.idx_wrapped(i, j, k)] * w;
-    }
-    out
+/// Density contrast `δ = m/m̄ − 1` of fixed-point cell masses, where
+/// `mean` is the mean number of particles per cell.
+pub fn density_contrast(mass: &[u64], mean: f64) -> Vec<f64> {
+    let unit = mean * UNIT_MASS as f64;
+    mass.iter().map(|&m| m as f64 / unit - 1.0).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn deposited(ng: usize, pos: &[Vec3]) -> Grid3<u64> {
+        let mut mass = Grid3::new([ng, ng, ng], 0);
+        deposit(&mut mass, pos.iter().copied());
+        mass
+    }
+
     #[test]
     fn deposit_conserves_mass() {
-        let mut rho = Grid3::new([8, 8, 8], 0.0);
         let pos = vec![
             Vec3::new(0.5, 0.5, 0.5),
             Vec3::new(3.2, 4.7, 1.1),
             Vec3::new(7.9, 7.9, 7.9), // wraps
             Vec3::new(0.0, 0.0, 0.0), // exactly on a node
         ];
-        deposit(&mut rho, &pos);
-        let total: f64 = rho.data().iter().sum();
-        assert!((total - 4.0).abs() < 1e-12);
+        let mass = deposited(8, &pos);
+        assert_eq!(mass.data().iter().sum::<u64>(), 4 * UNIT_MASS);
     }
 
     #[test]
     fn particle_on_node_deposits_to_single_cell() {
-        let mut rho = Grid3::new([4, 4, 4], 0.0);
-        deposit(&mut rho, &[Vec3::new(2.0, 3.0, 1.0)]);
-        assert!((rho[(2, 3, 1)] - 1.0).abs() < 1e-15);
-        let total: f64 = rho.data().iter().sum();
-        assert!((total - 1.0).abs() < 1e-15);
+        let mass = deposited(4, &[Vec3::new(2.0, 3.0, 1.0)]);
+        assert_eq!(mass[(2, 3, 1)], UNIT_MASS);
+        assert_eq!(mass.data().iter().sum::<u64>(), UNIT_MASS);
     }
 
     #[test]
     fn particle_at_cell_center_splits_evenly() {
-        let mut rho = Grid3::new([4, 4, 4], 0.0);
-        deposit(&mut rho, &[Vec3::splat(1.5)]);
+        let mass = deposited(4, &[Vec3::splat(1.5)]);
         for di in 0..2 {
             for dj in 0..2 {
                 for dk in 0..2 {
-                    assert!((rho[(1 + di, 1 + dj, 1 + dk)] - 0.125).abs() < 1e-15);
+                    assert_eq!(mass[(1 + di, 1 + dj, 1 + dk)], UNIT_MASS / 8);
                 }
             }
         }
     }
 
     #[test]
+    fn deposit_is_independent_of_particle_order() {
+        let pos: Vec<Vec3> = (0..200)
+            .map(|i| {
+                let t = i as f64 * 0.618_033_988_7;
+                Vec3::new((t * 7.3) % 8.0, (t * 3.1) % 8.0, (t * 5.7 + 0.3) % 8.0)
+            })
+            .collect();
+        let mut reversed = pos.clone();
+        reversed.reverse();
+        assert_eq!(deposited(8, &pos), deposited(8, &reversed));
+    }
+
+    #[test]
     fn density_contrast_of_uniform_lattice_is_zero() {
         let ng = 4;
-        let mut rho = Grid3::new([ng, ng, ng], 0.0);
         let pos: Vec<Vec3> = (0..ng)
             .flat_map(|i| {
                 (0..ng).flat_map(move |j| {
@@ -127,42 +142,9 @@ mod tests {
                 })
             })
             .collect();
-        deposit(&mut rho, &pos);
-        to_density_contrast(&mut rho, pos.len());
-        for v in rho.data() {
-            assert!(v.abs() < 1e-12);
+        let mass = deposited(ng, &pos);
+        for v in density_contrast(mass.data(), 1.0) {
+            assert_eq!(v, 0.0);
         }
-    }
-
-    #[test]
-    fn gather_matches_deposit_kernel() {
-        // A field linear in x is reproduced exactly by CIC interpolation.
-        let ng = 8;
-        let mut gx = Grid3::new([ng, ng, ng], 0.0);
-        let gy = Grid3::new([ng, ng, ng], 0.0);
-        let gz = Grid3::new([ng, ng, ng], 0.0);
-        for k in 0..ng {
-            for j in 0..ng {
-                for i in 0..ng {
-                    gx[(i, j, k)] = i as f64;
-                }
-            }
-        }
-        // away from the wrap seam, interpolation is exact
-        let v = gather(&gx, &gy, &gz, Vec3::new(3.25, 2.5, 4.75));
-        assert!((v.x - 3.25).abs() < 1e-12);
-        assert_eq!(v.y, 0.0);
-        assert_eq!(v.z, 0.0);
-        assert!((gather_scalar(&gx, Vec3::new(5.5, 0.0, 0.0)) - 5.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn periodic_wrap_in_gather() {
-        let ng = 4;
-        let mut g = Grid3::new([ng, ng, ng], 0.0);
-        g[(0, 0, 0)] = 1.0;
-        // halfway between cell 3 and cell 0 (wrapped)
-        let v = gather_scalar(&g, Vec3::new(3.5, 0.0, 0.0));
-        assert!((v - 0.5).abs() < 1e-12);
     }
 }

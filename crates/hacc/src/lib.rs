@@ -14,12 +14,15 @@
 //! * [`power`] — an initial power spectrum `P(k) ∝ kⁿ T²(k)` with a
 //!   BBKS-like transfer function.
 //! * [`ic`] — Zel'dovich initial conditions from a Gaussian random field.
-//! * [`cic`] — cloud-in-cell deposit and force interpolation.
-//! * [`poisson`] — FFT Poisson solver (discrete 7-point Green's function).
-//! * [`stepper`] — serial kick–drift integrator.
+//! * [`cic`] — fixed-point cloud-in-cell deposit and its weights.
+//! * [`poisson`] — serial FFT Poisson solver (discrete 7-point Green's
+//!   function).
+//! * [`slabfft`] — the distributed slab-FFT Poisson solver.
+//! * [`stepper`] — serial kick–drift integrator, the one-rank oracle.
 //! * [`sim`] — the distributed simulation: particles owned per diy block,
-//!   density merged with a tree reduction, potential broadcast, particles
-//!   migrated between blocks after every drift.
+//!   the integer deposit reduce-scattered to z-slabs and solved by the
+//!   slab FFT, particles migrated between blocks after every drift. Its
+//!   particles have the same bits at every rank count.
 //!
 //! Fidelity note (see `DESIGN.md`): this is a first-order symplectic PM
 //! integrator, qualitatively — not quantitatively — matching HACC. The
@@ -34,7 +37,8 @@ pub mod poisson;
 pub mod power;
 pub mod sim;
 pub mod slabfft;
-pub mod spectrum;
+#[cfg(test)]
+mod spectrum;
 pub mod stepper;
 
 pub use cosmology::Cosmology;

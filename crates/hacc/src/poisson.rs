@@ -12,85 +12,105 @@
 //! spectral solve exactly consistent with the finite-difference gradient
 //! used for forces.
 
-use fft3d::{fft3_forward, fft3_inverse, freq, Complex, Grid3};
+use fft3d::{fft3_forward, freq, transform_axis, Complex, Grid3};
 
-/// Solve the Poisson equation; `delta` holds the density contrast and is
-/// replaced by the potential φ. `rhs_factor` is usually
-/// [`crate::Cosmology::poisson_factor`].
-pub fn solve_potential(delta: &Grid3<f64>, rhs_factor: f64) -> Grid3<f64> {
-    let [ng, _, _] = delta.dims();
-    let mut f = Grid3::new([ng, ng, ng], Complex::ZERO);
-    for (idx, &v) in delta.data().iter().enumerate() {
-        f.data_mut()[idx] = Complex::new(v, 0.0);
-    }
-    fft3_forward(&mut f);
-
-    let pi = std::f64::consts::PI;
-    for k in 0..ng {
-        for j in 0..ng {
-            for i in 0..ng {
-                let denom = {
-                    let s = |idx: usize| {
-                        let t = (pi * freq(idx, ng) as f64 / ng as f64).sin();
-                        t * t
-                    };
-                    4.0 * (s(i) + s(j) + s(k))
-                };
-                let g = &mut f[(i, j, k)];
-                if denom == 0.0 {
-                    *g = Complex::ZERO; // zero mode: mean potential is free
-                } else {
-                    *g = g.scale(-rhs_factor / denom);
-                }
-            }
-        }
-    }
-
-    fft3_inverse(&mut f);
-    let mut phi = Grid3::new([ng, ng, ng], 0.0);
-    for (idx, v) in f.data().iter().enumerate() {
-        phi.data_mut()[idx] = v.re;
-    }
-    phi
+/// The discrete Green's function of an `ng³` grid, scaled by `rhs_factor`.
+/// The serial and the slab solve both apply it, so they agree bit for bit.
+pub(crate) struct Green {
+    /// `sin²(π f / ng)` per bin index.
+    sin2: Vec<f64>,
+    rhs_factor: f64,
 }
 
-/// Acceleration grids `g = -∇φ` via centered differences (periodic).
-pub fn gradient_force(phi: &Grid3<f64>) -> [Grid3<f64>; 3] {
-    let [ng, _, _] = phi.dims();
-    let mut gx = Grid3::new([ng, ng, ng], 0.0);
-    let mut gy = Grid3::new([ng, ng, ng], 0.0);
-    let mut gz = Grid3::new([ng, ng, ng], 0.0);
+impl Green {
+    pub(crate) fn new(ng: usize, rhs_factor: f64) -> Self {
+        let pi = std::f64::consts::PI;
+        let sin2 = (0..ng)
+            .map(|i| {
+                let t = (pi * freq(i, ng) as f64 / ng as f64).sin();
+                t * t
+            })
+            .collect();
+        Green { sin2, rhs_factor }
+    }
+
+    /// `φ(k)` of bin `(i, j, k)` from the transformed source `v`; the zero
+    /// mode maps to zero (the mean potential is free).
+    #[inline]
+    pub(crate) fn apply(&self, v: Complex, i: usize, j: usize, k: usize) -> Complex {
+        let denom = 4.0 * (self.sin2[i] + self.sin2[j] + self.sin2[k]);
+        if denom == 0.0 {
+            Complex::ZERO
+        } else {
+            v.scale(-self.rhs_factor / denom)
+        }
+    }
+}
+
+/// Solve the Poisson equation for the density contrast `delta`, returning
+/// the potential φ. `rhs_factor` is usually
+/// [`crate::Cosmology::poisson_factor`]. The inverse runs in the slab
+/// solver's axis order — z, then x and y — so this serial solve is the
+/// bit-exact oracle of [`crate::slabfft::solve_potential_slab`].
+pub fn solve_potential(delta: &Grid3<f64>, rhs_factor: f64) -> Grid3<f64> {
+    let dims @ [ng, _, _] = delta.dims();
+    let source = delta.data().iter().map(|&v| Complex::new(v, 0.0)).collect();
+    let mut f = Grid3::from_vec(dims, source);
+    fft3_forward(&mut f);
+
+    let green = Green::new(ng, rhs_factor);
     for k in 0..ng {
         for j in 0..ng {
             for i in 0..ng {
-                let ii = i as isize;
-                let jj = j as isize;
-                let kk = k as isize;
-                let d = |a: usize, b: usize| phi.data()[a] - phi.data()[b];
-                gx[(i, j, k)] = -0.5
-                    * d(
-                        phi.idx_wrapped(ii + 1, jj, kk),
-                        phi.idx_wrapped(ii - 1, jj, kk),
-                    );
-                gy[(i, j, k)] = -0.5
-                    * d(
-                        phi.idx_wrapped(ii, jj + 1, kk),
-                        phi.idx_wrapped(ii, jj - 1, kk),
-                    );
-                gz[(i, j, k)] = -0.5
-                    * d(
-                        phi.idx_wrapped(ii, jj, kk + 1),
-                        phi.idx_wrapped(ii, jj, kk - 1),
-                    );
+                f[(i, j, k)] = green.apply(f[(i, j, k)], i, j, k);
             }
         }
     }
-    [gx, gy, gz]
+
+    for axis in [2, 0, 1] {
+        transform_axis(f.data_mut(), dims, axis, true);
+    }
+    let scale = 1.0 / f.len() as f64;
+    Grid3::from_vec(dims, f.data().iter().map(|c| c.re * scale).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Acceleration grids `g = -∇φ` via centered differences (periodic).
+    fn gradient_force(phi: &Grid3<f64>) -> [Grid3<f64>; 3] {
+        let [ng, _, _] = phi.dims();
+        let mut gx = Grid3::new([ng, ng, ng], 0.0);
+        let mut gy = Grid3::new([ng, ng, ng], 0.0);
+        let mut gz = Grid3::new([ng, ng, ng], 0.0);
+        for k in 0..ng {
+            for j in 0..ng {
+                for i in 0..ng {
+                    let ii = i as isize;
+                    let jj = j as isize;
+                    let kk = k as isize;
+                    let d = |a: usize, b: usize| phi.data()[a] - phi.data()[b];
+                    gx[(i, j, k)] = -0.5
+                        * d(
+                            phi.idx_wrapped(ii + 1, jj, kk),
+                            phi.idx_wrapped(ii - 1, jj, kk),
+                        );
+                    gy[(i, j, k)] = -0.5
+                        * d(
+                            phi.idx_wrapped(ii, jj + 1, kk),
+                            phi.idx_wrapped(ii, jj - 1, kk),
+                        );
+                    gz[(i, j, k)] = -0.5
+                        * d(
+                            phi.idx_wrapped(ii, jj, kk + 1),
+                            phi.idx_wrapped(ii, jj, kk - 1),
+                        );
+                }
+            }
+        }
+        [gx, gy, gz]
+    }
 
     /// Apply the discrete 7-point Laplacian.
     fn laplacian(phi: &Grid3<f64>) -> Grid3<f64> {

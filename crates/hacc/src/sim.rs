@@ -2,13 +2,23 @@
 //!
 //! Particles are owned by diy blocks (one or more per rank). Every step:
 //!
-//! 1. each rank CIC-deposits its particles into a private mass grid,
-//! 2. the grids are summed up a reduction tree to rank 0,
-//! 3. rank 0 runs the FFT Poisson solve (HACC's spectral component — kept
-//!    serial here; see DESIGN.md) and broadcasts the potential,
+//! 1. each rank deposits its particles into a private fixed-point mass
+//!    grid ([`cic::deposit`]),
+//! 2. one all-to-all sums the grids into z-slabs, one per rank
+//!    ([`slabfft::reduce_scatter_mass`]), and each rank turns its slab into
+//!    density contrast,
+//! 3. the slab FFT solves for the potential (HACC's distributed spectral
+//!    component, [`slabfft::solve_potential_slab`]) and every rank gathers
+//!    the potential slabs into the full grid,
 //! 4. each rank kicks and drifts its own particles,
 //! 5. particles that left their block are migrated to the owning block
 //!    through the neighbor-exchange machinery.
+//!
+//! Integer deposit sums do not depend on their order, and the slab solve
+//! equals the serial one bit for bit, so the particles after any number of
+//! steps have the same bits at every rank count and block scheme, and equal
+//! the serial [`PmSolver`] stepped with [`SimParams::a_at`] and
+//! [`SimParams::da_at`].
 //!
 //! Initial conditions are regenerated deterministically from the seed on
 //! every rank (cheap at laptop scale), so no initial scatter is needed.
@@ -19,7 +29,6 @@ use diy::codec::{CodecError, Decode, Encode, Reader};
 use diy::comm::World;
 use diy::decomposition::{Assignment, DecompScheme, Decomposition};
 use diy::exchange::NeighborExchange;
-use diy::reduce;
 use fft3d::Grid3;
 use geometry::{Aabb, Vec3};
 
@@ -27,6 +36,7 @@ use crate::cic;
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich, IcParams};
 use crate::power::PowerSpectrum;
+use crate::slabfft;
 use crate::stepper::PmSolver;
 
 /// A tracer particle. Positions are in grid units (`[0, np)³`); multiply by
@@ -56,19 +66,6 @@ impl Decode for Particle {
     }
 }
 
-/// Which spectral solver the gravity step uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Reduce the grid to rank 0, solve there, broadcast the potential
-    /// (simple; the FFT is a serial bottleneck).
-    #[default]
-    Rank0,
-    /// Slab-decomposed distributed FFT ([`crate::slabfft`]): every rank
-    /// transforms its slab; two all-to-all transposes; bit-identical
-    /// result with the FFT compute spread across ranks.
-    Slab,
-}
-
 /// Simulation configuration (the "input deck" of Figure 4).
 #[derive(Debug, Clone, Copy)]
 pub struct SimParams {
@@ -84,7 +81,6 @@ pub struct SimParams {
     /// RMS density contrast of the initial field.
     pub initial_delta_rms: f64,
     pub spectrum: PowerSpectrum,
-    pub solver: SolverKind,
 }
 
 impl SimParams {
@@ -100,14 +96,7 @@ impl SimParams {
             seed: 42,
             initial_delta_rms: 0.5,
             spectrum: PowerSpectrum::default(),
-            solver: SolverKind::default(),
         }
-    }
-
-    /// Mean step size in scale factor (diagnostic only; the actual
-    /// schedule is geometric — see [`SimParams::a_at`]).
-    pub fn da(&self) -> f64 {
-        (self.a_final - self.a_init) / self.nsteps as f64
     }
 
     /// Scale factor at the start of step `k`. Steps are uniform in
@@ -144,9 +133,9 @@ pub struct Simulation {
     pub asn: Assignment,
     /// Particles per owned block gid (BTreeMap for deterministic order).
     pub blocks: BTreeMap<u64, Vec<Particle>>,
+    /// Scale factor at the start of the next step, `params.a_at(step_count)`.
     pub a: f64,
     pub step_count: usize,
-    solver: PmSolver,
 }
 
 impl Simulation {
@@ -217,7 +206,6 @@ impl Simulation {
             blocks,
             a: params.a_init,
             step_count: 0,
-            solver: PmSolver::new(params.np, cosmo),
         }
     }
 
@@ -231,67 +219,35 @@ impl Simulation {
         self.blocks.values().flatten()
     }
 
+    /// This rank's z-slab ([`slabfft::slab_range`]) of the global density
+    /// contrast, from the fixed-point deposit of every rank's particles:
+    /// the same bits at any rank count. Collective.
+    pub fn density_slab(&self, world: &mut World) -> Vec<f64> {
+        let ng = self.params.np;
+        let mut mass = Grid3::new([ng; 3], 0);
+        cic::deposit(&mut mass, self.local_particles().map(|p| p.pos));
+        let slab = slabfft::reduce_scatter_mass(world, mass.data(), ng);
+        let mean = self.params.total_particles() as f64 / mass.len() as f64;
+        cic::density_contrast(&slab, mean)
+    }
+
     /// Advance one kick–drift step, including migration. Recorded under
     /// the [`PHASE_SIM`] metrics span.
     pub fn step(&mut self, world: &mut World) {
         let _span = world.metrics().phase(PHASE_SIM);
         let ng = self.params.np;
+        let a = self.params.a_at(self.step_count);
+        let da = self.params.da_at(self.step_count);
 
-        // 1. local deposit
-        let mut rho = Grid3::new([ng, ng, ng], 0.0);
-        let local_pos: Vec<Vec3> = self.local_particles().map(|p| p.pos).collect();
-        cic::deposit(&mut rho, &local_pos);
-
-        // 2-3. global density, spectral solve (per configured solver)
-        let phi_data: Vec<f64> = match self.params.solver {
-            SolverKind::Rank0 => {
-                // reduce to rank 0, solve there, broadcast the potential
-                let summed = reduce::reduce_merge(world, rho.data().to_vec(), |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += *y;
-                    }
-                    a
-                });
-                let phi0 = summed.map(|data| {
-                    let mut grid = Grid3::new([ng, ng, ng], 0.0);
-                    grid.data_mut().copy_from_slice(&data);
-                    cic::to_density_contrast(&mut grid, self.params.total_particles() as usize);
-                    self.solver.potential(&grid, self.a).data().to_vec()
-                });
-                world.broadcast(0, phi0.as_ref())
-            }
-            SolverKind::Slab => {
-                // every rank gets the summed grid, solves its slab, and the
-                // potential slabs are gathered back
-                let summed = reduce::all_reduce_merge(world, rho.data().to_vec(), |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += *y;
-                    }
-                    a
-                });
-                let mean = self.params.total_particles() as f64 / (ng * ng * ng) as f64;
-                let zr = crate::slabfft::slab_range(ng, world.nranks(), world.rank());
-                let local_delta: Vec<f64> = summed[ng * ng * zr.start..ng * ng * zr.end]
-                    .iter()
-                    .map(|&m| m / mean - 1.0)
-                    .collect();
-                let phi_slab = crate::slabfft::solve_potential_slab(
-                    world,
-                    &local_delta,
-                    ng,
-                    self.cosmo.poisson_factor(self.a),
-                );
-                let slabs = world.all_gather(&phi_slab);
-                slabs.into_iter().flatten().collect()
-            }
-        };
-        let mut phi = Grid3::new([ng, ng, ng], 0.0);
-        phi.data_mut().copy_from_slice(&phi_data);
+        // 1-3. density slab, slab FFT solve, potential gathered everywhere
+        let delta = self.density_slab(world);
+        let phi_slab =
+            slabfft::solve_potential_slab(world, &delta, ng, self.cosmo.poisson_factor(a));
+        let phi = Grid3::from_vec([ng; 3], world.all_gather(&phi_slab).concat());
 
         // 4. kick + drift local particles
-        let da = self.params.da_at(self.step_count);
-        let kick = self.cosmo.kick_factor(self.a, da);
-        let drift = self.cosmo.drift_factor(self.a + da, da);
+        let kick = self.cosmo.kick_factor(a, da);
+        let drift = self.cosmo.drift_factor(a + da, da);
         for particles in self.blocks.values_mut() {
             for p in particles.iter_mut() {
                 let g = PmSolver::acceleration_at(&phi, p.pos);
@@ -306,8 +262,8 @@ impl Simulation {
         // 5. migrate particles that left their block
         self.migrate(world);
 
-        self.a += da;
         self.step_count += 1;
+        self.a = self.params.a_at(self.step_count);
     }
 
     /// Route every particle to the block that owns its position.
@@ -363,7 +319,6 @@ mod tests {
             seed: 12,
             initial_delta_rms: 0.2,
             spectrum: PowerSpectrum::default(),
-            solver: Default::default(),
         }
     }
 
@@ -431,15 +386,8 @@ mod tests {
         all.sort_by_key(|p| p.id);
         assert_eq!(all.len(), pos.len());
         for p in &all {
-            let serial = pos[p.id as usize];
-            // summation order differs; chaos amplifies tiny float diffs
-            let d = (p.pos - serial).norm();
-            assert!(
-                d < 1e-6,
-                "particle {} drifted {d} (pos {} vs {serial})",
-                p.id,
-                p.pos
-            );
+            assert_eq!(p.pos, pos[p.id as usize], "particle {}", p.id);
+            assert_eq!(p.mom, mom[p.id as usize], "particle {}", p.id);
         }
     }
 
@@ -462,38 +410,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.pos, y.pos);
             assert_eq!(x.mom, y.mom);
-        }
-    }
-
-    #[test]
-    fn slab_solver_matches_rank0_solver() {
-        let base = small_params(16, 6);
-        let run = |solver: SolverKind, nranks: usize| {
-            let params = SimParams { solver, ..base };
-            let collected = Runtime::run(nranks, move |w| {
-                let mut sim = Simulation::init(w, params, 8);
-                sim.run_steps(w, 6);
-                sim.local_particles().copied().collect::<Vec<_>>()
-            });
-            let mut all: Vec<Particle> = collected.into_iter().flatten().collect();
-            all.sort_by_key(|p| p.id);
-            all
-        };
-        let reference = run(SolverKind::Rank0, 2);
-        for nranks in [1usize, 2, 4] {
-            let slab = run(SolverKind::Slab, nranks);
-            assert_eq!(slab.len(), reference.len());
-            for (a, b) in slab.iter().zip(&reference) {
-                // the slab FFT runs the same line transforms; only the
-                // deposit summation order differs between rank counts
-                assert!(
-                    (a.pos - b.pos).norm() < 1e-9,
-                    "nranks={nranks} particle {}: {} vs {}",
-                    a.id,
-                    a.pos,
-                    b.pos
-                );
-            }
         }
     }
 

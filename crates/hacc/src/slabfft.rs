@@ -1,11 +1,11 @@
-//! Distributed slab-decomposed FFT Poisson solver.
+//! Distributed slab-decomposed FFT Poisson solver — the one gravity solve.
 //!
-//! HACC's spectral solver distributes the PM grid across ranks; the basic
-//! `sim` path instead reduces the grid to rank 0 (a serial bottleneck
-//! documented in DESIGN.md). This module removes that bottleneck with the
-//! classic slab algorithm:
+//! HACC's spectral solver distributes the PM grid across ranks; so does
+//! this module, with the classic slab algorithm:
 //!
-//! 1. each rank owns a contiguous range of z-planes (a *z-slab*),
+//! 1. each rank owns a contiguous range of z-planes (a *z-slab*,
+//!    [`slab_range`]); [`reduce_scatter_mass`] sums every rank's
+//!    fixed-point deposit into the slabs,
 //! 2. forward-FFT the x and y lines of the slab locally,
 //! 3. transpose (personalized all-to-all) so each rank owns a contiguous
 //!    range of x-planes with *all* z — then FFT the z lines locally,
@@ -13,12 +13,16 @@
 //!    range),
 //! 5. inverse z FFT, transpose back, inverse x/y FFT, normalize.
 //!
-//! The result is the potential, again as z-slabs. Output is bit-identical
-//! to the serial [`crate::poisson::solve_potential`] because the same
-//! radix-2 line transforms run in the same order along each axis.
+//! The result is the potential, again as z-slabs. It is bit-identical to
+//! the serial [`crate::poisson::solve_potential`] at every rank count: the
+//! same line transforms ([`fft3d::transform_axis`]) and Green's function
+//! run along each axis, and the serial inverse takes the axes in this
+//! order (z, then x and y).
 
 use diy::comm::World;
-use fft3d::{freq, Complex, Fft};
+use fft3d::{transform_axis, Complex};
+
+use crate::poisson::Green;
 
 /// Contiguous z-plane range owned by `rank` of `nranks` for an `ng` grid.
 pub fn slab_range(ng: usize, nranks: usize, rank: usize) -> std::ops::Range<usize> {
@@ -27,71 +31,62 @@ pub fn slab_range(ng: usize, nranks: usize, rank: usize) -> std::ops::Range<usiz
     lo..hi
 }
 
+/// Sum every rank's full `ng³` fixed-point mass grid into z-slabs: one
+/// all-to-all sends each rank the planes of its [`slab_range`], and the
+/// receiver adds the integers (in any order — the sum is exact). Returns
+/// this rank's slab of the global mass. Collective.
+pub fn reduce_scatter_mass(world: &mut World, mass: &[u64], ng: usize) -> Vec<u64> {
+    let nranks = world.nranks();
+    let plane = ng * ng;
+    assert_eq!(mass.len(), plane * ng);
+    let outgoing = (0..nranks)
+        .map(|dest| {
+            let zr = slab_range(ng, nranks, dest);
+            mass[plane * zr.start..plane * zr.end]
+                .iter()
+                .flat_map(|m| m.to_le_bytes())
+                .collect()
+        })
+        .collect();
+    let zr = slab_range(ng, nranks, world.rank());
+    let mut slab = vec![0u64; plane * zr.len()];
+    for buf in world.all_to_all(outgoing) {
+        for (sum, bytes) in slab.iter_mut().zip(buf.chunks_exact(8)) {
+            *sum += u64::from_le_bytes(bytes.try_into().unwrap());
+        }
+    }
+    slab
+}
+
 /// A z-slab of complex grid data: planes `zrange` of an `ng³` grid, stored
 /// x-fastest (`idx = x + ng*(y + ng*(z - z0))`).
-pub struct Slab {
-    pub ng: usize,
-    pub z0: usize,
-    pub data: Vec<Complex>,
+struct Slab {
+    ng: usize,
+    data: Vec<Complex>,
 }
 
 impl Slab {
-    pub fn new(ng: usize, zrange: std::ops::Range<usize>) -> Self {
-        Slab {
-            ng,
-            z0: zrange.start,
-            data: vec![Complex::ZERO; ng * ng * zrange.len()],
-        }
-    }
-
-    pub fn nz(&self) -> usize {
+    fn nz(&self) -> usize {
         self.data.len() / (self.ng * self.ng)
     }
 
     #[inline]
-    pub fn idx(&self, x: usize, y: usize, zlocal: usize) -> usize {
+    fn idx(&self, x: usize, y: usize, zlocal: usize) -> usize {
         x + self.ng * (y + self.ng * zlocal)
     }
 }
 
-/// Transform x and y lines of a z-slab in place.
-fn transform_xy(slab: &mut Slab, inverse: bool) {
-    let ng = slab.ng;
-    let plan = Fft::new(ng);
-    let mut line = vec![Complex::ZERO; ng];
-    for zl in 0..slab.nz() {
-        // x lines (contiguous)
-        for y in 0..ng {
-            let base = slab.idx(0, y, zl);
-            line.copy_from_slice(&slab.data[base..base + ng]);
-            plan.transform(&mut line, inverse);
-            slab.data[base..base + ng].copy_from_slice(&line);
-        }
-        // y lines
-        for x in 0..ng {
-            for (y, slot) in line.iter_mut().enumerate() {
-                *slot = slab.data[slab.idx(x, y, zl)];
-            }
-            plan.transform(&mut line, inverse);
-            for (y, &v) in line.iter().enumerate() {
-                let i = slab.idx(x, y, zl);
-                slab.data[i] = v;
-            }
-        }
-    }
-}
-
 /// An x-slab: planes `xrange` with all y, z (`idx = (x-x0) + nx*(y + ng*z)`).
-pub struct XSlab {
-    pub ng: usize,
-    pub x0: usize,
-    pub nx: usize,
-    pub data: Vec<Complex>,
+struct XSlab {
+    ng: usize,
+    x0: usize,
+    nx: usize,
+    data: Vec<Complex>,
 }
 
 impl XSlab {
     #[inline]
-    pub fn idx(&self, xlocal: usize, y: usize, z: usize) -> usize {
+    fn idx(&self, xlocal: usize, y: usize, z: usize) -> usize {
         xlocal + self.nx * (y + self.ng * z)
     }
 }
@@ -167,7 +162,10 @@ fn transpose_backward(world: &mut World, xs: &XSlab) -> Slab {
     let incoming = world.all_to_all(outgoing);
 
     let zr = slab_range(ng, nranks, world.rank());
-    let mut slab = Slab::new(ng, zr.clone());
+    let mut slab = Slab {
+        ng,
+        data: vec![Complex::ZERO; ng * ng * zr.len()],
+    };
     for (src, buf) in incoming.iter().enumerate() {
         let xr = slab_range(ng, nranks, src);
         let mut off = 0;
@@ -186,25 +184,6 @@ fn transpose_backward(world: &mut World, xs: &XSlab) -> Slab {
     slab
 }
 
-/// Transform the z lines of an x-slab in place.
-fn transform_z(xs: &mut XSlab, inverse: bool) {
-    let ng = xs.ng;
-    let plan = Fft::new(ng);
-    let mut line = vec![Complex::ZERO; ng];
-    for xl in 0..xs.nx {
-        for y in 0..ng {
-            for (z, slot) in line.iter_mut().enumerate() {
-                *slot = xs.data[xs.idx(xl, y, z)];
-            }
-            plan.transform(&mut line, inverse);
-            for (z, &v) in line.iter().enumerate() {
-                let i = xs.idx(xl, y, z);
-                xs.data[i] = v;
-            }
-        }
-    }
-}
-
 /// Distributed Poisson solve: input is this rank's z-slab of the (real)
 /// density contrast; output is the same slab of the potential.
 /// `rhs_factor` as in [`crate::poisson::solve_potential`]. Collective.
@@ -216,41 +195,34 @@ pub fn solve_potential_slab(
 ) -> Vec<f64> {
     let zr = slab_range(ng, world.nranks(), world.rank());
     assert_eq!(delta_slab.len(), ng * ng * zr.len());
-    let mut slab = Slab::new(ng, zr);
-    for (c, &v) in slab.data.iter_mut().zip(delta_slab) {
-        *c = Complex::new(v, 0.0);
-    }
+    let mut slab = Slab {
+        ng,
+        data: delta_slab.iter().map(|&v| Complex::new(v, 0.0)).collect(),
+    };
 
     // forward: xy local, transpose, z local
-    transform_xy(&mut slab, false);
+    let nz = slab.nz();
+    transform_axis(&mut slab.data, [ng, ng, nz], 0, false);
+    transform_axis(&mut slab.data, [ng, ng, nz], 1, false);
     let mut xs = transpose_forward(world, &slab);
-    transform_z(&mut xs, false);
+    transform_axis(&mut xs.data, [xs.nx, ng, ng], 2, false);
 
     // Green's function on the distributed spectrum
-    let pi = std::f64::consts::PI;
-    let sin2 = |idx: usize| {
-        let t = (pi * freq(idx, ng) as f64 / ng as f64).sin();
-        t * t
-    };
-    for xl in 0..xs.nx {
-        let x = xs.x0 + xl;
+    let green = Green::new(ng, rhs_factor);
+    for z in 0..ng {
         for y in 0..ng {
-            for z in 0..ng {
-                let denom = 4.0 * (sin2(x) + sin2(y) + sin2(z));
+            for xl in 0..xs.nx {
                 let i = xs.idx(xl, y, z);
-                if denom == 0.0 {
-                    xs.data[i] = Complex::ZERO;
-                } else {
-                    xs.data[i] = xs.data[i].scale(-rhs_factor / denom);
-                }
+                xs.data[i] = green.apply(xs.data[i], xs.x0 + xl, y, z);
             }
         }
     }
 
     // inverse: z local, transpose back, xy local, normalize by 1/N³
-    transform_z(&mut xs, true);
+    transform_axis(&mut xs.data, [xs.nx, ng, ng], 2, true);
     let mut slab = transpose_backward(world, &xs);
-    transform_xy(&mut slab, true);
+    transform_axis(&mut slab.data, [ng, ng, nz], 0, true);
+    transform_axis(&mut slab.data, [ng, ng, nz], 1, true);
     let scale = 1.0 / (ng * ng * ng) as f64;
     slab.data.iter().map(|c| c.re * scale).collect()
 }
@@ -303,35 +275,38 @@ mod tests {
             let delta_ref = &delta;
             let results = Runtime::run(nranks, move |world| {
                 let zr = slab_range(ng, world.nranks(), world.rank());
-                let mut local = Vec::with_capacity(ng * ng * zr.len());
-                for z in zr.clone() {
-                    for y in 0..ng {
-                        for x in 0..ng {
-                            local.push(delta_ref[(x, y, z)]);
-                        }
-                    }
-                }
-                (zr.start, solve_potential_slab(world, &local, ng, factor))
+                let local = &delta_ref.data()[ng * ng * zr.start..ng * ng * zr.end];
+                (zr.start, solve_potential_slab(world, local, ng, factor))
             });
             for (z0, phi_slab) in results {
-                let mut i = 0;
-                let nz = phi_slab.len() / (ng * ng);
-                for zl in 0..nz {
-                    for y in 0..ng {
-                        for x in 0..ng {
-                            let expect = serial[(x, y, z0 + zl)];
-                            let got = phi_slab[i];
-                            i += 1;
-                            assert!(
-                                (got - expect).abs() < 1e-12,
-                                "nranks={nranks} ({x},{y},{}): {got} vs {expect}",
-                                z0 + zl
-                            );
-                        }
-                    }
+                let expect = &serial.data()[ng * ng * z0..ng * ng * z0 + phi_slab.len()];
+                for (i, (got, want)) in phi_slab.iter().zip(expect).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "nranks={nranks} cell {}: {got} vs {want}",
+                        ng * ng * z0 + i
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn reduce_scatter_sums_every_rank_into_its_slab() {
+        let ng = 4;
+        let grid = |rank: usize| -> Vec<u64> {
+            (0..ng * ng * ng)
+                .map(|i| (i as u64 + 1) << (8 * rank))
+                .collect()
+        };
+        let slabs = Runtime::run(3, |world| {
+            reduce_scatter_mass(world, &grid(world.rank()), ng)
+        });
+        let total: Vec<u64> = (0..ng * ng * ng)
+            .map(|i| (0..3).map(|r| grid(r)[i]).sum())
+            .collect();
+        assert_eq!(slabs.concat(), total);
     }
 
     #[test]
@@ -339,17 +314,14 @@ mod tests {
         let ng = 8;
         Runtime::run(3, |world| {
             let zr = slab_range(ng, world.nranks(), world.rank());
-            let mut slab = Slab::new(ng, zr.clone());
-            // unique value per global cell
-            for zl in 0..slab.nz() {
-                for y in 0..ng {
-                    for x in 0..ng {
-                        let i = slab.idx(x, y, zl);
-                        let gid = x + ng * (y + ng * (zr.start + zl));
-                        slab.data[i] = Complex::new(gid as f64, -(gid as f64));
-                    }
-                }
-            }
+            // unique value per global cell: its x-fastest index
+            let first = ng * ng * zr.start;
+            let slab = Slab {
+                ng,
+                data: (first..first + ng * ng * zr.len())
+                    .map(|gid| Complex::new(gid as f64, -(gid as f64)))
+                    .collect(),
+            };
             let orig = slab.data.clone();
             let xs = transpose_forward(world, &slab);
             // check x-slab contents

@@ -2,15 +2,16 @@
 //!
 //! The paper motivates HACC's scale by the need to predict "the matter
 //! density fluctuation power spectrum" (§III-A); this module measures it
-//! from the particles: CIC deposit → FFT → shell-average `|δ(k)|²`, with
-//! the standard CIC window deconvolution. Used to validate that the
-//! initial conditions realize the requested spectrum shape and to track
-//! nonlinear power growth over the run.
+//! from the particles: the simulation's CIC deposit → FFT → shell-average
+//! `|δ(k)|²`, with the standard CIC window deconvolution. Test-only code:
+//! it is the oracle that the initial conditions realize the requested
+//! spectrum shape and that nonlinear power grows over the run.
 
 use fft3d::{fft3_forward, freq, Complex, Grid3};
 use geometry::Vec3;
 
-use crate::cic;
+use crate::cosmology::Cosmology;
+use crate::stepper::PmSolver;
 
 /// One shell of the measured spectrum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,14 +31,9 @@ pub struct SpectrumBin {
 /// simulation. Returns bins of width `2π/box_size` starting at the
 /// fundamental mode.
 pub fn power_spectrum(positions: &[Vec3], ng: usize, box_size: f64) -> Vec<SpectrumBin> {
-    let mut rho = Grid3::new([ng, ng, ng], 0.0);
-    cic::deposit(&mut rho, positions);
-    cic::to_density_contrast(&mut rho, positions.len());
-
-    let mut f = Grid3::new([ng, ng, ng], Complex::ZERO);
-    for (i, &v) in rho.data().iter().enumerate() {
-        f.data_mut()[i] = Complex::new(v, 0.0);
-    }
+    let delta = PmSolver::new(ng, Cosmology::default()).density_contrast(positions);
+    let source = delta.data().iter().map(|&v| Complex::new(v, 0.0)).collect();
+    let mut f = Grid3::from_vec([ng; 3], source);
     fft3_forward(&mut f);
 
     let kf = 2.0 * std::f64::consts::PI / box_size; // fundamental mode
@@ -94,7 +90,6 @@ pub fn power_spectrum(positions: &[Vec3], ng: usize, box_size: f64) -> Vec<Spect
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosmology::Cosmology;
     use crate::ic::{zeldovich, IcParams};
     use crate::power::PowerSpectrum;
 
@@ -209,7 +204,6 @@ mod tests {
 
     #[test]
     fn clustering_grows_small_scale_power() {
-        use crate::stepper::PmSolver;
         let ng = 16;
         let params = IcParams {
             np: ng,

@@ -1,14 +1,17 @@
 //! Serial particle-mesh stepper (kick–drift, symplectic Euler).
 //!
-//! One gravity step:
+//! The one-rank oracle of the distributed [`crate::Simulation`]: stepped
+//! with [`crate::SimParams::a_at`] and [`crate::SimParams::da_at`], it gives
+//! the simulation's particles bit for bit at any rank count. One gravity
+//! step:
 //!
-//! 1. CIC-deposit all particles → density contrast δ,
+//! 1. fixed-point CIC deposit of all particles → density contrast δ,
 //! 2. FFT Poisson solve → potential φ (discrete Green's function),
 //! 3. per-particle acceleration: CIC-interpolated centered difference of φ,
 //! 4. kick `p += g · Δa/ȧ`, then drift `x += p · Δa/(a²ȧ)`.
 //!
-//! Using the same CIC kernel for deposit and force interpolation keeps the
-//! scheme momentum-conserving (no self-force).
+//! Using the same CIC weights ([`cic::stencil`]) for deposit and force
+//! interpolation keeps the scheme momentum-conserving (no self-force).
 
 use fft3d::Grid3;
 use geometry::Vec3;
@@ -32,10 +35,11 @@ impl PmSolver {
 
     /// Density-contrast grid from particle positions.
     pub fn density_contrast(&self, positions: &[Vec3]) -> Grid3<f64> {
-        let mut rho = Grid3::new([self.ng, self.ng, self.ng], 0.0);
-        cic::deposit(&mut rho, positions);
-        cic::to_density_contrast(&mut rho, positions.len());
-        rho
+        let dims = [self.ng; 3];
+        let mut mass = Grid3::new(dims, 0);
+        cic::deposit(&mut mass, positions.iter().copied());
+        let mean = positions.len() as f64 / mass.len() as f64;
+        Grid3::from_vec(dims, cic::density_contrast(mass.data(), mean))
     }
 
     /// Potential from a density-contrast grid at scale factor `a`.
@@ -44,34 +48,32 @@ impl PmSolver {
     }
 
     /// Acceleration `-∇φ` at position `p`: centered difference of φ,
-    /// CIC-interpolated (equivalent to interpolating precomputed gradient
-    /// grids, but without materializing them — per-particle work only).
+    /// interpolated with the deposit's CIC weights (equivalent to
+    /// interpolating precomputed gradient grids, but without materializing
+    /// them — per-particle work only).
     pub fn acceleration_at(phi: &Grid3<f64>, p: Vec3) -> Vec3 {
         let ng = phi.dims()[0];
-        let i0 = p.x.floor();
-        let j0 = p.y.floor();
-        let k0 = p.z.floor();
-        let dx = p.x - i0;
-        let dy = p.y - j0;
-        let dz = p.z - k0;
-        let (i0, j0, k0) = (i0 as isize, j0 as isize, k0 as isize);
+        let (corner, [wx, wy, wz]) = cic::stencil(p);
+        // wrapped planes corner−1 ..= corner+2 along each axis
+        let [xs, ys, zs] = corner.map(|c| [-1, 0, 1, 2].map(|o| cic::wrap(c + o, ng)));
+        let v = |a: usize, b: usize, c: usize| phi[(xs[a], ys[b], zs[c])];
         let mut acc = Vec3::ZERO;
-        for (di, wi) in [(0isize, 1.0 - dx), (1, dx)] {
-            for (dj, wj) in [(0isize, 1.0 - dy), (1, dy)] {
-                for (dk, wk) in [(0isize, 1.0 - dz), (1, dz)] {
+        for (i, wi) in wx.into_iter().enumerate() {
+            for (j, wj) in wy.into_iter().enumerate() {
+                for (k, wk) in wz.into_iter().enumerate() {
                     let w = wi * wj * wk;
-                    if w == 0.0 {
+                    if w == 0 {
                         continue;
                     }
-                    let (ci, cj, ck) = (i0 + di, j0 + dj, k0 + dk);
-                    let v = |a: isize, b: isize, c: isize| phi.data()[phi.idx_wrapped(a, b, c)];
-                    acc.x -= w * 0.5 * (v(ci + 1, cj, ck) - v(ci - 1, cj, ck));
-                    acc.y -= w * 0.5 * (v(ci, cj + 1, ck) - v(ci, cj - 1, ck));
-                    acc.z -= w * 0.5 * (v(ci, cj, ck + 1) - v(ci, cj, ck - 1));
+                    // exact: the weight has at most 42 significant bits
+                    let w = w as f64 * (1.0 / cic::UNIT_MASS as f64);
+                    let (i, j, k) = (i + 1, j + 1, k + 1);
+                    acc.x -= w * 0.5 * (v(i + 1, j, k) - v(i - 1, j, k));
+                    acc.y -= w * 0.5 * (v(i, j + 1, k) - v(i, j - 1, k));
+                    acc.z -= w * 0.5 * (v(i, j, k + 1) - v(i, j, k - 1));
                 }
             }
         }
-        let _ = ng;
         acc
     }
 

@@ -39,7 +39,6 @@ fn simulation(world: &mut World, particles: &[Vec3]) -> Simulation {
         seed: 1,
         initial_delta_rms: 0.0,
         spectrum: hacc::power::PowerSpectrum::default(),
-        solver: Default::default(),
     };
     let mut sim = Simulation::init(world, params, 8);
     for ps in sim.blocks.values_mut() {
