@@ -81,12 +81,16 @@ stage_kernel() {
     # kept-incomplete cells bit-stable across rank counts, and stay inside
     # the pinned candidates/cell and sorted/cell budgets (with the
     # support-function / f32 rejects firing) and the mesh digest recorded
-    # before the flat cell storage; the adversarial corpus must agree
+    # when vertices became named by their planes; the adversarial corpus must agree
     # between 1 and 4 ranks; a warm kernel must stay inside its
     # allocations-per-cell budget. The stream and kernel unit oracles (the
     # exact emission sequence under shrinking bounds, the 400 wall-hugging
-    # cases) run under optimised codegen too.
-    cargo test --release -q -p tess --lib -- grid:: cell:: &&
+    # cases) run under optimised codegen too, and so does the geometry
+    # crate: the polyhedron unit tests, the clip-vs-quickhull proptests and
+    # the clip against the face-loop reference it replaced (same faces,
+    # neighbours and distinct vertices, volume and area to 1e-11).
+    cargo test --release -q -p geometry &&
+        cargo test --release -q -p tess --lib -- grid:: cell:: &&
         cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         cargo test --release -q -p meshing-universe --test adversarial_corpus &&
         cargo test --release -q -p meshing-universe --test kernel_allocations

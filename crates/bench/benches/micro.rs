@@ -2,6 +2,7 @@
 //! Clip-vs-Quickhull ablation from DESIGN.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use geometry::polyhedron::ClipResult;
 use geometry::predicates::{insphere, orient3d};
 use geometry::{convex_hull, Aabb, ClipScratch, ConvexPolyhedron, Plane, Vec3};
 use rand::{Rng, SeedableRng};
@@ -65,21 +66,37 @@ fn bench_predicates(c: &mut Criterion) {
 
 fn bench_clipping(c: &mut Criterion) {
     // one Voronoi-cell-like clipping sequence, on the kernel's path: the
-    // start box reuses the previous cell's recycled storage and every clip
-    // runs through one warm scratch
+    // start box reuses the previous cell's recycled storage, every clip
+    // runs through one warm scratch and the faces are built once at the
+    // end. Time per real cut is the sample time over the `Clipped` count
+    // printed first.
     let site = Vec3::splat(4.5);
     let pts = jittered_lattice(9, 2);
+    let planes: Vec<Plane> = pts
+        .iter()
+        .take(60)
+        .filter(|q| q.dist2(site) > 1e-12)
+        .filter_map(|&q| Plane::bisector(site, q))
+        .collect();
     let mut scratch = ClipScratch::new();
+    let sequence = |scratch: &mut ClipScratch| {
+        let mut poly = scratch.from_aabb(&Aabb::cube(9.0));
+        let cuts = planes
+            .iter()
+            .filter(|plane| poly.clip_with(plane, Some(1), 1e-9, scratch) == ClipResult::Clipped)
+            .count();
+        poly.build_faces(scratch);
+        (poly, cuts)
+    };
+    let (poly, cuts) = sequence(&mut scratch);
+    eprintln!(
+        "cell_clip_sequence: {} clips, {cuts} real cuts",
+        planes.len()
+    );
+    scratch.recycle(poly);
     c.bench_function("cell_clip_sequence", |b| {
         b.iter(|| {
-            let mut poly = scratch.from_aabb(&Aabb::cube(9.0));
-            for &q in pts.iter().take(60) {
-                if q.dist2(site) > 1e-12 {
-                    if let Some(plane) = Plane::bisector(site, q) {
-                        poly.clip_with(&plane, Some(1), 1e-9, &mut scratch);
-                    }
-                }
-            }
+            let (poly, _) = sequence(&mut scratch);
             let volume = poly.volume();
             scratch.recycle(poly);
             black_box(volume)

@@ -11,7 +11,7 @@
 //! against `GhostSpec::Adaptive` starting at half that radius: same mesh
 //! out, fewer ghost bytes on the wire.
 
-use bench_harness::{bytes_h, evolved_particles_cached, partition_particles, secs, Table};
+use bench_harness::{bytes_h, evolved_particles, partition_particles, secs, Table};
 use diy::comm::Runtime;
 use diy::decomposition::{Assignment, Decomposition};
 use diy::metrics::collect_report;
@@ -76,7 +76,7 @@ fn main() {
     println!(
         "# Ablation: ghost size vs exchange volume vs certified cells ({np}^3, 8 blocks, 4 ranks)"
     );
-    let particles = evolved_particles_cached(np, nsteps);
+    let particles = evolved_particles(np, nsteps);
     let domain = Aabb::cube(np as f64);
     let dec = Decomposition::regular(domain, 8, [true; 3]);
 

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use bench_harness::{evolved_particles_cached, Table};
+use bench_harness::{evolved_particles, Table};
 use diy::comm::Runtime;
 use geometry::Aabb;
 use tess::{tessellate_serial, TessParams};
@@ -69,7 +69,7 @@ fn main() {
     let nsteps = env_usize("BENCH_STEPS", 100);
     println!("# Data model stats ({np}^3 particles, t = {nsteps}); paper: ~15 faces/cell, ~5 verts/face, ~450 B/particle full, ~100 culled, 7%/93% geometry/connectivity");
 
-    let particles = evolved_particles_cached(np, nsteps);
+    let particles = evolved_particles(np, nsteps);
     let domain = Aabb::cube(np as f64);
     let nparticles = particles.len();
 

@@ -9,7 +9,7 @@
 //! growing skewness/kurtosis as perturbation theory breaks down; small
 //! cells multiply while large cells grow.
 
-use bench_harness::{evolved_particles_cached, output_dir, Table};
+use bench_harness::{evolved_particles, output_dir, Table};
 use geometry::Aabb;
 use postprocess::render::{render_to_file, RenderOptions};
 use postprocess::{density_contrast, Histogram};
@@ -40,7 +40,7 @@ fn main() {
     ]);
     let paper = [(11usize, 1.6, 4.1), (21, 2.0, 5.5), (31, 4.5, 23.0)];
     for &(step, pskew, pkurt) in &paper {
-        let particles = evolved_particles_cached(np, step);
+        let particles = evolved_particles(np, step);
         let (block, _) = tessellate_serial(&particles, domain, [false; 3], &TessParams::default());
         let blocks = vec![block];
         let field = density_contrast(&blocks, mean_density);

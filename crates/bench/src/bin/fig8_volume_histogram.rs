@@ -8,7 +8,7 @@
 //! Expected shape: strongly right-skewed distribution, most mass at tiny
 //! volumes with a long thin tail.
 
-use bench_harness::{evolved_particles_cached, output_dir, Table};
+use bench_harness::{evolved_particles, output_dir, Table};
 use geometry::Aabb;
 use postprocess::Histogram;
 use tess::{tessellate_serial, TessParams};
@@ -25,7 +25,7 @@ fn main() {
     let nsteps = env_usize("BENCH_STEPS", 100);
     println!("# Figure 8: cell volume histogram ({np}^3 particles, t = {nsteps})");
 
-    let particles = evolved_particles_cached(np, nsteps);
+    let particles = evolved_particles(np, nsteps);
     let (block, stats) = tessellate_serial(
         &particles,
         Aabb::cube(np as f64),

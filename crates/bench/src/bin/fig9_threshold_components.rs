@@ -8,7 +8,7 @@
 //! threshold rises the surviving large cells split into a handful of
 //! distinct components whose count first rises then falls as voids vanish.
 
-use bench_harness::{evolved_particles_cached, output_dir, Table};
+use bench_harness::{evolved_particles, output_dir, Table};
 use geometry::Aabb;
 use postprocess::render::{render_to_file, RenderOptions};
 use postprocess::{label_components_serial, minkowski_functionals};
@@ -27,7 +27,7 @@ fn main() {
     let nsteps = env_usize("BENCH_STEPS", 100);
     println!("# Figure 9: threshold → connected components ({np}^3, t = {nsteps})");
 
-    let particles = evolved_particles_cached(np, nsteps);
+    let particles = evolved_particles(np, nsteps);
     let domain = Aabb::cube(np as f64);
     let (block, _) = tessellate_serial(&particles, domain, [false; 3], &TessParams::default());
     let blocks = vec![block];

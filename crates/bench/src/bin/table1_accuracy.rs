@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use bench_harness::{evolved_particles_cached, partition_particles, Table};
+use bench_harness::{evolved_particles, partition_particles, Table};
 use diy::comm::Runtime;
 use diy::decomposition::{Assignment, Decomposition};
 use geometry::Aabb;
@@ -30,7 +30,7 @@ fn main() {
     let nsteps = env_usize("BENCH_STEPS", 100);
     println!("# Table I: parallel accuracy ({np}^3 particles, {nsteps} steps)");
 
-    let particles = evolved_particles_cached(np, nsteps);
+    let particles = evolved_particles(np, nsteps);
     let domain = Aabb::cube(np as f64);
 
     // Serial reference: one block, periodic mirroring, generous ghost.

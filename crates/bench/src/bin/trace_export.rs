@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use bench_harness::{evolved_particles_cached, output_dir, partition_particles};
+use bench_harness::{evolved_particles, output_dir, partition_particles};
 use diy::codec::{Decode, Encode};
 use diy::comm::Runtime;
 use diy::trace::{
@@ -110,7 +110,7 @@ fn run_mode(particles: &[(u64, geometry::Vec3)], dec: &Decomp, mode: TraceMode) 
 }
 
 fn main() {
-    let particles = evolved_particles_cached(NP, NSTEPS);
+    let particles = evolved_particles(NP, NSTEPS);
     let dec = Decomp::regular(Aabb::cube(NP as f64), NBLOCKS, [true; 3]);
     let threads = std::env::var("TESS_THREADS")
         .ok()

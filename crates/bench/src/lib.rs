@@ -283,29 +283,6 @@ pub fn bytes_h(b: u64) -> String {
     }
 }
 
-/// Like [`evolved_particles`] but cached on disk under the bench output
-/// directory, so the figure harnesses that share a workload do not rerun
-/// the simulation.
-pub fn evolved_particles_cached(np: usize, nsteps: usize) -> Vec<(u64, Vec3)> {
-    use diy::codec::{Decode, Encode};
-    let params = SimParams::paper_like(np);
-    let tag = (params.initial_delta_rms * 1000.0) as u64;
-    let path = output_dir().join(format!(
-        "particles_np{np}_steps{nsteps}_seed{}_d{tag}.cache",
-        params.seed
-    ));
-    if let Ok(bytes) = std::fs::read(&path) {
-        if let Ok(v) = Vec::<(u64, Vec3)>::from_bytes(&bytes) {
-            if v.len() == np * np * np {
-                return v;
-            }
-        }
-    }
-    let v = evolved_particles(np, nsteps);
-    std::fs::write(&path, v.to_bytes()).ok();
-    v
-}
-
 /// Where harness binaries drop artifacts (SVGs, data files).
 pub fn output_dir() -> std::path::PathBuf {
     let dir = std::path::PathBuf::from(

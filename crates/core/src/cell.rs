@@ -185,9 +185,10 @@ pub(crate) fn certified(region: &Aabb, eps: f64, site: Vec3, sec2: f64, fit: f64
 
 /// Clip `start_box` by the bisectors of the candidates around `site` in
 /// canonical order, stopping at the first one beyond the security radius
-/// or beyond `cap2` (squared). `complete` is left `false` for the caller.
-/// An emptied polyhedron — numerically impossible for a true Voronoi cell,
-/// guarded for degenerate input — ends the pass.
+/// or beyond `cap2` (squared), then build the cell's faces once.
+/// `complete` is left `false` for the caller. An emptied polyhedron —
+/// numerically impossible for a true Voronoi cell, guarded for degenerate
+/// input — ends the pass.
 fn clip_ordered(
     ctx: &CellContext,
     site: Vec3,
@@ -234,6 +235,7 @@ fn clip_ordered(
             }
         }
     }
+    poly.build_faces(clip);
     ComputedCell {
         poly,
         complete: false,

@@ -9,7 +9,9 @@
 //! * [`predicates`] — statically filtered, exactly-falling-back `orient3d`
 //!   and `insphere` predicates.
 //! * [`Plane`] and [`ConvexPolyhedron`] — half-space clipping of convex
-//!   polyhedra, the core operation of Voronoi cell construction.
+//!   polyhedra, the core operation of Voronoi cell construction: vertices
+//!   named by their three planes while a cell is clipped, faces built once
+//!   after the last clip.
 //! * [`quickhull`] — a 3D convex hull (the paper's Qhull role: ordering the
 //!   vertices of a Voronoi cell into faces and computing volume and area).
 //!

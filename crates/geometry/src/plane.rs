@@ -62,6 +62,13 @@ impl Plane {
         Some(da / denom)
     }
 
+    /// The point where `self`, `b` and `c` meet (Cramer's rule). Not finite
+    /// when the three normals are linearly dependent.
+    pub fn intersect_planes(&self, b: &Plane, c: &Plane) -> Vec3 {
+        let (bc, ca, ab) = (b.n.cross(c.n), c.n.cross(self.n), self.n.cross(b.n));
+        (bc * self.d + ca * b.d + ab * c.d) * (1.0 / self.n.dot(bc))
+    }
+
     /// An orthonormal basis `(u, v)` spanning the plane, so points can be
     /// projected to 2D coordinates `(u·x, v·x)` for angular sorting.
     pub fn basis(&self) -> (Vec3, Vec3) {
@@ -121,6 +128,21 @@ mod tests {
         assert!(p
             .intersect_segment(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0))
             .is_none());
+    }
+
+    #[test]
+    fn three_planes_meet_in_one_point() {
+        let x = Plane::from_point_normal(Vec3::new(2.0, 0.0, 0.0), Vec3::new(1.0, 0.0, 0.0));
+        let y = Plane::from_point_normal(Vec3::new(0.0, -1.0, 0.0), Vec3::new(0.0, -1.0, 0.0));
+        let n = Vec3::new(1.0, 1.0, 1.0).normalized().unwrap();
+        let s = Plane::from_point_normal(Vec3::new(0.0, 0.0, 3.0), n);
+        let p = x.intersect_planes(&y, &s);
+        assert!((p - Vec3::new(2.0, -1.0, 2.0)).norm() < 1e-12, "{p}");
+        for plane in [x, y, s] {
+            assert!(plane.signed_distance(p).abs() < 1e-12);
+        }
+        // parallel planes share no single point
+        assert!(!x.intersect_planes(&x.flipped(), &s).is_finite());
     }
 
     #[test]

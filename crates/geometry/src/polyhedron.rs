@@ -2,18 +2,18 @@
 //!
 //! A Voronoi cell is constructed by starting from a bounding box and
 //! repeatedly clipping it by the perpendicular bisector planes between the
-//! cell's site and its candidate neighbors (the Voro++ approach). The
-//! polyhedron is stored as a vertex array plus polygonal faces; every face
+//! cell's site and its candidate neighbors (the Voro++ approach). Every face
 //! remembers which neighbor's bisector created it, which later gives the
 //! cell-adjacency graph (used for connected-component void finding) for free.
 //!
-//! Storage is flat: every face's vertex loop is a slice of one shared index
-//! buffer, back to back in face order. A clip writes the clipped loops into
-//! a second buffer lent by [`ClipScratch`] and swaps the two: a face the
-//! plane leaves whole is copied as a slice, and only the faces it cuts are
-//! walked vertex by vertex.
+//! While it is clipped, a polyhedron is its planes — the six box planes,
+//! then every plane that cut it, in clip order — and its vertices, each
+//! named by the three planes it lies on. A clip removes the vertices outside
+//! its plane and puts one new vertex on every edge that leaves them; there
+//! are no faces to rewrite. [`ConvexPolyhedron::build_faces`] builds them
+//! once, after the last clip: every face's vertex loop is a slice of one
+//! shared index buffer, back to back in plane order.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::measures::{polygon_area_by, tetra_volume_signed};
@@ -49,48 +49,55 @@ pub enum ClipResult {
 }
 
 /// A convex polyhedron (vertices + polygonal faces with outward planes).
+/// `verts`, `faces` and `loops` are built by
+/// [`build_faces`](Self::build_faces); [`clip_with`](Self::clip_with)
+/// empties them.
 #[derive(Debug, Clone, Default)]
 pub struct ConvexPolyhedron {
+    /// Distinct vertex positions, numbered by first reference in `loops`.
     pub verts: Vec<Vec3>,
     pub faces: Vec<Face>,
     /// Every face's vertex loop, back to back in face order.
     pub loops: Vec<u32>,
+    /// Every plane that cut the polyhedron, box planes first.
+    planes: Vec<(Plane, Option<u64>)>,
+    /// Per vertex: its position, and the three planes it lies on
+    /// counterclockwise seen from outside. Walking face `a`'s loop
+    /// counterclockwise, the vertex after `[a, b, c]` is the one whose
+    /// rotation at `a` starts `[a, c, …]`, along the edge of `a` and `c`.
+    at: Vec<Vec3>,
+    named: Vec<[u32; 3]>,
+    /// Whether two vertices may share a position (see `clip_with`).
+    aliased: bool,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Class {
-    In,
-    On,
-    Out,
-    /// An `On` vertex already gathered into the closing face; the face
-    /// walk treats it as `On`.
-    Gathered,
+/// The edges at a vertex named `[a, b, c]`, plane pairs packed high and low
+/// in a `u64`; the vertex at the other end lists one `rotate_left(32)`.
+fn edges_of([a, b, c]: [u32; 3]) -> [u64; 3] {
+    let e = |p: u32, q: u32| (p as u64) << 32 | q as u64;
+    [e(a, b), e(b, c), e(c, a)]
 }
 
-/// Everything one clip needs besides the polyhedron. A hot caller (the
-/// per-cell Voronoi kernel clips tens of planes per cell, millions of cells
-/// per run) keeps one per thread, and after warm-up no clip allocates. It
-/// also lends polyhedra out ([`from_aabb`](Self::from_aabb)) and takes
-/// them back ([`recycle`](Self::recycle)), so one cell's storage is the
-/// next cell's. Results are bit-identical to a fresh-buffer clip.
+/// Everything a clip and a face build need besides the polyhedron. A hot
+/// caller (the per-cell Voronoi kernel clips tens of planes per cell,
+/// millions of cells per run) keeps one per thread, and after warm-up
+/// neither allocates. It also lends polyhedra out
+/// ([`from_aabb`](Self::from_aabb)) and takes them back
+/// ([`recycle`](Self::recycle)), so one cell's storage is the next cell's.
+/// Results are bit-identical to fresh buffers.
 #[derive(Default)]
 pub struct ClipScratch {
-    /// Per vertex: its side of the plane. Vertices the clip creates are `On`.
-    classes: Vec<Class>,
-    /// Edges this clip cut, as `(lower end, upper end, new vertex)`. A clip
-    /// cuts a handful of edges, so a linear scan finds them.
-    cuts: Vec<(u32, u32, u32)>,
-    /// The closing face's vertices in first-appearance order, their angle
-    /// keys, and the sorted order of their positions.
-    closing: Vec<u32>,
-    angles: Vec<f64>,
-    order: Vec<u32>,
-    /// The other halves of the polyhedron's loop and face double buffers.
-    loops: Vec<u32>,
-    faces: Vec<Face>,
-    /// Compaction: old vertex index → new one, and the renumbered vertices.
-    map: Vec<u32>,
-    verts: Vec<Vec3>,
+    /// A clip's removed vertices, their edges (three each) and new vertices.
+    outs: Vec<u32>,
+    edges: Vec<u64>,
+    fresh: Vec<(Vec3, [u32; 3])>,
+    /// Face building: every vertex rotation `[vertex, x, y]` at plane `f`
+    /// (the vertex named `[f, x, y]` turned to start at `f`), bucketed by
+    /// plane: bucket `f` is `rotations[starts[f]..starts[f + 1]]`. And per
+    /// vertex, its number in `verts`.
+    starts: Vec<u32>,
+    rotations: Vec<[u32; 3]>,
+    number: Vec<u32>,
     /// Polyhedra handed back through [`recycle`](Self::recycle).
     spare: Vec<ConvexPolyhedron>,
 }
@@ -100,8 +107,8 @@ impl ClipScratch {
         Self::default()
     }
 
-    /// [`ConvexPolyhedron::from_aabb`] in the storage of a recycled
-    /// polyhedron, when there is one.
+    /// A box to clip, in the storage of a recycled polyhedron when there is
+    /// one. Its faces are not built.
     pub fn from_aabb(&mut self, b: &Aabb) -> ConvexPolyhedron {
         let mut poly = self.spare.pop().unwrap_or_default();
         poly.set_aabb(b);
@@ -119,45 +126,43 @@ impl ConvexPolyhedron {
     pub fn from_aabb(b: &Aabb) -> Self {
         let mut poly = Self::default();
         poly.set_aabb(b);
+        poly.build_faces(&mut ClipScratch::default());
         poly
     }
 
     fn set_aabb(&mut self, b: &Aabb) {
-        let (lo, hi) = (b.min, b.max);
         self.clear();
-        self.verts.extend_from_slice(&[
-            Vec3::new(lo.x, lo.y, lo.z), // 0
-            Vec3::new(hi.x, lo.y, lo.z), // 1
-            Vec3::new(lo.x, hi.y, lo.z), // 2
-            Vec3::new(hi.x, hi.y, lo.z), // 3
-            Vec3::new(lo.x, lo.y, hi.z), // 4
-            Vec3::new(hi.x, lo.y, hi.z), // 5
-            Vec3::new(lo.x, hi.y, hi.z), // 6
-            Vec3::new(hi.x, hi.y, hi.z), // 7
-        ]);
-        // Loops are counterclockwise when viewed from outside the box.
-        for (n, d, loop_) in [
-            (Vec3::new(-1.0, 0.0, 0.0), -lo.x, [0, 4, 6, 2]),
-            (Vec3::new(1.0, 0.0, 0.0), hi.x, [1, 3, 7, 5]),
-            (Vec3::new(0.0, -1.0, 0.0), -lo.y, [0, 1, 5, 4]),
-            (Vec3::new(0.0, 1.0, 0.0), hi.y, [2, 6, 7, 3]),
-            (Vec3::new(0.0, 0.0, -1.0), -lo.z, [0, 2, 3, 1]),
-            (Vec3::new(0.0, 0.0, 1.0), hi.z, [4, 5, 7, 6]),
-        ] {
-            self.faces.push(Face {
-                plane: Plane { n, d },
-                neighbor: None,
-                start: self.loops.len() as u32,
-                len: 4,
-            });
-            self.loops.extend_from_slice(&loop_);
+        // Planes x-, x+, y-, y+, z-, z+. Corner `i` takes the high side on
+        // axis `k` when bit `k` is set, so lies on planes `x`, `2 + y` and
+        // `4 + z`, which run counterclockwise when an odd number are high.
+        for k in 0..6 {
+            let (axis, high) = (k / 2, k % 2 == 1);
+            let mut n = Vec3::ZERO;
+            n[axis] = if high { 1.0 } else { -1.0 };
+            let d = if high { b.max[axis] } else { -b.min[axis] };
+            self.planes.push((Plane { n, d }, None));
+        }
+        for i in 0..8u32 {
+            let side = |k: u32| [b.min, b.max][(i >> k & 1) as usize][k as usize];
+            self.at.push(Vec3::new(side(0), side(1), side(2)));
+            let (x, y, z) = (i & 1, 2 + (i >> 1 & 1), 4 + (i >> 2 & 1));
+            let odd = i.count_ones() % 2 == 1;
+            self.named.push(if odd { [x, y, z] } else { [x, z, y] });
         }
     }
 
-    fn clear(&mut self) {
+    fn clear_faces(&mut self) {
         self.verts.clear();
         self.faces.clear();
         self.loops.clear();
+    }
+
+    fn clear(&mut self) {
+        self.clear_faces();
+        self.planes.clear();
+        self.at.clear();
+        self.named.clear();
+        self.aliased = false;
     }
 
     pub fn is_empty(&self) -> bool {
@@ -171,17 +176,29 @@ impl ConvexPolyhedron {
     }
 
     /// Clip by the inside half-space of `plane` (`n·x <= d`), tagging any
-    /// newly created face with `neighbor`.
+    /// newly created face with `neighbor`, and build the faces if it cut.
     ///
     /// `eps` is the absolute tolerance for classifying a vertex as lying on
     /// the plane; pass a value small relative to the cell size (e.g.
     /// [`crate::EPS`] times the domain scale).
     pub fn clip(&mut self, plane: &Plane, neighbor: Option<u64>, eps: f64) -> ClipResult {
-        self.clip_with(plane, neighbor, eps, &mut ClipScratch::default())
+        let mut scratch = ClipScratch::default();
+        let result = self.clip_with(plane, neighbor, eps, &mut scratch);
+        if result == ClipResult::Clipped {
+            self.build_faces(&mut scratch);
+        }
+        result
     }
 
-    /// [`clip`](Self::clip) with caller-provided scratch buffers; see
-    /// [`ClipScratch`]. Bit-identical results, no steady-state allocation.
+    /// [`clip`](Self::clip) with caller-provided scratch buffers (see
+    /// [`ClipScratch`]) and no face build: a plane that cuts leaves `verts`,
+    /// `faces` and `loops` empty until [`build_faces`](Self::build_faces).
+    ///
+    /// A vertex farther than `eps` outside is removed, and each edge from it
+    /// to a kept vertex gets a new vertex where the edge's two planes meet
+    /// `plane`. When the kept end lies on the plane (within `eps`), the new
+    /// vertex takes its position instead: the cut adds no vertex beside one
+    /// already on the plane, and the faces collapse the pair into one.
     pub fn clip_with(
         &mut self,
         plane: &Plane,
@@ -189,172 +206,158 @@ impl ConvexPolyhedron {
         eps: f64,
         scratch: &mut ClipScratch,
     ) -> ClipResult {
-        // Most clips of a converging cell change nothing: decide that with
-        // one read-only pass, the same `> eps` test the classification
-        // makes (a NaN distance fails it and takes the full path, as before).
-        if self.verts.iter().all(|&v| plane.signed_distance(v) <= eps) {
+        // Most clips of a converging cell change nothing: learn that from an
+        // `|` over every vertex, with no exit to stop vectorisation.
+        let out = |p: Vec3| plane.signed_distance(p) > eps;
+        if !self.at.iter().fold(false, |any, &p| any | out(p)) {
             return ClipResult::Unchanged;
         }
-        let ClipScratch {
-            classes,
-            cuts,
-            closing,
-            angles,
-            order,
-            loops,
-            faces,
-            map,
-            verts: renumbered,
-            spare: _,
-        } = scratch;
-        classes.clear();
-        let (mut n_in, mut n_out) = (0, 0);
-        for &v in &self.verts {
-            let d = plane.signed_distance(v);
-            classes.push(if d < -eps {
-                n_in += 1;
-                Class::In
-            } else if d > eps {
-                n_out += 1;
-                Class::Out
-            } else {
-                Class::On
-            });
+        let (outs, edges, fresh) = (&mut scratch.outs, &mut scratch.edges, &mut scratch.fresh);
+        // A NaN distance passes neither test: the vertex stays, as if on the
+        // plane.
+        let on_plane = |d: f64| !(d > eps || d < -eps);
+        outs.clear();
+        let (mut any_in, mut any_on) = (false, false);
+        for (i, &p) in self.at.iter().enumerate() {
+            let d = plane.signed_distance(p);
+            if d > eps {
+                outs.push(i as u32);
+            }
+            any_in |= d < -eps;
+            any_on |= on_plane(d);
         }
-        if n_out == 0 {
-            return ClipResult::Unchanged;
-        }
-        if n_in == 0 {
+        if !any_in {
             self.clear();
             return ClipResult::Empty;
         }
-        let any_on = n_in + n_out < self.verts.len();
 
-        let ConvexPolyhedron {
-            verts,
-            faces: old_faces,
-            loops: old_loops,
-        } = self;
-        cuts.clear();
-        closing.clear();
-        loops.clear();
-        faces.clear();
-        // Vertices are renumbered by first reference as the kept loops are
-        // written, so no loop is read twice.
-        map.clear();
-        map.resize(verts.len(), u32::MAX);
-        renumbered.clear();
-        for face in old_faces.iter() {
-            let src = &old_loops[face.start as usize..][..face.len as usize];
-            let start = loops.len();
-            let cut = src.iter().any(|&v| classes[v as usize] == Class::Out);
-            if !cut {
-                loops.extend_from_slice(src);
-            } else {
-                // Keep the vertices that are not out, and put one vertex
-                // on every edge that crosses the plane. Adjacent faces share
-                // it, so the result stays watertight; it is interpolated
-                // in the direction the first face to reach the edge walks it.
-                let mut ci = classes[src[0] as usize];
-                for (i, &vi) in src.iter().enumerate() {
-                    let vj = *src.get(i + 1).unwrap_or(&src[0]);
-                    let cj = classes[vj as usize];
-                    if ci != Class::Out {
-                        push_distinct(loops, start, vi);
-                    }
-                    if matches!((ci, cj), (Class::In, Class::Out) | (Class::Out, Class::In)) {
-                        let (lo, hi) = (vi.min(vj), vi.max(vj));
-                        let idx = match cuts.iter().find(|c| c.0 == lo && c.1 == hi) {
-                            Some(c) => c.2,
-                            None => {
-                                let (a, b) = (verts[vi as usize], verts[vj as usize]);
-                                let t =
-                                    plane.intersect_segment(a, b).unwrap_or(0.5).clamp(0.0, 1.0);
-                                verts.push(a.lerp(b, t));
-                                classes.push(Class::On);
-                                map.push(u32::MAX);
-                                let idx = (verts.len() - 1) as u32;
-                                cuts.push((lo, hi, idx));
-                                idx
-                            }
-                        };
-                        push_distinct(loops, start, idx);
-                    }
-                    ci = cj;
-                }
-                while loops.len() - start > 1 && loops[start] == loops[loops.len() - 1] {
-                    loops.pop();
-                }
-                if loops.len() - start < 3 {
-                    loops.truncate(start);
-                    continue;
-                }
+        edges.clear();
+        edges.extend(outs.iter().flat_map(|&i| edges_of(self.named[i as usize])));
+        let (at, named, new) = (&self.at, &self.named, self.planes.len() as u32);
+        fresh.clear();
+        for (k, &e) in edges.iter().enumerate() {
+            let back = e.rotate_left(32);
+            if edges.contains(&back) {
+                continue; // both ends removed
             }
-            // The closing face is every vertex now on the plane, in the
-            // order the surviving faces first reach it.
-            let gather = cut || any_on;
-            for v in &mut loops[start..] {
-                let old = *v as usize;
-                if gather && classes[old] == Class::On {
-                    classes[old] = Class::Gathered;
-                    closing.push(*v);
-                }
-                if map[old] == u32::MAX {
-                    map[old] = renumbered.len() as u32;
-                    renumbered.push(verts[old]);
-                }
-                *v = map[old];
-            }
-            faces.push(Face {
-                start: start as u32,
-                len: (loops.len() - start) as u32,
-                ..*face
-            });
-        }
-
-        if closing.len() >= 3 {
-            let centroid = {
-                let mut c = Vec3::ZERO;
-                for &v in closing.iter() {
-                    c += verts[v as usize];
-                }
-                c / closing.len() as f64
+            let kept_end = || {
+                let w = named.iter().position(|&t| edges_of(t).contains(&back));
+                w.map(|w| at[w])
             };
-            let (u, w) = plane.basis();
-            // Counterclockwise around +n: (u, w, n) is right-handed. One
-            // angle per vertex; the stable sort of their positions sees the
-            // same comparisons, so makes the same permutation, as sorting
-            // the vertices by recomputing both angles in every comparison.
-            angles.clear();
-            angles.extend(closing.iter().map(|&v| {
-                let p = verts[v as usize] - centroid;
-                p.dot(w).atan2(p.dot(u))
-            }));
-            order.clear();
-            order.extend(0..closing.len() as u32);
-            order.sort_by(|&a, &b| {
-                angles[a as usize]
-                    .partial_cmp(&angles[b as usize])
-                    .unwrap_or(Ordering::Equal)
-            });
-            faces.push(Face {
-                plane: *plane,
-                neighbor,
-                start: loops.len() as u32,
-                len: closing.len() as u32,
-            });
-            // Every closing vertex lies on a kept face, so is numbered.
-            loops.extend(order.iter().map(|&k| map[closing[k as usize] as usize]));
+            let on = any_on.then(kept_end).flatten();
+            let on = on.filter(|&w| on_plane(plane.signed_distance(w)));
+            let (a, b) = ((e >> 32) as u32, e as u32);
+            let (pa, pb) = (&self.planes[a as usize].0, &self.planes[b as usize].0);
+            let p = on.unwrap_or_else(|| pa.intersect_planes(pb, plane));
+            let solved = on.is_none() && p.is_finite();
+            let p = if solved || on.is_some() {
+                p
+            } else {
+                // Degenerate solve: interpolate along the edge instead.
+                let v = at[outs[k / 3] as usize];
+                kept_end().map_or(v, |w| {
+                    let t = plane.intersect_segment(v, w).unwrap_or(0.5);
+                    v.lerp(w, t.clamp(0.0, 1.0))
+                })
+            };
+            self.aliased |= !solved;
+            fresh.push((p, [a, b, new]));
         }
 
-        std::mem::swap(verts, renumbered);
-        std::mem::swap(old_loops, loops);
-        std::mem::swap(old_faces, faces);
+        // The last vertices fill the removed ones' slots; the new ones follow.
+        for &i in outs.iter().rev() {
+            self.at.swap_remove(i as usize);
+            self.named.swap_remove(i as usize);
+        }
+        for &(p, t) in fresh.iter() {
+            self.at.push(p);
+            self.named.push(t);
+        }
+        self.planes.push((*plane, neighbor));
+        self.clear_faces();
+        ClipResult::Clipped
+    }
+
+    /// Build `verts`, `faces` and `loops` from the planes and the named
+    /// vertices: one face per plane that still has three distinct vertex
+    /// positions, in plane order, each loop counterclockwise seen from
+    /// outside, and the vertices numbered by first reference. A polyhedron
+    /// left with fewer than four faces or vertices builds empty.
+    pub fn build_faces(&mut self, scratch: &mut ClipScratch) {
+        self.clear_faces();
+        let (starts, rotations) = (&mut scratch.starts, &mut scratch.rotations);
+        let (at, named, aliased) = (&self.at, &self.named, self.aliased);
+        let (verts, faces, loops) = (&mut self.verts, &mut self.faces, &mut self.loops);
+
+        // Counting sort of the rotations by plane, ascending vertex within a
+        // bucket: count, end of each bucket, then fill backwards.
+        let np = self.planes.len();
+        starts.clear();
+        starts.resize(np + 1, 0);
+        for &p in named.iter().flatten() {
+            starts[p as usize] += 1;
+        }
+        for p in 1..=np {
+            starts[p] += starts[p - 1];
+        }
+        rotations.clear();
+        rotations.resize(3 * named.len(), [0; 3]);
+        for (i, &[a, b, c]) in named.iter().enumerate().rev() {
+            for [f, x, y] in [[c, a, b], [b, c, a], [a, b, c]] {
+                starts[f as usize] -= 1;
+                rotations[starts[f as usize] as usize] = [i as u32, x, y];
+            }
+        }
+
+        let number = &mut scratch.number;
+        number.clear();
+        number.resize(at.len(), u32::MAX);
+        // Two vertices at one position are one: see `clip_with`.
+        let same = |v: u32, w: u32| aliased && at[v as usize] == at[w as usize];
+        for (f, &(plane, neighbor)) in self.planes.iter().enumerate() {
+            // Walk the face from its first vertex: after `[f, x, y]` comes
+            // the rotation that starts `[f, y, …]`.
+            let bucket = &rotations[starts[f] as usize..starts[f + 1] as usize];
+            let (start, mut k) = (loops.len(), 0);
+            for _ in 0..bucket.len() {
+                let [v, _, y] = bucket[k];
+                if loops.len() == start || !same(loops[loops.len() - 1], v) {
+                    loops.push(v);
+                }
+                match bucket.iter().position(|r| r[1] == y) {
+                    Some(next) if next != 0 => k = next,
+                    _ => break,
+                }
+            }
+            while loops.len() - start > 1 && same(loops[start], loops[loops.len() - 1]) {
+                loops.pop();
+            }
+            if loops.len() - start < 3 {
+                loops.truncate(start);
+                continue;
+            }
+            for v in &mut loops[start..] {
+                let p = at[*v as usize];
+                let n = &mut number[*v as usize];
+                if *n == u32::MAX {
+                    let twin = aliased.then(|| verts.iter().position(|&q| q == p));
+                    *n = twin.flatten().unwrap_or_else(|| {
+                        verts.push(p);
+                        verts.len() - 1
+                    }) as u32;
+                }
+                *v = *n;
+            }
+            let (start, len) = (start as u32, (loops.len() - start) as u32);
+            faces.push(Face {
+                plane,
+                neighbor,
+                start,
+                len,
+            });
+        }
         if self.is_empty() {
-            self.clear();
-            ClipResult::Empty
-        } else {
-            ClipResult::Clipped
+            self.clear_faces();
         }
     }
 
@@ -425,19 +428,24 @@ impl ConvexPolyhedron {
 
     /// Tight axis-aligned bounding box of the vertices, together with the
     /// farthest squared vertex distance from `p` (one fused pass — the
-    /// cell kernel needs both after every mutating clip). Degenerate
-    /// (point-at-`p`) when the polyhedron has no vertices.
+    /// cell kernel needs both after every mutating clip, before the faces
+    /// are built). Degenerate (point-at-`p`) when the polyhedron has no
+    /// vertices.
     pub fn vertex_aabb_and_max_dist2(&self, p: Vec3) -> (Aabb, f64) {
         let (mut lo, mut hi) = (p, p);
         let mut max_d2 = 0.0f64;
-        for &v in &self.verts {
-            lo.x = lo.x.min(v.x);
-            lo.y = lo.y.min(v.y);
-            lo.z = lo.z.min(v.z);
-            hi.x = hi.x.max(v.x);
-            hi.y = hi.y.max(v.y);
-            hi.z = hi.z.max(v.z);
-            max_d2 = max_d2.max(v.dist2(p));
+        // `a < b` selects rather than `f64::min`: one instruction, and a NaN
+        // coordinate is skipped all the same.
+        let min = |a: f64, b: f64| if a < b { a } else { b };
+        let max = |a: f64, b: f64| if a > b { a } else { b };
+        for &v in &self.at {
+            lo.x = min(v.x, lo.x);
+            lo.y = min(v.y, lo.y);
+            lo.z = min(v.z, lo.z);
+            hi.x = max(v.x, hi.x);
+            hi.y = max(v.y, hi.y);
+            hi.z = max(v.z, hi.z);
+            max_d2 = max(v.dist2(p), max_d2);
         }
         (Aabb::new(lo, hi), max_d2)
     }
@@ -493,15 +501,6 @@ impl ConvexPolyhedron {
             c += self.verts[v as usize];
         }
         c / l.len().max(1) as f64
-    }
-}
-
-/// Append `v` to the loop that starts at `start` unless it repeats the
-/// loop's last vertex: consecutive duplicates never enter a loop.
-#[inline]
-fn push_distinct(loops: &mut Vec<u32>, start: usize, v: u32) {
-    if loops.len() == start || loops[loops.len() - 1] != v {
-        loops.push(v);
     }
 }
 
@@ -621,23 +620,29 @@ mod tests {
         // A plane through the cube edge x = y = 0 (On) that cuts the face
         // y = 1 at x = 1/3: the face y = 0 keeps only its two On vertices
         // and goes, the face x = 1 lies wholly outside and goes, the face
-        // x = 0 is untouched, and two vertices are interpolated — each in
-        // the direction the first face to reach its edge walks it (the face
-        // y = 1, loop 2 → 6 → 7 → 3).
+        // x = 0 is untouched, and two vertices are created where the plane
+        // crosses the edges of y = 1 with z = 0 and z = 1.
         let mut c = unit_cube();
-        let v = c.verts.clone();
+        // Corner `i` of the unit cube: bits 0, 1, 2 set x, y, z to 1.
+        let v = |i: usize| Vec3::new((i & 1) as f64, (i >> 1 & 1) as f64, (i >> 2 & 1) as f64);
         let n = Vec3::new(3.0, -1.0, 0.0).normalized().unwrap();
         let plane = Plane::from_point_normal(Vec3::ZERO, n);
         assert_eq!(c.clip(&plane, Some(9), EPS), ClipResult::Clipped);
-        let cut =
-            |a: usize, b: usize| v[a].lerp(v[b], plane.intersect_segment(v[a], v[b]).unwrap());
         // Vertices numbered by first reference: the untouched face x = 0
         // (loop 0 → 4 → 6 → 2), then the face y = 1's two new vertices.
-        let want = [v[0], v[4], v[6], v[2], cut(6, 7), cut(3, 2)];
+        let kept = [v(0), v(4), v(6), v(2)];
         assert_eq!(
-            c.verts.iter().map(|&p| bits(p)).collect::<Vec<_>>(),
-            want.iter().map(|&p| bits(p)).collect::<Vec<_>>()
+            c.verts[..4].iter().map(|&p| bits(p)).collect::<Vec<_>>(),
+            kept.iter().map(|&p| bits(p)).collect::<Vec<_>>()
         );
+        let cuts = [
+            Vec3::new(1.0 / 3.0, 1.0, 1.0),
+            Vec3::new(1.0 / 3.0, 1.0, 0.0),
+        ];
+        assert_eq!(c.verts.len(), 6);
+        for (&got, want) in c.verts[4..].iter().zip(cuts) {
+            assert!((got - want).norm() < 1e-15, "{got} vs {want}");
+        }
         let loops: Vec<&[u32]> = c.faces.iter().map(|f| c.face_verts(f)).collect();
         assert_eq!(
             loops[..4],
@@ -704,6 +709,10 @@ mod tests {
                         id += 1;
                     }
                 }
+            }
+            match shared {
+                Some(s) => poly.build_faces(s),
+                None => poly.build_faces(&mut ClipScratch::new()),
             }
             poly
         };

@@ -344,13 +344,11 @@ fn mesh_digest(
 #[test]
 fn mesh_bytes_match_the_recorded_digest() {
     // The brute-force oracle above runs the same `clip` as the kernel, so
-    // it cannot see a change in how a clip computes its floats — which
-    // endpoint a cut edge is interpolated from, the order of the closing
-    // face, the numbering of the vertices. This digest can: it pins the
-    // encoded blocks (vertex bits and order, face loops, volumes, areas)
-    // to the values recorded at the commit before the flat cell storage.
-    // The closing face is ordered by libm `atan2`, so a platform whose
-    // `atan2` rounds differently may legitimately produce other bits.
+    // it cannot see a change in how a clip computes its floats — where a
+    // new vertex is placed, where a face loop starts, the numbering of the
+    // vertices. This digest can: it pins the encoded blocks (vertex bits
+    // and order, face loops, volumes, areas) to the values recorded when
+    // vertices became named by their three planes.
     let n = 6;
     let particles = jittered(n, 41, 0.45);
     // One value per block scheme: `TESS_DECOMP=kd` encodes other blocks.
@@ -362,9 +360,9 @@ fn mesh_bytes_match_the_recorded_digest() {
         let (digest, stats) = mesh_digest(&particles, &dec, 2, &TessParams::default());
         assert_eq!(stats.cells, (n * n * n) as u64);
         let want = if kd {
-            0x62552255c7c3e18f
+            0x5b9155b5f28cf8c6
         } else {
-            0x1de2062460249abd
+            0x06bceaa6ceced9f6
         };
         assert_eq!(digest, want, "auto ghosts: {digest:#018x}");
 
@@ -378,9 +376,9 @@ fn mesh_bytes_match_the_recorded_digest() {
         let (digest, stats) = mesh_digest(&particles, &dec, 2, &params);
         assert!(stats.incomplete_kept > 0, "need genuinely incomplete cells");
         let want = if kd {
-            0xf787fe9a7d5b5cfd
+            0x55b0403e61c5629a
         } else {
-            0xb09f3fdfd935cedb
+            0x3a0e2bfc02222232
         };
         assert_eq!(digest, want, "kept incomplete: {digest:#018x}");
     });
